@@ -34,6 +34,7 @@ from .env import (
     compute_oracle,
     optimal_split_identity_holds,
     random_instance,
+    sample_upstream,
     transfer_grid_optimum,
 )
 from .firm import FirmExample, firm_demo
@@ -412,17 +413,17 @@ def _certificate_run(seed: int) -> list[float]:
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
     regret = 0.0
     out = []
-    from .env import sample_upstream
+    offers = [IncentiveOffer(arm, CERT_TAU[arm]) for arm in range(k)]
+    bests = [max(inst.v_up[a] + offer.bonus(a) for a in range(k)) for offer in offers]
 
     for t in range(1, max(CERT_CHECKPOINTS) + 1):
         arm = ((t - 1) // CERT_BATCH) % k
-        offer = IncentiveOffer(arm, CERT_TAU[arm])
+        offer = offers[arm]
         v = rng.random()
         played = ucb.step(offer, v)
         z = sample_upstream(inst, played, rng)
         ucb.update(played, z)
-        best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
-        regret += best - (inst.v_up[played] + offer.bonus(played))
+        regret += bests[arm] - (inst.v_up[played] + offer.bonus(played))
         if t in CERT_CHECKPOINTS:
             out.append(regret)
     return out

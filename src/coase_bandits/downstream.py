@@ -250,6 +250,10 @@ class Belgic:
         self.pair_ucb = PairUCB(params.n_arms, params.horizon)
         self.phase1_rounds = 0
         self._pending: tuple[IncentiveOffer, int, int] | None = None
+        # Offers change only between batches, and the K play offers are
+        # fixed once the estimates are; each is built once, not per round.
+        self._search_offer = IncentiveOffer(0, self.search_state.midpoint())
+        self._play_offers: tuple[IncentiveOffer, ...] = ()
 
     @property
     def in_search_phase(self) -> bool:
@@ -261,12 +265,12 @@ class Belgic:
         if self._pending is not None:
             raise RuntimeError("step() called twice without observe()")
         if self.in_search_phase:
-            offer = IncentiveOffer(self.search_arm, self.search_state.midpoint())
+            offer = self._search_offer
             own_arm, pair = 0, -1
         else:
             pair = self.pair_ucb.step(u)
             arm, own_arm = divmod(pair, self.params.n_arms)
-            offer = IncentiveOffer(arm, self.estimates.tau_hat[arm])
+            offer = self._play_offers[arm]
         self._pending = (offer, own_arm, pair)
         return offer, own_arm
 
@@ -304,14 +308,17 @@ class Belgic:
         )
         self.batch_round = 0
         self.mismatches = 0
-        if not state.finished:
-            return
-        if state.arm + 1 < self.params.n_arms:
+        if state.finished:
+            if state.arm + 1 == self.params.n_arms:
+                self.estimates = _finish_estimates(self.params, self.arm_states)
+                self._play_offers = tuple(
+                    IncentiveOffer(a, tau) for a, tau in enumerate(self.estimates.tau_hat)
+                )
+                return
             self.search_arm = state.arm + 1
             self.search_state = BinarySearchState(arm=self.search_arm)
             self.arm_states.append(self.search_state)
-        else:
-            self.estimates = _finish_estimates(self.params, self.arm_states)
+        self._search_offer = IncentiveOffer(self.search_arm, self.search_state.midpoint())
 
 
 def run_phase1(

@@ -5,12 +5,20 @@ accumulated from true means along the realized path, never from sampled
 rewards. Per-round draw order is fixed in both modes (downstream uniform,
 upstream uniform, upstream noise, downstream noise) so that runs with the
 same seed stay comparable across modes and policies.
+
+The round loop only drives the policies and collects each round's arms and
+offer. Every ``BLOCK`` rounds, and once at the end, ``fold_block`` turns the
+collected columns into per-round gaps and adds them onto the ledger. The
+gaps are ``per_round_gaps``'s arithmetic applied elementwise, and every sum
+runs in round order, so ledgers and trajectories are bit-identical to
+folding one round at a time. A recorded trajectory is held as columns
+(``Trajectory``), not as one object per round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +35,10 @@ from .upstream import NO_OFFER, IncentiveOffer
 #: Slack allowed to the per-round regret decomposition inequality; covers
 #: float rounding only, the inequality itself is exact.
 DECOMPOSITION_TOL = 1e-12
+
+#: Rounds collected between two folds into the ledger; a run without a
+#: trajectory holds O(BLOCK) per-round values.
+BLOCK = 4096
 
 
 @dataclass
@@ -66,6 +78,69 @@ class RoundRecord:
     gap_down: float
 
 
+@dataclass(eq=False)
+class Trajectory:
+    """One game's per-round records as columns; row i is round t = i + 1.
+
+    offered_arm and tau are None in the no-property mode, where every phase
+    is "-". In the property mode the first search_rounds rounds are
+    "search" and the rest "play". Indexing and iteration yield RoundRecords.
+    """
+
+    up_arm: np.ndarray
+    down_arm: np.ndarray
+    gap_sw: np.ndarray
+    gap_up: np.ndarray
+    gap_down: np.ndarray
+    offered_arm: np.ndarray | None = None
+    tau: np.ndarray | None = None
+    search_rounds: int = 0
+
+    @classmethod
+    def empty(cls, horizon: int, offers: bool) -> "Trajectory":
+        columns = [np.zeros(horizon, dtype=np.intp) for _ in range(2)]
+        columns += [np.zeros(horizon) for _ in range(3)]
+        if offers:
+            columns += [np.zeros(horizon, dtype=np.intp), np.zeros(horizon)]
+        return cls(*columns)
+
+    def put(self, start: int, up_arm, down_arm, gaps, offer_arm=None, amount=None) -> None:
+        """Store rounds start, start + 1, ... (gaps as fold_block returns them)."""
+        rows = slice(start - 1, start - 1 + len(up_arm))
+        self.up_arm[rows] = up_arm
+        self.down_arm[rows] = down_arm
+        self.gap_sw[rows], self.gap_up[rows], self.gap_down[rows] = gaps
+        if self.offered_arm is not None:
+            self.offered_arm[rows] = offer_arm
+            self.tau[rows] = amount
+
+    def __len__(self) -> int:
+        return len(self.up_arm)
+
+    def __getitem__(self, index: int) -> RoundRecord:
+        t = range(1, len(self) + 1)[index]
+        i = t - 1
+        if self.offered_arm is None:
+            phase, arm, tau = "-", None, None
+        else:
+            phase = "search" if t <= self.search_rounds else "play"
+            arm, tau = int(self.offered_arm[i]), float(self.tau[i])
+        return RoundRecord(
+            t,
+            phase,
+            arm,
+            tau,
+            int(self.up_arm[i]),
+            int(self.down_arm[i]),
+            float(self.gap_sw[i]),
+            float(self.gap_up[i]),
+            float(self.gap_down[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass
 class GameResult:
     mode: str
@@ -75,7 +150,7 @@ class GameResult:
     oracle: Oracle
     ledger: RegretLedger
     misaligned: bool
-    records: list[RoundRecord] | None = None
+    records: Trajectory | None = None
     tau_hat: tuple[float, ...] | None = None
     phase1_rounds: int = 0
     phase1_batches: list | None = None
@@ -116,15 +191,83 @@ def breakdown_lower_bound(oracle: Oracle, horizon: int, r_up_n: float) -> float:
     return oracle.delta_sw * (horizon - r_up_n / oracle.delta_up)
 
 
-def _check_decomposition(ledger: RegretLedger, gap_sw: float, gap_up: float, gap_down: float, t: int):
-    slack = gap_up + gap_down - gap_sw
-    if slack < ledger.decomposition_min_slack:
-        ledger.decomposition_min_slack = slack
-    if slack < -DECOMPOSITION_TOL:
-        raise RuntimeError(
-            f"round {t}: player regret gaps {gap_up:.17g} + {gap_down:.17g} fell below "
-            f"the welfare gap {gap_sw:.17g} by {-slack:.3e}; transfers should cancel exactly"
+def fold_block(
+    instance: BanditInstance,
+    oracle: Oracle,
+    ledger: RegretLedger,
+    start: int,
+    up_arm,
+    down_arm,
+    offer_arm=None,
+    amount=None,
+) -> tuple[RegretLedger, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold played rounds start, start + 1, ... onto ``ledger``.
+
+    Returns the new ledger and the rounds' (gap_sw, gap_up, gap_down)
+    columns; ``ledger`` itself is left as it was. offer_arm/amount are None
+    in the no-property mode. Each gap is per_round_gaps's arithmetic, and
+    each ledger sum is a cumulative sum seeded with its running total, so
+    the result is bit-identical to adding the rounds one at a time. In the
+    property mode the first round that breaks the decomposition inequality
+    gap_up + gap_down >= gap_sw raises, naming that round.
+    """
+    up = np.asarray(up_arm, dtype=np.intp)
+    down = np.asarray(down_arm, dtype=np.intp)
+    v_up = np.array(instance.v_up)
+    up_mean = v_up[up]
+    down_mean = np.array(instance.v_down)[up, down]
+    welfare = up_mean + down_mean
+    gap_sw = oracle.welfare_star - welfare
+    min_slack = ledger.decomposition_min_slack
+    if offer_arm is None:
+        names = ("r_up_n", "r_down_n")
+        best_response = np.array([max(row) for row in instance.v_down])
+        gap_up = oracle.mu_star_up - up_mean
+        gap_down = best_response[up] - down_mean
+        up_utility, down_utility = up_mean, down_mean
+    else:
+        names = ("r_up_p", "r_down_p")
+        arm = np.asarray(offer_arm, dtype=np.intp)
+        amt = np.asarray(amount, dtype=float)
+        # Best unpaid alternative to each offered arm, with offer.bonus's "+ 0.0".
+        k = instance.n_arms
+        best_other = np.array(
+            [
+                max((instance.v_up[b] + 0.0 for b in range(k) if b != a), default=-math.inf)
+                for a in range(k)
+            ]
         )
+        paid = np.where(up == arm, amt, 0.0)
+        up_utility = up_mean + paid
+        down_utility = down_mean - paid
+        gap_up = np.maximum(best_other[arm], v_up[arm] + amt) - up_utility
+        gap_down = oracle.mu_star_down - down_utility
+        slack = gap_up + gap_down - gap_sw
+        if slack.size:
+            lowest = slack[np.argmin(slack)]
+            if lowest < min_slack:
+                min_slack = float(lowest)
+        broken = np.flatnonzero(slack < -DECOMPOSITION_TOL)
+        if broken.size:
+            i = int(broken[0])
+            raise RuntimeError(
+                f"round {start + i}: player regret gaps {float(gap_up[i]):.17g} + "
+                f"{float(gap_down[i]):.17g} fell below the welfare gap {float(gap_sw[i]):.17g} "
+                f"by {float(-slack[i]):.3e}; transfers should cancel exactly"
+            )
+
+    names += ("r_sw", "up_utility", "down_utility", "welfare")
+    table = np.empty((len(names), len(up) + 1))
+    table[:, 0] = [getattr(ledger, name) for name in names]
+    table[:, 1:] = (gap_up, gap_down, gap_sw, up_utility, down_utility, welfare)
+    totals = np.cumsum(table, axis=1)[:, -1].tolist()
+    folded = replace(
+        ledger,
+        rounds=ledger.rounds + len(up),
+        decomposition_min_slack=min_slack,
+        **dict(zip(names, totals)),
+    )
+    return folded, gap_sw, gap_up, gap_down
 
 
 def run_no_property(
@@ -145,31 +288,30 @@ def run_no_property(
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
     rng = np.random.default_rng(seed)
     ledger = RegretLedger()
-    records: list[RoundRecord] | None = [] if record_trajectory else None
-    v_up, v_down = instance.v_up, instance.v_down
+    records = Trajectory.empty(horizon, offers=False) if record_trajectory else None
+    draw = rng.random
+    up_step, up_update = upstream.step, upstream.update
+    down_step, down_update = downstream.step, downstream.update
+    ups, downs = [], []
 
-    for t in range(1, horizon + 1):
-        u = rng.random()
-        v = rng.random()
-        up_arm = upstream.step(NO_OFFER, v)
-        z = sample_upstream(instance, up_arm, rng)
-        upstream.update(up_arm, z)
-        down_arm = downstream.step(up_arm, u)
-        x = sample_downstream(instance, up_arm, down_arm, rng)
-        downstream.update(up_arm, down_arm, x)
-
-        gap_sw, gap_up, gap_down = per_round_gaps(instance, oracle, None, up_arm, down_arm)
-        ledger.rounds += 1
-        ledger.r_up_n += gap_up
-        ledger.r_down_n += gap_down
-        ledger.r_sw += gap_sw
-        ledger.up_utility += v_up[up_arm]
-        ledger.down_utility += v_down[up_arm][down_arm]
-        ledger.welfare += v_up[up_arm] + v_down[up_arm][down_arm]
+    for start in range(1, horizon + 1, BLOCK):
+        for _ in range(start, min(start + BLOCK, horizon + 1)):
+            u = draw()
+            v = draw()
+            up_arm = up_step(NO_OFFER, v)
+            z = sample_upstream(instance, up_arm, rng)
+            up_update(up_arm, z)
+            down_arm = down_step(up_arm, u)
+            x = sample_downstream(instance, up_arm, down_arm, rng)
+            down_update(up_arm, down_arm, x)
+            ups.append(up_arm)
+            downs.append(down_arm)
+        up_col, down_col = np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
+        ledger, *gaps = fold_block(instance, oracle, ledger, start, up_col, down_col)
         if records is not None:
-            records.append(
-                RoundRecord(t, "-", None, None, up_arm, down_arm, gap_sw, gap_up, gap_down)
-            )
+            records.put(start, up_col, down_col, gaps)
+        ups.clear()
+        downs.clear()
 
     bound = None
     if misaligned:
@@ -202,9 +344,10 @@ def run_property(
 ) -> GameResult:
     """Property-rights game: the downstream opens each round with an offer.
 
-    Every round asserts the decomposition inequality gap_up + gap_down >=
-    gap_sw (transfers cancel, so the players' regrets jointly dominate the
-    welfare regret); the minimum slack is kept in the ledger.
+    Every round is checked for the decomposition inequality gap_up +
+    gap_down >= gap_sw (transfers cancel, so the players' regrets jointly
+    dominate the welfare regret); the minimum slack is kept in the ledger.
+    Trajectory rows up to the downstream's phase1_rounds are "search" rows.
     """
     params = getattr(downstream, "params", None)
     if params is not None:
@@ -217,45 +360,40 @@ def run_property(
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
     rng = np.random.default_rng(seed)
     ledger = RegretLedger()
-    records: list[RoundRecord] | None = [] if record_trajectory else None
-    v_up, v_down = instance.v_up, instance.v_down
+    records = Trajectory.empty(horizon, offers=True) if record_trajectory else None
+    draw = rng.random
+    up_step, up_update = upstream.step, upstream.update
+    down_step, observe = downstream.step, downstream.observe
+    ups, downs, offers = [], [], []
 
-    for t in range(1, horizon + 1):
-        u = rng.random()
-        in_search = getattr(downstream, "in_search_phase", False)
-        offer, down_arm = downstream.step(u)
-        v = rng.random()
-        up_arm = upstream.step(offer, v)
-        z = sample_upstream(instance, up_arm, rng)
-        upstream.update(up_arm, z)
-        x = sample_downstream(instance, up_arm, down_arm, rng)
-        downstream.observe(up_arm, x)
-
-        paid = offer.bonus(up_arm)
-        gap_sw, gap_up, gap_down = per_round_gaps(instance, oracle, offer, up_arm, down_arm)
-        _check_decomposition(ledger, gap_sw, gap_up, gap_down, t)
-        ledger.rounds += 1
-        ledger.r_up_p += gap_up
-        ledger.r_down_p += gap_down
-        ledger.r_sw += gap_sw
-        ledger.up_utility += v_up[up_arm] + paid
-        ledger.down_utility += v_down[up_arm][down_arm] - paid
-        ledger.welfare += v_up[up_arm] + v_down[up_arm][down_arm]
+    for start in range(1, horizon + 1, BLOCK):
+        for _ in range(start, min(start + BLOCK, horizon + 1)):
+            u = draw()
+            offer, down_arm = down_step(u)
+            v = draw()
+            up_arm = up_step(offer, v)
+            z = sample_upstream(instance, up_arm, rng)
+            up_update(up_arm, z)
+            x = sample_downstream(instance, up_arm, down_arm, rng)
+            observe(up_arm, x)
+            ups.append(up_arm)
+            downs.append(down_arm)
+            offers.append(offer)
+        up_col, down_col = np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
+        arm_col = np.array([o.arm for o in offers], dtype=np.intp)
+        amount_col = np.array([o.amount for o in offers], dtype=float)
+        ledger, *gaps = fold_block(
+            instance, oracle, ledger, start, up_col, down_col, arm_col, amount_col
+        )
         if records is not None:
-            records.append(
-                RoundRecord(
-                    t,
-                    "search" if in_search else "play",
-                    offer.arm,
-                    offer.amount,
-                    up_arm,
-                    down_arm,
-                    gap_sw,
-                    gap_up,
-                    gap_down,
-                )
-            )
+            records.put(start, up_col, down_col, gaps, arm_col, amount_col)
+        ups.clear()
+        downs.clear()
+        offers.clear()
 
+    phase1_rounds = getattr(downstream, "phase1_rounds", 0)
+    if records is not None:
+        records.search_rounds = phase1_rounds
     estimates = getattr(downstream, "estimates", None)
     return GameResult(
         mode="property",
@@ -267,6 +405,6 @@ def run_property(
         misaligned=misaligned,
         records=records,
         tau_hat=None if estimates is None else estimates.tau_hat,
-        phase1_rounds=getattr(downstream, "phase1_rounds", 0),
+        phase1_rounds=phase1_rounds,
         phase1_batches=list(getattr(downstream, "diagnostics", [])) or None,
     )

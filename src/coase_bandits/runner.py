@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .downstream import (
     OracleTransferDownstream,
     ZeroTransferDownstream,
 )
-from .engine import GameResult, run_no_property, run_property
+from .engine import GameResult, Trajectory, run_no_property, run_property
 from .env import BanditInstance, compute_oracle
 from .upstream import BestResponseUpstream, IncentiveAwareUCB
 
@@ -224,23 +225,41 @@ TRAJECTORY_HEADER = [
 ]
 
 
-def write_trajectory(path: str, records) -> None:
-    rows = []
-    for r in records:
-        rows.append(
-            [
-                str(r.t),
-                r.phase,
-                _fmt_opt(r.offered_arm),
-                _fmt_opt(r.tau),
-                str(r.up_arm),
-                str(r.down_arm),
-                _fmt_float(r.gap_sw),
-                _fmt_float(r.gap_up),
-                _fmt_float(r.gap_down),
-            ]
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """_fmt_float of every value, formatting each distinct bit pattern once."""
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = [_fmt_float(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
+
+
+def write_trajectory(path: str, records: Trajectory) -> None:
+    """One row per round, one %-format per row; offer fields are empty in
+    the no-property mode."""
+    n = len(records)
+    columns = [
+        records.up_arm.tolist(),
+        records.down_arm.tolist(),
+        _fmt_column(records.gap_sw),
+        _fmt_column(records.gap_up),
+        _fmt_column(records.gap_down),
+    ]
+    if records.offered_arm is None:
+        row = "%d,-,,,%d,%d,%s,%s,%s\n"
+        values = zip(range(1, n + 1), *columns)
+    else:
+        row = "%d,%s,%d,%s,%d,%d,%s,%s,%s\n"
+        search = records.search_rounds
+        phases = chain(repeat("search", search), repeat("play", n - search))
+        values = zip(
+            range(1, n + 1),
+            phases,
+            records.offered_arm.tolist(),
+            _fmt_column(records.tau),
+            *columns,
         )
-    _write_csv(path, TRAJECTORY_HEADER, rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
+        fh.writelines(map(row.__mod__, values))
 
 
 PHASE1_HEADER = ["arm", "batch_index", "tau_mid", "mismatches", "branch", "tau_lower", "tau_upper"]
