@@ -4,7 +4,8 @@ Eight checks, each a self-contained function returning a CriterionResult
 with one human-readable pass/fail line. Everything is pinned: instances,
 seeds, horizons, search parameters, and tolerances. The test suite and the
 ``accept`` CLI subcommand both run these; nothing here depends on wall
-clock, machine, or process count.
+clock, machine, or process count: independent runs go through
+``runner.fan_out`` and are aggregated in their pinned task order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .env import (
     transfer_grid_optimum,
 )
 from .firm import FirmExample, firm_demo
-from .runner import simulate_command, sweep
+from .runner import fan_out, simulate_command, sweep
 from .upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
@@ -140,6 +141,19 @@ def _matrix_upstream(kind: str, instance: BanditInstance, horizon: int):
     return BestResponseUpstream(instance)
 
 
+def _matrix_run(task) -> tuple[int, float]:
+    """One property-mode game of the matrix: (rounds, min decomposition slack)."""
+    inst, up_kind, down_kind, seed = task
+    result = run_property(
+        inst,
+        _matrix_upstream(up_kind, inst, MATRIX_HORIZON),
+        _matrix_downstream(down_kind, inst, MATRIX_HORIZON),
+        MATRIX_HORIZON,
+        seed,
+    )
+    return result.ledger.rounds, result.ledger.decomposition_min_slack
+
+
 def criterion_2_pathwise_decomposition() -> CriterionResult:
     """Per-round regret decomposition across the whole property-mode matrix.
 
@@ -147,23 +161,17 @@ def criterion_2_pathwise_decomposition() -> CriterionResult:
     minimum observed slack, which must stay above -1e-12.
     """
     t0 = time.perf_counter()
-    rounds = 0
-    min_slack = math.inf
-    runs = 0
-    for inst in MATRIX_INSTANCES:
-        for up_kind in ("ucb", "best_response"):
-            for down_kind in ("belgic", "oracle", "zero"):
-                for seed in MATRIX_SEEDS:
-                    result = run_property(
-                        inst,
-                        _matrix_upstream(up_kind, inst, MATRIX_HORIZON),
-                        _matrix_downstream(down_kind, inst, MATRIX_HORIZON),
-                        MATRIX_HORIZON,
-                        seed,
-                    )
-                    rounds += result.ledger.rounds
-                    min_slack = min(min_slack, result.ledger.decomposition_min_slack)
-                    runs += 1
+    tasks = [
+        (inst, up_kind, down_kind, seed)
+        for inst in MATRIX_INSTANCES
+        for up_kind in ("ucb", "best_response")
+        for down_kind in ("belgic", "oracle", "zero")
+        for seed in MATRIX_SEEDS
+    ]
+    outcomes = fan_out(_matrix_run, tasks)
+    runs = len(outcomes)
+    rounds = sum(r for r, _ in outcomes)
+    min_slack = min(slack for _, slack in outcomes)
     passed = min_slack >= -DECOMPOSITION_TOL
     detail = (
         f"{runs} runs / {rounds} property-mode rounds, zero violations; "
@@ -180,28 +188,33 @@ BREAKDOWN_SEEDS = tuple(range(50))
 BREAKDOWN_TOP_T = 2**14
 
 
+def _breakdown_run(task) -> tuple[bool, float]:
+    """One misaligned no-property game: (welfare floor held, r_sw / T)."""
+    horizon, seed = task
+    result = run_no_property(
+        BREAKDOWN_INSTANCE,
+        IncentiveAwareUCB(BREAKDOWN_INSTANCE.n_arms, horizon),
+        NaiveContextUCB(BREAKDOWN_INSTANCE.n_arms, horizon),
+        horizon,
+        seed,
+    )
+    held = result.ledger.r_sw >= result.breakdown_bound - 1e-9 * horizon
+    return held, result.ledger.r_sw / horizon
+
+
 def criterion_3_welfare_breakdown() -> CriterionResult:
     """Misaligned baseline: welfare-regret floor on every path, and the mean
     per-round welfare regret at the largest horizon lands in [0.9, 1.0] of
     the misalignment margin."""
     t0 = time.perf_counter()
     oracle = compute_oracle(BREAKDOWN_INSTANCE)
-    held = total = 0
-    top_rates = []
-    for horizon in BREAKDOWN_HORIZONS:
-        for seed in BREAKDOWN_SEEDS:
-            result = run_no_property(
-                BREAKDOWN_INSTANCE,
-                IncentiveAwareUCB(BREAKDOWN_INSTANCE.n_arms, horizon),
-                NaiveContextUCB(BREAKDOWN_INSTANCE.n_arms, horizon),
-                horizon,
-                seed,
-            )
-            total += 1
-            if result.ledger.r_sw >= result.breakdown_bound - 1e-9 * horizon:
-                held += 1
-            if horizon == BREAKDOWN_TOP_T:
-                top_rates.append(result.ledger.r_sw / horizon)
+    tasks = [(horizon, seed) for horizon in BREAKDOWN_HORIZONS for seed in BREAKDOWN_SEEDS]
+    outcomes = fan_out(_breakdown_run, tasks)
+    total = len(outcomes)
+    held = sum(ok for ok, _ in outcomes)
+    top_rates = [
+        rate for (horizon, _), (_, rate) in zip(tasks, outcomes) if horizon == BREAKDOWN_TOP_T
+    ]
     mean_rate = float(np.mean(top_rates))
     lo, hi = 0.9 * oracle.delta_sw, oracle.delta_sw
     passed = held == total and lo <= mean_rate <= hi
@@ -246,10 +259,12 @@ def _contain_params(n_arms: int) -> BelgicParams:
     )
 
 
-def _check_brackets(inst: BanditInstance, seed: int) -> tuple[bool, float]:
-    """Replay the binary search against the exact best responder and verify,
-    batch by batch, bracket containment of tau* and the width recurrence
-    (both the bit-exact update arithmetic and the closed-form w/2 + h)."""
+def _check_brackets(task) -> tuple[bool, float]:
+    """Replay the binary search on (instance, seed) against the exact best
+    responder and verify, batch by batch, bracket containment of tau* and the
+    width recurrence (both the bit-exact update arithmetic and the
+    closed-form w/2 + h)."""
+    inst, seed = task
     params = _contain_params(inst.n_arms)
     oracle = compute_oracle(inst)
     rng = np.random.default_rng(seed)
@@ -288,32 +303,33 @@ def _check_brackets(inst: BanditInstance, seed: int) -> tuple[bool, float]:
     return ok, worst_drift
 
 
-def criterion_4_binary_search() -> CriterionResult:
-    """Bracket correctness with the exact responder, then the estimate
-    sandwich under the learning upstream at the pinned failure budget."""
-    t0 = time.perf_counter()
-    contained = 0
-    worst_drift = 0.0
-    suite = instance_suite()
-    for i, inst in enumerate(suite):
-        ok, drift = _check_brackets(inst, seed=3000 + i)
-        contained += ok
-        worst_drift = max(worst_drift, drift)
-
+def _sandwich_failed(seed: int) -> bool:
+    """Whether phase 1 under the learning upstream leaves some tau* outside
+    its estimate sandwich [tau_hat - 4h - pad, tau_hat]."""
     params = _search_params(SANDWICH_INSTANCE.n_arms)
     oracle = compute_oracle(SANDWICH_INSTANCE)
     pad = params.estimate_pad
     h = params.precision
-    failures = 0
-    for seed in SANDWICH_SEEDS:
-        rng = np.random.default_rng(seed)
-        upstream = IncentiveAwareUCB(SANDWICH_INSTANCE.n_arms, SEARCH_HORIZON)
-        est, _, _ = run_phase1(SANDWICH_INSTANCE, upstream, params, rng)
-        for a, tau_true in enumerate(oracle.tau_star):
-            tau_hat = est.tau_hat[a]
-            if not tau_hat - 4.0 * h - pad <= tau_true <= tau_hat:
-                failures += 1
-                break
+    rng = np.random.default_rng(seed)
+    upstream = IncentiveAwareUCB(SANDWICH_INSTANCE.n_arms, SEARCH_HORIZON)
+    est, _, _ = run_phase1(SANDWICH_INSTANCE, upstream, params, rng)
+    return any(
+        not tau_hat - 4.0 * h - pad <= tau_true <= tau_hat
+        for tau_hat, tau_true in zip(est.tau_hat, oracle.tau_star, strict=True)
+    )
+
+
+def criterion_4_binary_search() -> CriterionResult:
+    """Bracket correctness with the exact responder, then the estimate
+    sandwich under the learning upstream at the pinned failure budget."""
+    t0 = time.perf_counter()
+    suite = instance_suite()
+    brackets = fan_out(_check_brackets, [(inst, 3000 + i) for i, inst in enumerate(suite)])
+    contained = sum(ok for ok, _ in brackets)
+    worst_drift = max(drift for _, drift in brackets)
+
+    params = _search_params(SANDWICH_INSTANCE.n_arms)
+    failures = sum(fan_out(_sandwich_failed, SANDWICH_SEEDS))
     n_runs = len(SANDWICH_SEEDS)
     zeta = params.certificate.tail
     budget = (
@@ -436,8 +452,7 @@ def criterion_6_certificate() -> CriterionResult:
     k = len(CERT_V_UP)
     scale = ucb_certificate(k, CERT_HORIZON).scale
     exceed = [0] * len(CERT_CHECKPOINTS)
-    for seed in range(CERT_RUNS):
-        prefix = _certificate_run(seed)
+    for prefix in fan_out(_certificate_run, range(CERT_RUNS)):
         for i, (t, r) in enumerate(zip(CERT_CHECKPOINTS, prefix)):
             if r > scale * math.sqrt(t * k):
                 exceed[i] += 1

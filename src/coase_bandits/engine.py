@@ -282,7 +282,8 @@ def run_no_property(
 
     After the run, if the instance is misaligned, the path-wise welfare
     breakdown bound is asserted: r_sw >= delta_sw * (T - r_up_n / delta_up)
-    up to float slack proportional to the horizon.
+    up to float slack proportional to the horizon; a breach raises naming
+    the seed and the horizon.
     """
     oracle = compute_oracle(instance)
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
@@ -319,7 +320,7 @@ def run_no_property(
         if ledger.r_sw < bound - 1e-9 * horizon:
             raise RuntimeError(
                 f"misaligned run broke the welfare floor: r_sw = {ledger.r_sw:.17g} "
-                f"< bound {bound:.17g}"
+                f"< bound {bound:.17g}; game seed {seed}, horizon {horizon}"
             )
     return GameResult(
         mode="no-property",
@@ -346,7 +347,8 @@ def run_property(
 
     Every round is checked for the decomposition inequality gap_up +
     gap_down >= gap_sw (transfers cancel, so the players' regrets jointly
-    dominate the welfare regret); the minimum slack is kept in the ledger.
+    dominate the welfare regret); the minimum slack is kept in the ledger,
+    and a violation raises naming the round, the seed and the horizon.
     Trajectory rows up to the downstream's phase1_rounds are "search" rows.
     """
     params = getattr(downstream, "params", None)
@@ -382,9 +384,12 @@ def run_property(
         up_col, down_col = np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
         arm_col = np.array([o.arm for o in offers], dtype=np.intp)
         amount_col = np.array([o.amount for o in offers], dtype=float)
-        ledger, *gaps = fold_block(
-            instance, oracle, ledger, start, up_col, down_col, arm_col, amount_col
-        )
+        try:
+            ledger, *gaps = fold_block(
+                instance, oracle, ledger, start, up_col, down_col, arm_col, amount_col
+            )
+        except RuntimeError as exc:
+            raise RuntimeError(f"{exc}; game seed {seed}, horizon {horizon}") from None
         if records is not None:
             records.put(start, up_col, down_col, gaps, arm_col, amount_col)
         ups.clear()

@@ -281,36 +281,48 @@ def write_phase1_batches(path: str, batches) -> None:
     _write_csv(path, PHASE1_HEADER, rows)
 
 
+def _simulate_task(packed) -> tuple[RunSummary, list[str]]:
+    """Play one seed of simulate_command and write that seed's files; returns
+    its summary and the paths written."""
+    cfg, out, seed = packed
+    record = cfg.trajectory == "full"
+    result = simulate_run(cfg, config_instance(cfg), cfg.horizon, seed, record_trajectory=record)
+    paths = []
+    if record:
+        path = os.path.join(out, f"trajectory_{seed}.csv")
+        write_trajectory(path, result.records)
+        paths.append(path)
+    if result.phase1_batches:
+        path = os.path.join(out, f"phase1_{seed}.csv")
+        write_phase1_batches(path, result.phase1_batches)
+        paths.append(path)
+    return summarize(cfg, result), paths
+
+
 def simulate_command(cfg: GameConfig, out_dir: str | None = None) -> dict:
     """Run every seed of the config and write the output tree.
 
     Writes run_summary.csv, a canonical config echo, and per-seed trajectory
-    and search-diagnostics files when enabled. Returns a manifest of paths.
+    and search-diagnostics files when enabled. Seeds run through fan_out;
+    each seed's files are written by the process that played it. Returns a
+    manifest of paths, in config seed order.
     """
     from .config import serialize_config
 
     out = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    instance = config_instance(cfg)
-    summaries, manifest = [], {"dir": out, "files": []}
+    config_instance(cfg)  # an invalid instance fails here, before any output
+    manifest = {"dir": out, "files": []}
 
     echo_path = os.path.join(out, "config_echo.cfg")
     with open(echo_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(serialize_config(cfg))
     manifest["files"].append(echo_path)
 
-    for seed in cfg.seeds:
-        record = cfg.trajectory == "full"
-        result = simulate_run(cfg, instance, cfg.horizon, seed, record_trajectory=record)
-        summaries.append(summarize(cfg, result))
-        if record:
-            path = os.path.join(out, f"trajectory_{seed}.csv")
-            write_trajectory(path, result.records)
-            manifest["files"].append(path)
-        if result.phase1_batches:
-            path = os.path.join(out, f"phase1_{seed}.csv")
-            write_phase1_batches(path, result.phase1_batches)
-            manifest["files"].append(path)
+    summaries = []
+    for summary, paths in fan_out(_simulate_task, [(cfg, out, seed) for seed in cfg.seeds]):
+        summaries.append(summary)
+        manifest["files"].extend(paths)
 
     summary_path = os.path.join(out, "run_summary.csv")
     write_run_summaries(summary_path, summaries)
@@ -320,11 +332,34 @@ def simulate_command(cfg: GameConfig, out_dir: str | None = None) -> dict:
 
 
 def worker_cap(requested: int | None = None) -> int:
+    """Worker processes to use: COASE_BANDITS_WORKERS if set, else the CPUs
+    this process may run on, capped at requested and at least 1."""
     cap = os.environ.get(WORKERS_ENV_VAR)
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    if cap:
+        limit = int(cap)
+    elif hasattr(os, "sched_getaffinity"):
+        limit = len(os.sched_getaffinity(0))
+    else:
+        limit = os.cpu_count() or 1
     if requested is not None:
         limit = min(limit, requested)
     return max(1, limit)
+
+
+def fan_out(fn, tasks, max_workers: int | None = None) -> list:
+    """[fn(t) for t in tasks], with the tasks spread over worker processes.
+
+    The pool holds worker_cap(max_workers, or one per task) processes; with a
+    cap of 1 every task runs in this process and no pool starts. Results come
+    back in task order, and the first task (in that order) to raise re-raises
+    here. fn and the tasks must pickle, so fn is a module-level function.
+    """
+    tasks = list(tasks)
+    workers = worker_cap(max_workers if max_workers is not None else len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _sweep_task(packed):
@@ -371,9 +406,8 @@ def sweep(
     """Run the config's seeds at each horizon; aggregate and fit the slope.
 
     Horizons are validated up front (each must pass the same checks as a
-    single run at that horizon). Work is distributed over processes capped
-    by the COASE_BANDITS_WORKERS environment variable; results are collected
-    and sorted so output never depends on scheduling order.
+    single run at that horizon). Games run through fan_out, so results never
+    depend on scheduling order.
     """
     from .config import validate_config
     from dataclasses import replace
@@ -386,16 +420,10 @@ def sweep(
         validate_config(replace(cfg, horizon=horizon))
 
     tasks = [(cfg, horizon, seed) for horizon in sorted(horizons) for seed in cfg.seeds]
-    workers = worker_cap(max_workers if max_workers is not None else len(tasks))
-    results: dict[tuple[int, int], RunSummary] = {}
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for horizon, seed, summary in pool.map(_sweep_task, tasks):
-                results[(horizon, seed)] = summary
-    else:
-        for packed in tasks:
-            horizon, seed, summary = _sweep_task(packed)
-            results[(horizon, seed)] = summary
+    results: dict[tuple[int, int], RunSummary] = {
+        (horizon, seed): summary
+        for horizon, seed, summary in fan_out(_sweep_task, tasks, max_workers)
+    }
 
     rows = []
     for horizon in sorted(horizons):

@@ -173,6 +173,24 @@ class TestNoPropertyMode:
             # the run itself raises if the floor is broken; check the margin
             assert res.ledger.r_sw >= res.breakdown_bound - 1e-9 * 4096
 
+    def test_broken_welfare_floor_names_the_game(self, monkeypatch):
+        # Raising delta_sw tenfold lifts the floor far above any real r_sw.
+        import coase_bandits.engine as engine
+
+        real = engine.compute_oracle
+        monkeypatch.setattr(
+            engine,
+            "compute_oracle",
+            lambda inst: dataclasses.replace(real(inst), delta_sw=10.0 * real(inst).delta_sw),
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"^misaligned run broke the welfare floor: .*; game seed 4, horizon 256$",
+        ):
+            run_no_property(
+                DYADIC, BestResponseUpstream(DYADIC), BestResponseDownstream(DYADIC), 256, 4
+            )
+
     def test_utilities_sum_to_welfare(self):
         inst = build_instance((0.8, 0.2), ((0.1, 0.6), (0.3, 0.4)))
         res = run_no_property(

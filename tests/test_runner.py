@@ -1,6 +1,8 @@
-"""Run orchestration: summaries, CSV fidelity, sweeps, and worker caps."""
+"""Run orchestration: summaries, CSV fidelity, sweeps, worker caps and fan-out."""
 
+import dataclasses
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -9,6 +11,7 @@ from coase_bandits.config import ConfigError, GameConfig, parse_config_file
 from coase_bandits.runner import (
     RunSummary,
     SweepRow,
+    fan_out,
     fit_loglog_slope,
     read_run_summaries,
     read_sweep_table,
@@ -242,6 +245,112 @@ class TestWorkerCap:
         monkeypatch.setenv("COASE_BANDITS_WORKERS", "0")
         assert worker_cap() == 1
 
+    def test_without_env_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("COASE_BANDITS_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_cap() == 1
+        assert worker_cap(8) == 1
+
+
+def _square_and_pid(x):
+    return x * x, os.getpid()
+
+
+WORKER_CAPS = pytest.mark.parametrize("workers", ["1", "2"])
+
+
+class TestFanOut:
+    @WORKER_CAPS
+    def test_keeps_task_order(self, monkeypatch, workers):
+        monkeypatch.setenv("COASE_BANDITS_WORKERS", workers)
+        out = fan_out(_square_and_pid, range(7))
+        assert [value for value, _ in out] == [x * x for x in range(7)]
+        in_process = [pid == os.getpid() for _, pid in out]
+        assert all(in_process) if workers == "1" else not any(in_process)
+
+    @WORKER_CAPS
+    def test_reraises_a_worker_exception(self, monkeypatch, workers):
+        monkeypatch.setenv("COASE_BANDITS_WORKERS", workers)
+        with pytest.raises(ValueError, match="math domain error"):
+            fan_out(math.sqrt, [4.0, -1.0, 9.0])
+
+    def test_max_workers_caps_the_pool(self, monkeypatch):
+        monkeypatch.setenv("COASE_BANDITS_WORKERS", "2")
+        out = fan_out(_square_and_pid, range(3), max_workers=1)
+        assert all(pid == os.getpid() for _, pid in out)
+
+
+def _serial_and_pooled(monkeypatch, run):
+    """run() under a worker cap of 1 and then of 2."""
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("COASE_BANDITS_WORKERS", workers)
+        outputs.append(run(workers))
+    return outputs
+
+
+class TestPooledMatchesSerial:
+    def test_simulate_command_files_and_manifest(self, monkeypatch, tmp_path):
+        cfg = dataclasses.replace(PROPERTY_CFG, seeds=(7, 11, 3), trajectory="full")
+
+        def run(workers):
+            out = str(tmp_path / workers)
+            manifest = simulate_command(cfg, out_dir=out)
+            files = {}
+            for path in manifest["files"]:
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, out)] = fh.read()
+            return list(files), files, manifest["summaries"]
+
+        serial, pooled = _serial_and_pooled(monkeypatch, run)
+        assert serial[0] == pooled[0]
+        assert serial[0] == [
+            "config_echo.cfg",
+            "trajectory_7.csv",
+            "phase1_7.csv",
+            "trajectory_11.csv",
+            "phase1_11.csv",
+            "trajectory_3.csv",
+            "phase1_3.csv",
+            "run_summary.csv",
+        ]
+        assert serial[1] == pooled[1]
+        assert serial[2] == pooled[2]
+
+    def test_criterion_2_detail(self, monkeypatch):
+        from coase_bandits.acceptance import criterion_2_pathwise_decomposition
+
+        serial, pooled = _serial_and_pooled(
+            monkeypatch, lambda _: criterion_2_pathwise_decomposition()
+        )
+        assert serial.detail == pooled.detail
+        assert (serial.number, serial.passed) == (pooled.number, pooled.passed)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched oracle reaches pool workers only through fork",
+)
+def test_violation_in_a_pool_worker_names_the_game(monkeypatch):
+    # Lowering mu_star_down by 1 lowers every round's decomposition slack by 1,
+    # so the first round of the first game breaks the inequality.
+    import coase_bandits.engine as engine
+
+    real = engine.compute_oracle
+    monkeypatch.setattr(
+        engine,
+        "compute_oracle",
+        lambda inst: dataclasses.replace(real(inst), mu_star_down=real(inst).mu_star_down - 1.0),
+    )
+    monkeypatch.setenv("COASE_BANDITS_WORKERS", "2")
+    cfg = dataclasses.replace(
+        PROPERTY_CFG, seeds=(3, 5), upstream_policy="best_response", downstream_policy="oracle"
+    )
+    with pytest.raises(
+        RuntimeError, match=r"^round 1: player regret gaps .*; game seed 3, horizon 64$"
+    ):
+        sweep(cfg, [64, 128])
+
 
 class TestSweep:
     def test_exact_rates_on_deterministic_doubles(self):
@@ -262,6 +371,7 @@ class TestSweep:
         monkeypatch.setenv("COASE_BANDITS_WORKERS", "1")
         serial = sweep(DYADIC_NO_PROPERTY, [64, 128])
         assert parallel[0] == serial[0]
+        assert parallel[1] == serial[1]
         assert parallel[2] == serial[2]
 
     def test_unsorted_horizons_are_sorted(self):
