@@ -35,7 +35,7 @@ from .env import (
     compute_oracle,
     optimal_split_identity_holds,
     random_instance,
-    sample_upstream,
+    round_sampler,
     transfer_grid_optimum,
 )
 from .firm import FirmExample, firm_demo
@@ -425,7 +425,7 @@ def _certificate_run(seed: int) -> list[float]:
     and return its transfer-adjusted pseudo-regret at each checkpoint."""
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
-    rng = np.random.default_rng(seed)
+    sample = round_sampler(inst, np.random.default_rng(seed), downstream=False)
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
     regret = 0.0
     out = []
@@ -435,10 +435,8 @@ def _certificate_run(seed: int) -> list[float]:
     for t in range(1, max(CERT_CHECKPOINTS) + 1):
         arm = ((t - 1) // CERT_BATCH) % k
         offer = offers[arm]
-        v = rng.random()
-        played = ucb.step(offer, v)
-        z = sample_upstream(inst, played, rng)
-        ucb.update(played, z)
+        played = ucb.step(offer)
+        ucb.update(played, sample(played))
         regret += bests[arm] - (inst.v_up[played] + offer.bonus(played))
         if t in CERT_CHECKPOINTS:
             out.append(regret)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, Oracle, sample_downstream, sample_upstream
+from .env import BanditInstance, Oracle, round_sampler
 from .upstream import IncentiveOffer, RegretCertificate
 
 
@@ -202,22 +202,23 @@ class PairUCB:
         self.log_term = math.log(n_pairs * horizon**3)
         self.counts = [0] * n_pairs
         self.means = [0.0] * n_pairs
+        self.index = [math.inf] * n_pairs
         self.init_pointer = 0
 
-    def step(self, u: float = 0.0) -> int:
+    def step(self) -> int:
+        """Lowest-numbered pair with the highest index, once every pair has a
+        sample; until then the first pair without one."""
         if self.init_pointer < self.n_pairs:
             return self.init_pointer
-        best_pair, best_index = 0, -math.inf
-        for p in range(self.n_pairs):
-            idx = self.means[p] + 2.0 * math.sqrt(self.log_term / self.counts[p])
-            if idx > best_index:
-                best_pair, best_index = p, idx
-        return best_pair
+        index = self.index
+        return index.index(max(index))
 
     def record(self, pair: int, shifted_reward: float) -> None:
         n = self.counts[pair] + 1
         self.counts[pair] = n
-        self.means[pair] += (shifted_reward - self.means[pair]) / n
+        mean = self.means[pair] + (shifted_reward - self.means[pair]) / n
+        self.means[pair] = mean
+        self.index[pair] = mean + 2.0 * math.sqrt(self.log_term / n)
         if pair == self.init_pointer:
             self.init_pointer += 1
 
@@ -259,7 +260,7 @@ class Belgic:
     def in_search_phase(self) -> bool:
         return self.estimates is None
 
-    def step(self, u: float = 0.0) -> tuple[IncentiveOffer, int]:
+    def step(self) -> tuple[IncentiveOffer, int]:
         if self.t >= self.params.horizon:
             raise ValueError(f"round {self.t + 1} exceeds horizon {self.params.horizon}")
         if self._pending is not None:
@@ -268,7 +269,7 @@ class Belgic:
             offer = self._search_offer
             own_arm, pair = 0, -1
         else:
-            pair = self.pair_ucb.step(u)
+            pair = self.pair_ucb.step()
             arm, own_arm = divmod(pair, self.params.n_arms)
             offer = self._play_offers[arm]
         self._pending = (offer, own_arm, pair)
@@ -329,21 +330,19 @@ def run_phase1(
 ) -> tuple[TransferEstimates, list[Phase1Batch], int]:
     """Drive only the search phase against a live upstream policy.
 
-    Rounds mirror the full engine exactly (same per-round draw order:
-    downstream uniform, upstream uniform, upstream noise, downstream noise),
-    so phase 1 here is bit-identical to phase 1 inside a full game with the
-    same rng. Downstream rewards are drawn and discarded; the search only
-    consumes compliance.
+    Rounds mirror the full engine exactly: both draw each round from
+    ``env.round_sampler``, which states the draw order, so phase 1 here is
+    bit-identical to phase 1 inside a full game with the same rng.
+    Downstream rewards are drawn and discarded; the search only consumes
+    compliance.
     """
     belgic = Belgic(params)
+    sample = round_sampler(instance, rng)
     while belgic.in_search_phase:
-        u = rng.random()
-        offer, own_arm = belgic.step(u)
-        v = rng.random()
-        upstream_arm = upstream.step(offer, v)
-        z = sample_upstream(instance, upstream_arm, rng)
+        offer, own_arm = belgic.step()
+        upstream_arm = upstream.step(offer)
+        z, x = sample(upstream_arm, own_arm)
         upstream.update(upstream_arm, z)
-        x = sample_downstream(instance, upstream_arm, own_arm, rng)
         belgic.observe(upstream_arm, x)
     return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds
 
@@ -361,24 +360,21 @@ class NaiveContextUCB:
         self.log_term = math.log(n_arms * horizon**3)
         self.counts = [[0] * n_arms for _ in range(n_arms)]
         self.means = [[0.0] * n_arms for _ in range(n_arms)]
+        self.index = [[math.inf] * n_arms for _ in range(n_arms)]
 
-    def step(self, context: int, u: float = 0.0) -> int:
-        counts = self.counts[context]
-        for b in range(self.n_arms):
-            if counts[b] == 0:
-                return b
-        means = self.means[context]
-        best_arm, best_index = 0, -math.inf
-        for b in range(self.n_arms):
-            idx = means[b] + 2.0 * math.sqrt(self.log_term / counts[b])
-            if idx > best_index:
-                best_arm, best_index = b, idx
-        return best_arm
+    def step(self, context: int) -> int:
+        """Lowest arm with the highest index in this context; an arm never
+        played there has index +inf, so each context sweeps its arms first."""
+        index = self.index[context]
+        return index.index(max(index))
 
     def update(self, context: int, arm: int, reward: float) -> None:
         n = self.counts[context][arm] + 1
         self.counts[context][arm] = n
-        self.means[context][arm] += (reward - self.means[context][arm]) / n
+        means = self.means[context]
+        mean = means[arm] + (reward - means[arm]) / n
+        means[arm] = mean
+        self.index[context][arm] = mean + 2.0 * math.sqrt(self.log_term / n)
 
 
 class OracleTransferDownstream:
@@ -393,7 +389,7 @@ class OracleTransferDownstream:
     def in_search_phase(self) -> bool:
         return False
 
-    def step(self, u: float = 0.0) -> tuple[IncentiveOffer, int]:
+    def step(self) -> tuple[IncentiveOffer, int]:
         return self.offer, self.own_arm
 
     def observe(self, upstream_arm: int, reward: float) -> None:
@@ -412,7 +408,7 @@ class ZeroTransferDownstream:
     def in_search_phase(self) -> bool:
         return False
 
-    def step(self, u: float = 0.0) -> tuple[IncentiveOffer, int]:
+    def step(self) -> tuple[IncentiveOffer, int]:
         return self.offer, self.own_arm
 
     def observe(self, upstream_arm: int, reward: float) -> None:
@@ -432,7 +428,7 @@ class BestResponseDownstream:
                     best_b = b
             self.best.append(best_b)
 
-    def step(self, context: int, u: float = 0.0) -> int:
+    def step(self, context: int) -> int:
         return self.best[context]
 
     def update(self, context: int, arm: int, reward: float) -> None:

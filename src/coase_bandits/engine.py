@@ -2,9 +2,9 @@
 
 Both game modes share one accounting convention: regrets are pseudo-regrets,
 accumulated from true means along the realized path, never from sampled
-rewards. Per-round draw order is fixed in both modes (downstream uniform,
-upstream uniform, upstream noise, downstream noise) so that runs with the
-same seed stay comparable across modes and policies.
+rewards. Both modes draw each round's rewards from ``env.round_sampler``,
+which states the per-round draw order, so runs with the same seed stay
+comparable across modes and policies.
 
 The round loop only drives the policies and collects each round's arms and
 offer. Every ``BLOCK`` rounds, and once at the end, ``fold_block`` turns the
@@ -27,8 +27,7 @@ from .env import (
     Oracle,
     compute_oracle,
     misalignment_holds,
-    sample_downstream,
-    sample_upstream,
+    round_sampler,
 )
 from .upstream import NO_OFFER, IncentiveOffer
 
@@ -287,23 +286,19 @@ def run_no_property(
     """
     oracle = compute_oracle(instance)
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
-    rng = np.random.default_rng(seed)
+    sample = round_sampler(instance, np.random.default_rng(seed))
     ledger = RegretLedger()
     records = Trajectory.empty(horizon, offers=False) if record_trajectory else None
-    draw = rng.random
     up_step, up_update = upstream.step, upstream.update
     down_step, down_update = downstream.step, downstream.update
     ups, downs = [], []
 
     for start in range(1, horizon + 1, BLOCK):
         for _ in range(start, min(start + BLOCK, horizon + 1)):
-            u = draw()
-            v = draw()
-            up_arm = up_step(NO_OFFER, v)
-            z = sample_upstream(instance, up_arm, rng)
+            up_arm = up_step(NO_OFFER)
+            down_arm = down_step(up_arm)
+            z, x = sample(up_arm, down_arm)
             up_update(up_arm, z)
-            down_arm = down_step(up_arm, u)
-            x = sample_downstream(instance, up_arm, down_arm, rng)
             down_update(up_arm, down_arm, x)
             ups.append(up_arm)
             downs.append(down_arm)
@@ -360,23 +355,19 @@ def run_property(
 
     oracle = compute_oracle(instance)
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
-    rng = np.random.default_rng(seed)
+    sample = round_sampler(instance, np.random.default_rng(seed))
     ledger = RegretLedger()
     records = Trajectory.empty(horizon, offers=True) if record_trajectory else None
-    draw = rng.random
     up_step, up_update = upstream.step, upstream.update
     down_step, observe = downstream.step, downstream.observe
     ups, downs, offers = [], [], []
 
     for start in range(1, horizon + 1, BLOCK):
         for _ in range(start, min(start + BLOCK, horizon + 1)):
-            u = draw()
-            offer, down_arm = down_step(u)
-            v = draw()
-            up_arm = up_step(offer, v)
-            z = sample_upstream(instance, up_arm, rng)
+            offer, down_arm = down_step()
+            up_arm = up_step(offer)
+            z, x = sample(up_arm, down_arm)
             up_update(up_arm, z)
-            x = sample_downstream(instance, up_arm, down_arm, rng)
             observe(up_arm, x)
             ups.append(up_arm)
             downs.append(down_arm)

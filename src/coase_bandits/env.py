@@ -79,6 +79,60 @@ def sample_downstream(
     return 1.0 if rng.random() < mean else 0.0
 
 
+def round_sampler(instance: BanditInstance, rng: np.random.Generator, downstream: bool = True):
+    """Every game loop's per-round draws; returns ``sample(up_arm, down_arm)``
+    -> (upstream reward, downstream reward).
+
+    This is the one place the per-round draw order is stated. Each round
+    takes one uniform per player (slots no policy reads, kept so the stream
+    stays as it always was), then the upstream reward draw, then the
+    downstream one: with gaussian rewards two uniforms and then two standard
+    normals, with bernoulli rewards four uniforms, the last two compared
+    against the means. Array fills consume ``rng`` exactly like the same
+    number of scalar calls, so the rewards equal those of two uniform draws
+    followed by ``sample_upstream`` and ``sample_downstream``, bit for bit.
+
+    With ``downstream=False`` a round is one uniform and one upstream reward,
+    and ``sample(up_arm)`` returns that reward alone.
+    """
+    v_up, v_down = instance.v_up, instance.v_down
+    random, normal = rng.random, rng.standard_normal
+    if not downstream:
+        if instance.reward_model == "gaussian":
+
+            def sample_up(up_arm: int) -> float:
+                random()
+                return v_up[up_arm] + normal()
+
+        else:
+
+            def sample_up(up_arm: int) -> float:
+                random()
+                return 1.0 if random() < v_up[up_arm] else 0.0
+
+        return sample_up
+
+    if instance.reward_model == "gaussian":
+        slots, noise = np.empty(2), np.empty(2)
+
+        def sample(up_arm: int, down_arm: int) -> tuple[float, float]:
+            random(out=slots)
+            z, x = normal(out=noise).tolist()
+            return v_up[up_arm] + z, v_down[up_arm][down_arm] + x
+
+    else:
+        four = np.empty(4)
+
+        def sample(up_arm: int, down_arm: int) -> tuple[float, float]:
+            _, _, p, q = random(out=four).tolist()
+            return (
+                1.0 if p < v_up[up_arm] else 0.0,
+                1.0 if q < v_down[up_arm][down_arm] else 0.0,
+            )
+
+    return sample
+
+
 @dataclass(frozen=True)
 class Oracle:
     """Exact benchmark quantities, all from exhaustive enumeration.

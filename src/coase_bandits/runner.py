@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -90,39 +91,31 @@ class RunSummary:
 
     @classmethod
     def from_row(cls, row: list[str]) -> "RunSummary":
-        names = [f.name for f in fields(cls)]
-        if len(row) != len(names):
-            raise ValueError(f"expected {len(names)} columns, got {len(row)}")
-        raw = dict(zip(names, row))
-        return cls(
-            mode=raw["mode"],
-            seed=int(raw["seed"]),
-            horizon=int(raw["horizon"]),
-            n_arms=int(raw["n_arms"]),
-            reward_model=raw["reward_model"],
-            upstream_policy=raw["upstream_policy"],
-            downstream_policy=raw["downstream_policy"],
-            r_sw=float(raw["r_sw"]),
-            r_up_n=float(raw["r_up_n"]),
-            r_down_n=float(raw["r_down_n"]),
-            r_up_p=float(raw["r_up_p"]),
-            r_down_p=float(raw["r_down_p"]),
-            up_utility=float(raw["up_utility"]),
-            down_utility=float(raw["down_utility"]),
-            welfare=float(raw["welfare"]),
-            decomposition_min_slack=float(raw["decomposition_min_slack"]),
-            misaligned=raw["misaligned"] == "yes",
-            phase1_rounds=int(raw["phase1_rounds"]),
-            tau_hat=tuple(float(x) for x in raw["tau_hat"].split(";")) if raw["tau_hat"] else None,
-            a_sw=int(raw["a_sw"]),
-            b_sw=int(raw["b_sw"]),
-            welfare_star=float(raw["welfare_star"]),
-            mu_star_up=float(raw["mu_star_up"]),
-            mu_star_down=float(raw["mu_star_down"]),
-            delta_up=float(raw["delta_up"]),
-            delta_sw=float(raw["delta_sw"]),
-            breakdown_bound=float(raw["breakdown_bound"]) if raw["breakdown_bound"] else None,
-        )
+        if len(row) != len(_SUMMARY_PARSERS):
+            raise ValueError(f"expected {len(_SUMMARY_PARSERS)} columns, got {len(row)}")
+        return cls(**{name: parse(cell) for (name, parse), cell in zip(_SUMMARY_PARSERS, row)})
+
+
+def _cell_parser(hint):
+    """Inverse of to_row for one field annotated ``hint``: an optional field
+    is None when its cell is empty, a tuple's items are ';'-separated, and a
+    bool is "yes" or "no"."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        parse = _cell_parser(inner)
+        return lambda cell: parse(cell) if cell else None
+    if typing.get_origin(hint) is tuple:
+        parse = _cell_parser(args[0])
+        return lambda cell: tuple(parse(x) for x in cell.split(";"))
+    if hint is bool:
+        return lambda cell: cell == "yes"
+    return hint
+
+
+_SUMMARY_PARSERS = [
+    (name, _cell_parser(hint)) for name, hint in typing.get_type_hints(RunSummary).items()
+]
 
 
 def summary_header() -> list[str]:
@@ -336,7 +329,10 @@ def worker_cap(requested: int | None = None) -> int:
     this process may run on, capped at requested and at least 1."""
     cap = os.environ.get(WORKERS_ENV_VAR)
     if cap:
-        limit = int(cap)
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {cap!r}") from None
     elif hasattr(os, "sched_getaffinity"):
         limit = len(os.sched_getaffinity(0))
     else:

@@ -75,25 +75,28 @@ class IncentiveAwareUCB:
         self.log_term = math.log(n_arms * horizon**3)
         self.pulls = [0] * n_arms
         self.means = [0.0] * n_arms
+        # index[a] = means[a] + 2 * sqrt(log_term / pulls[a]), kept by update;
+        # +inf until the arm's first pull.
+        self.index = [math.inf] * n_arms
         self.t = 0  # completed step() calls
 
-    def step(self, offer: IncentiveOffer, u: float = 0.0) -> int:
-        """Pick this round's arm. ``u`` is the exogenous uniform slot; the
-        decision is deterministic given history so it goes unused."""
+    def step(self, offer: IncentiveOffer) -> int:
+        """Pick this round's arm; deterministic given the history."""
         self.t += 1
         if self.t <= self.n_arms:
             return self.t - 1
-        best_arm, best_index = 0, -math.inf
-        for a in range(self.n_arms):
-            idx = self.means[a] + 2.0 * math.sqrt(self.log_term / self.pulls[a]) + offer.bonus(a)
-            if idx > best_index:
-                best_arm, best_index = a, idx
-        return best_arm
+        index = self.index
+        if offer.amount and 0 <= offer.arm < self.n_arms:
+            index = index.copy()
+            index[offer.arm] += offer.amount
+        return index.index(max(index))
 
     def update(self, arm: int, reward: float) -> None:
         n = self.pulls[arm] + 1
         self.pulls[arm] = n
-        self.means[arm] += (reward - self.means[arm]) / n
+        mean = self.means[arm] + (reward - self.means[arm]) / n
+        self.means[arm] = mean
+        self.index[arm] = mean + 2.0 * math.sqrt(self.log_term / n)
 
 
 class BestResponseUpstream:
@@ -110,7 +113,7 @@ class BestResponseUpstream:
     def __init__(self, instance: BanditInstance):
         self.v_up = instance.v_up
 
-    def step(self, offer: IncentiveOffer, u: float = 0.0) -> int:
+    def step(self, offer: IncentiveOffer) -> int:
         best_arm, best_value = 0, -math.inf
         for a in range(len(self.v_up)):
             value = self.v_up[a] + offer.bonus(a)

@@ -52,10 +52,10 @@ def small_params():
 def drive(belgic, instance, upstream, rng, rounds):
     """Engine-equivalent loop: draw order u, v, z, x each round."""
     for _ in range(rounds):
-        u = rng.random()
-        offer, own_arm = belgic.step(u)
-        v = rng.random()
-        up_arm = upstream.step(offer, v)
+        rng.random()
+        offer, own_arm = belgic.step()
+        rng.random()
+        up_arm = upstream.step(offer)
         z = sample_upstream(instance, up_arm, rng)
         upstream.update(up_arm, z)
         x = sample_downstream(instance, up_arm, own_arm, rng)
@@ -302,16 +302,16 @@ class TestPairUCB:
 
     def test_argmax_after_init(self):
         ucb = PairUCB(2, 1000)
-        ucb.counts = [400, 400, 400, 400]
-        ucb.means = [0.1, 0.9, 0.2, 0.3]
-        ucb.init_pointer = 4
+        for pair, mean in enumerate([0.1, 0.9, 0.2, 0.3]):
+            for _ in range(400):
+                ucb.record(pair, mean)
         assert ucb.step() == 1
 
     def test_exact_tie_prefers_lowest_pair(self):
         ucb = PairUCB(2, 1000)
-        ucb.counts = [10, 10, 10, 10]
-        ucb.means = [0.5, 0.5, 0.5, 0.5]
-        ucb.init_pointer = 4
+        for pair in range(4):
+            for _ in range(10):
+                ucb.record(pair, 0.5)
         assert ucb.step() == 0
 
     def test_record_running_mean(self):
@@ -333,16 +333,16 @@ class TestPairUCB:
 class TestBelgic:
     def test_first_offer_is_unit_bracket_midpoint(self):
         belgic = Belgic(default_params())
-        offer, own_arm = belgic.step(0.0)
+        offer, own_arm = belgic.step()
         assert (offer.arm, offer.amount) == (0, 0.5)
         assert own_arm == 0
         assert belgic.in_search_phase
 
     def test_double_step_rejected(self):
         belgic = Belgic(default_params())
-        belgic.step(0.0)
+        belgic.step()
         with pytest.raises(RuntimeError, match="twice"):
-            belgic.step(0.0)
+            belgic.step()
 
     def test_observe_requires_pending_step(self):
         belgic = Belgic(default_params())
@@ -357,7 +357,7 @@ class TestBelgic:
         assert belgic.in_search_phase
         drive(belgic, inst, BestResponseUpstream(inst), rng, 1)
         assert not belgic.in_search_phase
-        offer, own_arm = belgic.step(0.0)
+        offer, own_arm = belgic.step()
         assert offer.arm == 0 and own_arm == 0  # pair 0 opens the init sweep
         assert offer.amount == belgic.estimates.tau_hat[0]
 
@@ -366,12 +366,12 @@ class TestBelgic:
         belgic = Belgic(default_params())
         drive(belgic, inst, BestResponseUpstream(inst), np.random.default_rng(0), 3072)
 
-        offer, _ = belgic.step(0.0)
+        offer, _ = belgic.step()
         before = belgic.pair_ucb.snapshot()
         belgic.observe(1 - offer.arm, 0.9)  # refused: nothing recorded
         assert belgic.pair_ucb.snapshot() == before
 
-        offer, _ = belgic.step(0.0)
+        offer, _ = belgic.step()
         belgic.observe(offer.arm, 0.9)
         counts, means, _ = belgic.pair_ucb.snapshot()
         assert counts[0] == 1
@@ -394,7 +394,7 @@ class TestBelgic:
         belgic = Belgic(params)
         drive(belgic, inst, BestResponseUpstream(inst), np.random.default_rng(1), 256)
         with pytest.raises(ValueError, match="horizon"):
-            belgic.step(0.0)
+            belgic.step()
 
     def test_invalid_params_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -411,8 +411,9 @@ class TestNaiveContextUCB:
 
     def test_dominant_arm_after_saturation(self):
         ucb = NaiveContextUCB(2, 1000)
-        ucb.counts[0] = [1000, 1000]
-        ucb.means[0] = [0.1, 0.9]
+        for arm, mean in enumerate([0.1, 0.9]):
+            for _ in range(1000):
+                ucb.update(0, arm, mean)
         assert ucb.step(0) == 1
 
     def test_update_running_mean(self):

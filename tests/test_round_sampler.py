@@ -1,0 +1,405 @@
+"""The round sampler and the cached UCB indices against a scalar reference.
+
+The reference is the round loop written the long way: every round draws the
+two uniform slots with scalar calls, then the rewards through
+``sample_upstream`` and ``sample_downstream``, and every UCB step recomputes
+its indices from the counts and means. ``env.round_sampler`` and the cached
+indices must reproduce it bit for bit, in the engine, in ``run_phase1`` and
+in criterion 6's certificate run.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coase_bandits.acceptance import (
+    CERT_BATCH,
+    CERT_CHECKPOINTS,
+    CERT_HORIZON,
+    CERT_TAU,
+    CERT_V_UP,
+    _certificate_run,
+)
+from coase_bandits.downstream import (
+    Belgic,
+    BelgicParams,
+    BestResponseDownstream,
+    NaiveContextUCB,
+    OracleTransferDownstream,
+    PairUCB,
+    ZeroTransferDownstream,
+    run_phase1,
+)
+from coase_bandits.engine import BLOCK, RegretLedger, fold_block, run_no_property, run_property
+from coase_bandits.env import (
+    build_instance,
+    compute_oracle,
+    round_sampler,
+    sample_downstream,
+    sample_upstream,
+)
+from coase_bandits.upstream import (
+    NO_OFFER,
+    BestResponseUpstream,
+    IncentiveAwareUCB,
+    IncentiveOffer,
+    RegretCertificate,
+)
+
+# ---------------------------------------------------------------- reference
+
+
+def scalar_round(instance, rng, up_arm, down_arm):
+    """One round's draws as four scalar calls: two unread uniforms, then the
+    upstream and the downstream reward."""
+    rng.random()
+    rng.random()
+    return sample_upstream(instance, up_arm, rng), sample_downstream(instance, up_arm, down_arm, rng)
+
+
+def ucb_index(mean, pulls, log_term):
+    return mean + 2.0 * math.sqrt(log_term / pulls)
+
+
+class RefUCB(IncentiveAwareUCB):
+    """IncentiveAwareUCB recomputing every index from pulls and means."""
+
+    def step(self, offer):
+        self.t += 1
+        if self.t <= self.n_arms:
+            return self.t - 1
+        best_arm, best_index = 0, -math.inf
+        for a in range(self.n_arms):
+            idx = ucb_index(self.means[a], self.pulls[a], self.log_term) + offer.bonus(a)
+            if idx > best_index:
+                best_arm, best_index = a, idx
+        return best_arm
+
+    def update(self, arm, reward):
+        self.pulls[arm] += 1
+        self.means[arm] += (reward - self.means[arm]) / self.pulls[arm]
+
+
+class RefPairUCB(PairUCB):
+    """PairUCB recomputing every index from counts and means."""
+
+    def step(self):
+        if self.init_pointer < self.n_pairs:
+            return self.init_pointer
+        best_pair, best_index = 0, -math.inf
+        for p in range(self.n_pairs):
+            idx = ucb_index(self.means[p], self.counts[p], self.log_term)
+            if idx > best_index:
+                best_pair, best_index = p, idx
+        return best_pair
+
+    def record(self, pair, shifted_reward):
+        self.counts[pair] += 1
+        self.means[pair] += (shifted_reward - self.means[pair]) / self.counts[pair]
+        if pair == self.init_pointer:
+            self.init_pointer += 1
+
+
+class RefNaiveContextUCB(NaiveContextUCB):
+    """NaiveContextUCB with an explicit forced sweep and from-scratch indices."""
+
+    def step(self, context):
+        counts, means = self.counts[context], self.means[context]
+        for b in range(self.n_arms):
+            if counts[b] == 0:
+                return b
+        best_arm, best_index = 0, -math.inf
+        for b in range(self.n_arms):
+            idx = ucb_index(means[b], counts[b], self.log_term)
+            if idx > best_index:
+                best_arm, best_index = b, idx
+        return best_arm
+
+    def update(self, context, arm, reward):
+        self.counts[context][arm] += 1
+        n = self.counts[context][arm]
+        self.means[context][arm] += (reward - self.means[context][arm]) / n
+
+
+def ref_belgic(params):
+    belgic = Belgic(params)
+    belgic.pair_ucb = RefPairUCB(params.n_arms, params.horizon)
+    return belgic
+
+
+def ref_play(instance, upstream, downstream, horizon, seed, property_mode):
+    """The round loop with scalar draws; returns the played columns
+    (up arms, down arms, offered arms, amounts)."""
+    rng = np.random.default_rng(seed)
+    ups, downs, arms, amounts = [], [], [], []
+    for _ in range(horizon):
+        if property_mode:
+            offer, down_arm = downstream.step()
+            up_arm = upstream.step(offer)
+        else:
+            up_arm = upstream.step(NO_OFFER)
+            down_arm = downstream.step(up_arm)
+        z, x = scalar_round(instance, rng, up_arm, down_arm)
+        upstream.update(up_arm, z)
+        if property_mode:
+            downstream.observe(up_arm, x)
+            arms.append(offer.arm)
+            amounts.append(offer.amount)
+        else:
+            downstream.update(up_arm, down_arm, x)
+        ups.append(up_arm)
+        downs.append(down_arm)
+    return ups, downs, arms, amounts
+
+
+def ref_phase1(instance, upstream, params, rng):
+    belgic = ref_belgic(params)
+    while belgic.in_search_phase:
+        offer, own_arm = belgic.step()
+        upstream_arm = upstream.step(offer)
+        z, x = scalar_round(instance, rng, upstream_arm, own_arm)
+        upstream.update(upstream_arm, z)
+        belgic.observe(upstream_arm, x)
+    return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds
+
+
+def ref_certificate_run(seed):
+    inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
+    k = inst.n_arms
+    rng = np.random.default_rng(seed)
+    ucb = RefUCB(k, CERT_HORIZON)
+    regret, out = 0.0, []
+    for t in range(1, max(CERT_CHECKPOINTS) + 1):
+        arm = ((t - 1) // CERT_BATCH) % k
+        offer = IncentiveOffer(arm, CERT_TAU[arm])
+        rng.random()
+        played = ucb.step(offer)
+        ucb.update(played, sample_upstream(inst, played, rng))
+        best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
+        regret += best - (inst.v_up[played] + offer.bonus(played))
+        if t in CERT_CHECKPOINTS:
+            out.append(regret)
+    return out
+
+
+def normal_took_slow_path(rng):
+    """Draw one standard normal; True when it used more than one 64-bit word
+    (the ziggurat's rejection path)."""
+    before = rng.bit_generator.state
+    rng.standard_normal()
+    probe = np.random.default_rng()
+    probe.bit_generator.state = before
+    probe.bit_generator.advance(1)
+    return probe.bit_generator.state != rng.bit_generator.state
+
+
+# ---------------------------------------------------------------- the sampler
+
+
+class TestRoundSampler:
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    def test_matches_four_scalar_draws(self, model):
+        inst = build_instance((0.2, 0.7, 0.5), ((0.1, 0.9, 0.4), (0.3, 0.3, 0.8), (0.6, 0.0, 1.0)), model)
+        arms = np.random.default_rng(99).integers(0, 3, size=(2000, 2)).tolist()
+        for seed in range(5):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            sample = round_sampler(inst, fast)
+            assert [sample(a, b) for a, b in arms] == [scalar_round(inst, slow, a, b) for a, b in arms]
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_rejection_path_normals_are_covered(self):
+        # Seed 0 of the gaussian case above draws 4,000 normals in this order
+        # (55 of them take the ziggurat's rejection path and consume extra
+        # words, which the array fill must replay like the scalar call).
+        rng = np.random.default_rng(0)
+        slow = 0
+        for _ in range(2000):
+            rng.random(2)
+            slow += normal_took_slow_path(rng) + normal_took_slow_path(rng)
+        assert slow > 0
+
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    def test_upstream_only_shape(self, model):
+        inst = build_instance((0.2, 0.7), ((0.0, 0.0), (0.0, 0.0)), model)
+        arms = np.random.default_rng(7).integers(0, 2, size=1000).tolist()
+        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+        sample = round_sampler(inst, fast, downstream=False)
+        expected = []
+        for a in arms:
+            slow.random()
+            expected.append(sample_upstream(inst, a, slow))
+        assert [sample(a) for a in arms] == expected
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+# ---------------------------------------------------------------- the games
+
+GAME_KINDS = [
+    ("property", up, down) for up in ("ucb", "best_response") for down in ("belgic", "oracle", "zero")
+] + [("no-property", up, down) for up in ("ucb", "best_response") for down in ("naive", "best_response")]
+HORIZONS = (5, 17, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+SMALL_SCHEDULE = (0.5, 0.2, RegretCertificate(0.5))
+
+_means = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _instances(draw):
+    k = draw(st.integers(1, 5))
+    return build_instance(
+        draw(st.lists(_means, min_size=k, max_size=k)),
+        draw(st.lists(st.lists(_means, min_size=k, max_size=k), min_size=k, max_size=k)),
+        draw(st.sampled_from(("gaussian", "bernoulli"))),
+    )
+
+
+def _players(up_kind, down_kind, instance, horizon, reference):
+    k = instance.n_arms
+    if up_kind == "ucb":
+        upstream = (RefUCB if reference else IncentiveAwareUCB)(k, horizon)
+    else:
+        upstream = BestResponseUpstream(instance)
+    if down_kind == "belgic":
+        params = BelgicParams(k, horizon, *SMALL_SCHEDULE)
+        downstream = ref_belgic(params) if reference else Belgic(params)
+    elif down_kind == "oracle":
+        downstream = OracleTransferDownstream(compute_oracle(instance))
+    elif down_kind == "zero":
+        downstream = ZeroTransferDownstream()
+    elif down_kind == "naive":
+        downstream = (RefNaiveContextUCB if reference else NaiveContextUCB)(k, horizon)
+    else:
+        downstream = BestResponseDownstream(instance)
+    return upstream, downstream
+
+
+def _learned_state(policy):
+    """Counts and means of a learning policy (Belgic: of its pair bandit)."""
+    policy = getattr(policy, "pair_ucb", policy)
+    return {
+        name: getattr(policy, name)
+        for name in ("pulls", "counts", "means", "t", "init_pointer")
+        if hasattr(policy, name)
+    }
+
+
+class TestGamesMatchScalarReference:
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("kind", GAME_KINDS, ids="-".join)
+    @settings(max_examples=2, deadline=None)
+    @given(instance=_instances(), seed=st.integers(0, 2**32 - 1))
+    def test_engine(self, kind, horizon, instance, seed):
+        mode, up_kind, down_kind = kind
+        property_mode = mode == "property"
+        try:
+            players = _players(up_kind, down_kind, instance, horizon, reference=False)
+        except ValueError:
+            assume(False)  # phase 1 cannot fit K arms into this horizon
+        ref_players = _players(up_kind, down_kind, instance, horizon, reference=True)
+        run = run_property if property_mode else run_no_property
+        result = run(instance, *players, horizon, seed, record_trajectory=True)
+        columns = ref_play(instance, *ref_players, horizon, seed, property_mode)
+
+        records = result.records
+        assert records.up_arm.tolist() == columns[0]
+        assert records.down_arm.tolist() == columns[1]
+        if property_mode:
+            assert records.offered_arm.tolist() == columns[2]
+            assert records.tau.tolist() == columns[3]
+            ledger, *gaps = fold_block(instance, result.oracle, RegretLedger(), 1, *columns)
+        else:
+            ledger, *gaps = fold_block(instance, result.oracle, RegretLedger(), 1, *columns[:2])
+        for field in dataclasses.fields(RegretLedger):
+            assert getattr(result.ledger, field.name) == getattr(ledger, field.name), field.name
+        assert records.gap_sw.tolist() == gaps[0].tolist()
+        assert records.gap_up.tolist() == gaps[1].tolist()
+        assert records.gap_down.tolist() == gaps[2].tolist()
+        for mine, theirs in zip(players, ref_players):
+            assert _learned_state(mine) == _learned_state(theirs)
+        if down_kind == "belgic":
+            assert result.phase1_batches == (ref_players[1].diagnostics or None)
+            assert result.tau_hat == ref_players[1].estimates.tau_hat
+
+    @pytest.mark.parametrize("up_kind", ["ucb", "best_response"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        instance=_instances(),
+        horizon=st.sampled_from((256, 1024, BLOCK, 2 * BLOCK + 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_phase1(self, up_kind, instance, horizon, seed):
+        params = BelgicParams(instance.n_arms, horizon, *SMALL_SCHEDULE)
+        try:
+            Belgic(params)
+        except ValueError:
+            assume(False)
+        up, ref_up = (
+            _players(up_kind, "zero", instance, horizon, reference=r)[0] for r in (False, True)
+        )
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert run_phase1(instance, up, params, rng) == ref_phase1(instance, ref_up, params, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _learned_state(up) == _learned_state(ref_up)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_certificate_run_prefixes(self, seed):
+        assert _certificate_run(seed) == ref_certificate_run(seed)
+
+
+# ---------------------------------------------------------------- cached indices
+
+_rewards = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+class TestCachedIndices:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 5), horizon=st.integers(5, 10**6), data=st.data())
+    def test_upstream_index_is_the_formula(self, k, horizon, data):
+        ucb = IncentiveAwareUCB(k, horizon)
+        for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=40)):
+            ucb.update(arm, reward)
+            for a in range(k):
+                want = math.inf if ucb.pulls[a] == 0 else ucb_index(ucb.means[a], ucb.pulls[a], ucb.log_term)
+                assert ucb.index[a] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), horizon=st.integers(5, 10**6), data=st.data())
+    def test_pair_index_is_the_formula(self, k, horizon, data):
+        ucb = PairUCB(k, horizon)
+        n = k * k
+        for pair, reward in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _rewards), max_size=40)):
+            ucb.record(pair, reward)
+            for p in range(n):
+                want = math.inf if ucb.counts[p] == 0 else ucb_index(ucb.means[p], ucb.counts[p], ucb.log_term)
+                assert ucb.index[p] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 4), horizon=st.integers(5, 10**6), data=st.data())
+    def test_context_index_is_the_formula(self, k, horizon, data):
+        ucb = NaiveContextUCB(k, horizon)
+        arms = st.integers(0, k - 1)
+        for context, arm, reward in data.draw(st.lists(st.tuples(arms, arms, _rewards), max_size=40)):
+            ucb.update(context, arm, reward)
+            for c in range(k):
+                for b in range(k):
+                    n = ucb.counts[c][b]
+                    want = math.inf if n == 0 else ucb_index(ucb.means[c][b], n, ucb.log_term)
+                    assert ucb.index[c][b] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 5), data=st.data())
+    def test_step_matches_from_scratch_argmax(self, k, data):
+        # Offers on any arm, including ones outside range(K), which change nothing.
+        ucb, ref = IncentiveAwareUCB(k, 4096), RefUCB(k, 4096)
+        moves = st.tuples(st.integers(-1, k), st.floats(0.0, 3.0, allow_nan=False), _rewards)
+        for offer_arm, amount, reward in data.draw(st.lists(moves, min_size=1, max_size=30)):
+            offer = IncentiveOffer(offer_arm, amount)
+            arm = ucb.step(offer)
+            assert arm == ref.step(offer)
+            ucb.update(arm, reward)
+            ref.update(arm, reward)

@@ -245,6 +245,11 @@ class TestWorkerCap:
         monkeypatch.setenv("COASE_BANDITS_WORKERS", "0")
         assert worker_cap() == 1
 
+    def test_non_integer_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("COASE_BANDITS_WORKERS", "two")
+        with pytest.raises(ValueError, match=r"^COASE_BANDITS_WORKERS must be an integer, got 'two'$"):
+            worker_cap()
+
     def test_without_env_counts_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("COASE_BANDITS_WORKERS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -76,8 +76,9 @@ def primed_ucb(means, pulls, horizon=4096):
     """UCB past initialization with chosen empirical state."""
     ucb = IncentiveAwareUCB(len(means), horizon)
     ucb.t = len(means)
-    ucb.means = list(means)
-    ucb.pulls = list(pulls)
+    for arm, (mean, n) in enumerate(zip(means, pulls)):
+        for _ in range(n):
+            ucb.update(arm, mean)
     return ucb
 
 
@@ -217,7 +218,8 @@ class TestRegretBehavior:
             for t in range(1, check_t + 1):
                 arm_offered = ((t - 1) // 256) % 2
                 offer = IncentiveOffer(arm_offered, tau[arm_offered])
-                played = ucb.step(offer, rng.random())
+                rng.random()
+                played = ucb.step(offer)
                 ucb.update(played, sample_upstream(inst, played, rng))
                 best = max(inst.v_up[a] + offer.bonus(a) for a in range(2))
                 regret += best - (inst.v_up[played] + offer.bonus(played))
