@@ -13,7 +13,7 @@ import argparse
 import numpy as np
 
 from coase_bandits.config import belgic_params, parse_config_file
-from coase_bandits.downstream import run_phase1
+from coase_bandits.engine import run_phase1
 from coase_bandits.env import compute_oracle
 from coase_bandits.runner import build_upstream
 from coase_bandits.upstream import BestResponseUpstream

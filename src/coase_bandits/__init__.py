@@ -1,84 +1,3 @@
 """Deterministic simulation engine for the two-player externality bandit game."""
 
-from .config import GameConfig, ConfigError, parse_config, parse_config_file, serialize_config
-from .downstream import (
-    Belgic,
-    BelgicParams,
-    BestResponseDownstream,
-    NaiveContextUCB,
-    OracleTransferDownstream,
-    PairUCB,
-    TransferEstimates,
-    ZeroTransferDownstream,
-    binary_search_batch_update,
-    run_phase1,
-    validate_params,
-)
-from .engine import GameResult, RegretLedger, RoundRecord, per_round_gaps, run_no_property, run_property
-from .env import (
-    BanditInstance,
-    Oracle,
-    build_instance,
-    compute_oracle,
-    misalignment_holds,
-    random_instance,
-)
-from .firm import FirmDemoReport, FirmExample, firm_demo, render_report
-from .runner import RunSummary, SweepRow, simulate_command, summarize, sweep
-from .upstream import (
-    NO_OFFER,
-    BestResponseUpstream,
-    IncentiveAwareUCB,
-    IncentiveOffer,
-    RegretCertificate,
-    ucb_certificate,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BanditInstance",
-    "Belgic",
-    "BelgicParams",
-    "BestResponseDownstream",
-    "BestResponseUpstream",
-    "ConfigError",
-    "FirmDemoReport",
-    "FirmExample",
-    "GameConfig",
-    "GameResult",
-    "IncentiveAwareUCB",
-    "IncentiveOffer",
-    "NO_OFFER",
-    "NaiveContextUCB",
-    "Oracle",
-    "OracleTransferDownstream",
-    "PairUCB",
-    "RegretCertificate",
-    "RegretLedger",
-    "RoundRecord",
-    "RunSummary",
-    "SweepRow",
-    "TransferEstimates",
-    "ZeroTransferDownstream",
-    "binary_search_batch_update",
-    "build_instance",
-    "compute_oracle",
-    "firm_demo",
-    "misalignment_holds",
-    "parse_config",
-    "parse_config_file",
-    "per_round_gaps",
-    "random_instance",
-    "render_report",
-    "run_no_property",
-    "run_phase1",
-    "run_property",
-    "serialize_config",
-    "simulate_command",
-    "summarize",
-    "sweep",
-    "ucb_certificate",
-    "validate_params",
-    "__version__",
-]

@@ -19,16 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GameConfig
-from .downstream import (
-    Belgic,
-    BelgicParams,
-    NaiveContextUCB,
-    OracleTransferDownstream,
-    ZeroTransferDownstream,
-    run_phase1,
-)
-from .engine import run_no_property, run_property
+from .config import GameConfig, config_instance
+from .downstream import BelgicParams, NaiveContextUCB
+from .engine import DECOMPOSITION_TOL, run_no_property, run_phase1
 from .env import (
     BanditInstance,
     build_instance,
@@ -39,7 +32,7 @@ from .env import (
     transfer_grid_optimum,
 )
 from .firm import FirmExample, firm_demo
-from .runner import fan_out, simulate_command, sweep
+from .runner import fan_out, simulate_command, simulate_run, sweep
 from .upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
@@ -116,41 +109,29 @@ MATRIX_INSTANCES = (
     build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3))),
 )
 MATRIX_ALPHA, MATRIX_BETA, MATRIX_SCALE = 0.75, 0.25, 1.0
-DECOMPOSITION_TOL = 1e-12
 
 
-def _matrix_downstream(kind: str, instance: BanditInstance, horizon: int):
-    if kind == "belgic":
-        return Belgic(
-            BelgicParams(
-                n_arms=instance.n_arms,
-                horizon=horizon,
-                alpha=MATRIX_ALPHA,
-                beta=MATRIX_BETA,
-                certificate=RegretCertificate(scale=MATRIX_SCALE),
-            )
-        )
-    if kind == "oracle":
-        return OracleTransferDownstream(compute_oracle(instance))
-    return ZeroTransferDownstream()
-
-
-def _matrix_upstream(kind: str, instance: BanditInstance, horizon: int):
-    if kind == "ucb":
-        return IncentiveAwareUCB(instance.n_arms, horizon)
-    return BestResponseUpstream(instance)
+def _matrix_config(inst: BanditInstance, up_kind: str, down_kind: str) -> GameConfig:
+    return GameConfig(
+        mode="property",
+        n_arms=inst.n_arms,
+        horizon=MATRIX_HORIZON,
+        seeds=MATRIX_SEEDS,
+        v_up=inst.v_up,
+        v_down=inst.v_down,
+        reward_model=inst.reward_model,
+        alpha=MATRIX_ALPHA,
+        beta=MATRIX_BETA,
+        upstream_policy=up_kind,
+        c_mode=f"fixed:{MATRIX_SCALE}",
+        downstream_policy=down_kind,
+    )
 
 
 def _matrix_run(task) -> tuple[int, float]:
     """One property-mode game of the matrix: (rounds, min decomposition slack)."""
-    inst, up_kind, down_kind, seed = task
-    result = run_property(
-        inst,
-        _matrix_upstream(up_kind, inst, MATRIX_HORIZON),
-        _matrix_downstream(down_kind, inst, MATRIX_HORIZON),
-        MATRIX_HORIZON,
-        seed,
-    )
+    cfg, seed = task
+    result = simulate_run(cfg, config_instance(cfg), cfg.horizon, seed)
     return result.ledger.rounds, result.ledger.decomposition_min_slack
 
 
@@ -162,7 +143,7 @@ def criterion_2_pathwise_decomposition() -> CriterionResult:
     """
     t0 = time.perf_counter()
     tasks = [
-        (inst, up_kind, down_kind, seed)
+        (_matrix_config(inst, up_kind, down_kind), seed)
         for inst in MATRIX_INSTANCES
         for up_kind in ("ucb", "best_response")
         for down_kind in ("belgic", "oracle", "zero")
@@ -239,23 +220,13 @@ WIDTH_TOL = 1e-12
 CONTAIN_ALPHA, CONTAIN_BETA, CONTAIN_SCALE = 0.5, 0.2, 0.5
 
 
-def _search_params(n_arms: int) -> BelgicParams:
+def _search_params(n_arms: int, alpha: float, beta: float, scale: float) -> BelgicParams:
     return BelgicParams(
         n_arms=n_arms,
         horizon=SEARCH_HORIZON,
-        alpha=SEARCH_ALPHA,
-        beta=SEARCH_BETA,
-        certificate=RegretCertificate(scale=SEARCH_SCALE),
-    )
-
-
-def _contain_params(n_arms: int) -> BelgicParams:
-    return BelgicParams(
-        n_arms=n_arms,
-        horizon=SEARCH_HORIZON,
-        alpha=CONTAIN_ALPHA,
-        beta=CONTAIN_BETA,
-        certificate=RegretCertificate(scale=CONTAIN_SCALE),
+        alpha=alpha,
+        beta=beta,
+        certificate=RegretCertificate(scale=scale),
     )
 
 
@@ -265,7 +236,7 @@ def _check_brackets(task) -> tuple[bool, float]:
     width recurrence (both the bit-exact update arithmetic and the
     closed-form w/2 + h)."""
     inst, seed = task
-    params = _contain_params(inst.n_arms)
+    params = _search_params(inst.n_arms, CONTAIN_ALPHA, CONTAIN_BETA, CONTAIN_SCALE)
     oracle = compute_oracle(inst)
     rng = np.random.default_rng(seed)
     _, batches, _ = run_phase1(inst, BestResponseUpstream(inst), params, rng)
@@ -306,7 +277,7 @@ def _check_brackets(task) -> tuple[bool, float]:
 def _sandwich_failed(seed: int) -> bool:
     """Whether phase 1 under the learning upstream leaves some tau* outside
     its estimate sandwich [tau_hat - 4h - pad, tau_hat]."""
-    params = _search_params(SANDWICH_INSTANCE.n_arms)
+    params = _search_params(SANDWICH_INSTANCE.n_arms, SEARCH_ALPHA, SEARCH_BETA, SEARCH_SCALE)
     oracle = compute_oracle(SANDWICH_INSTANCE)
     pad = params.estimate_pad
     h = params.precision
@@ -328,7 +299,7 @@ def criterion_4_binary_search() -> CriterionResult:
     contained = sum(ok for ok, _ in brackets)
     worst_drift = max(drift for _, drift in brackets)
 
-    params = _search_params(SANDWICH_INSTANCE.n_arms)
+    params = _search_params(SANDWICH_INSTANCE.n_arms, SEARCH_ALPHA, SEARCH_BETA, SEARCH_SCALE)
     failures = sum(fan_out(_sandwich_failed, SANDWICH_SEEDS))
     n_runs = len(SANDWICH_SEEDS)
     zeta = params.certificate.tail

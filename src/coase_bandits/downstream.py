@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .env import BanditInstance, Oracle, round_sampler
+from .env import BanditInstance, Oracle
 from .upstream import IncentiveOffer, RegretCertificate
 
 
@@ -320,31 +318,6 @@ class Belgic:
             self.search_state = BinarySearchState(arm=self.search_arm)
             self.arm_states.append(self.search_state)
         self._search_offer = IncentiveOffer(self.search_arm, self.search_state.midpoint())
-
-
-def run_phase1(
-    instance: BanditInstance,
-    upstream,
-    params: BelgicParams,
-    rng: np.random.Generator,
-) -> tuple[TransferEstimates, list[Phase1Batch], int]:
-    """Drive only the search phase against a live upstream policy.
-
-    Rounds mirror the full engine exactly: both draw each round from
-    ``env.round_sampler``, which states the draw order, so phase 1 here is
-    bit-identical to phase 1 inside a full game with the same rng.
-    Downstream rewards are drawn and discarded; the search only consumes
-    compliance.
-    """
-    belgic = Belgic(params)
-    sample = round_sampler(instance, rng)
-    while belgic.in_search_phase:
-        offer, own_arm = belgic.step()
-        upstream_arm = upstream.step(offer)
-        z, x = sample(upstream_arm, own_arm)
-        upstream.update(upstream_arm, z)
-        belgic.observe(upstream_arm, x)
-    return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds
 
 
 class NaiveContextUCB:

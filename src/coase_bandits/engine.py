@@ -6,9 +6,11 @@ rewards. Both modes draw each round's rewards from ``env.round_sampler``,
 which states the per-round draw order, so runs with the same seed stay
 comparable across modes and policies.
 
-The round loop only drives the policies and collects each round's arms and
-offer. Every ``BLOCK`` rounds, and once at the end, ``fold_block`` turns the
-collected columns into per-round gaps and adds them onto the ledger. The
+One block loop plays both modes: it asks the mode's round function for a block
+of ``BLOCK`` rounds (fewer at the end), which only drives the policies and
+collects each round's arms and offer, and ``fold_block`` turns the
+collected columns into per-round gaps and adds them onto the ledger.
+``run_phase1`` plays Belgic's search through the same property rounds. The
 gaps are ``per_round_gaps``'s arithmetic applied elementwise, and every sum
 runs in round order, so ledgers and trajectories are bit-identical to
 folding one round at a time. A recorded trajectory is held as columns
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .downstream import Belgic, BelgicParams, Phase1Batch, TransferEstimates
 from .env import (
     BanditInstance,
     Oracle,
@@ -103,7 +106,7 @@ class Trajectory:
             columns += [np.zeros(horizon, dtype=np.intp), np.zeros(horizon)]
         return cls(*columns)
 
-    def put(self, start: int, up_arm, down_arm, gaps, offer_arm=None, amount=None) -> None:
+    def put(self, start: int, gaps, up_arm, down_arm, offer_arm=None, amount=None) -> None:
         """Store rounds start, start + 1, ... (gaps as fold_block returns them)."""
         rows = slice(start - 1, start - 1 + len(up_arm))
         self.up_arm[rows] = up_arm
@@ -269,6 +272,88 @@ def fold_block(
     return folded, gap_sw, gap_up, gap_down
 
 
+def _no_property_rounds(upstream, downstream, sample, n: int):
+    """Play n no-property rounds: (up_arm, down_arm) columns."""
+    up_step, up_update = upstream.step, upstream.update
+    down_step, down_update = downstream.step, downstream.update
+    ups, downs = [], []
+    for _ in range(n):
+        up_arm = up_step(NO_OFFER)
+        down_arm = down_step(up_arm)
+        z, x = sample(up_arm, down_arm)
+        up_update(up_arm, z)
+        down_update(up_arm, down_arm, x)
+        ups.append(up_arm)
+        downs.append(down_arm)
+    return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
+
+
+def _property_rounds(upstream, downstream, sample, n: int):
+    """Play n property rounds: (up_arm, down_arm, offer_arm, amount) columns."""
+    up_step, up_update = upstream.step, upstream.update
+    down_step, observe = downstream.step, downstream.observe
+    ups, downs, offers = [], [], []
+    for _ in range(n):
+        offer, down_arm = down_step()
+        up_arm = up_step(offer)
+        z, x = sample(up_arm, down_arm)
+        up_update(up_arm, z)
+        observe(up_arm, x)
+        ups.append(up_arm)
+        downs.append(down_arm)
+        offers.append(offer)
+    return (
+        np.array(ups, dtype=np.intp),
+        np.array(downs, dtype=np.intp),
+        np.array([o.arm for o in offers], dtype=np.intp),
+        np.array([o.amount for o in offers], dtype=float),
+    )
+
+
+def _game_error(message: str, seed: int, horizon: int) -> RuntimeError:
+    return RuntimeError(f"{message}; game seed {seed}, horizon {horizon}")
+
+
+def _play(
+    mode: str,
+    instance: BanditInstance,
+    upstream,
+    downstream,
+    horizon: int,
+    seed: int,
+    record_trajectory: bool,
+) -> GameResult:
+    """Play one game of ``mode`` in blocks of BLOCK rounds, folding each block
+    onto the ledger; an invariant error names the seed and the horizon."""
+    oracle = compute_oracle(instance)
+    misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
+    sample = round_sampler(instance, np.random.default_rng(seed))
+    offers = mode == "property"
+    play = _property_rounds if offers else _no_property_rounds
+    ledger = RegretLedger()
+    records = Trajectory.empty(horizon, offers) if record_trajectory else None
+
+    for start in range(1, horizon + 1, BLOCK):
+        columns = play(upstream, downstream, sample, min(BLOCK, horizon + 1 - start))
+        try:
+            ledger, *gaps = fold_block(instance, oracle, ledger, start, *columns)
+        except RuntimeError as exc:
+            raise _game_error(str(exc), seed, horizon) from None
+        if records is not None:
+            records.put(start, gaps, *columns)
+
+    return GameResult(
+        mode=mode,
+        seed=seed,
+        horizon=horizon,
+        instance=instance,
+        oracle=oracle,
+        ledger=ledger,
+        misaligned=misaligned,
+        records=records,
+    )
+
+
 def run_no_property(
     instance: BanditInstance,
     upstream,
@@ -284,50 +369,19 @@ def run_no_property(
     up to float slack proportional to the horizon; a breach raises naming
     the seed and the horizon.
     """
-    oracle = compute_oracle(instance)
-    misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
-    sample = round_sampler(instance, np.random.default_rng(seed))
-    ledger = RegretLedger()
-    records = Trajectory.empty(horizon, offers=False) if record_trajectory else None
-    up_step, up_update = upstream.step, upstream.update
-    down_step, down_update = downstream.step, downstream.update
-    ups, downs = [], []
-
-    for start in range(1, horizon + 1, BLOCK):
-        for _ in range(start, min(start + BLOCK, horizon + 1)):
-            up_arm = up_step(NO_OFFER)
-            down_arm = down_step(up_arm)
-            z, x = sample(up_arm, down_arm)
-            up_update(up_arm, z)
-            down_update(up_arm, down_arm, x)
-            ups.append(up_arm)
-            downs.append(down_arm)
-        up_col, down_col = np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
-        ledger, *gaps = fold_block(instance, oracle, ledger, start, up_col, down_col)
-        if records is not None:
-            records.put(start, up_col, down_col, gaps)
-        ups.clear()
-        downs.clear()
-
-    bound = None
-    if misaligned:
-        bound = breakdown_lower_bound(oracle, horizon, ledger.r_up_n)
+    result = _play("no-property", instance, upstream, downstream, horizon, seed, record_trajectory)
+    if result.misaligned:
+        ledger = result.ledger
+        bound = breakdown_lower_bound(result.oracle, horizon, ledger.r_up_n)
         if ledger.r_sw < bound - 1e-9 * horizon:
-            raise RuntimeError(
+            raise _game_error(
                 f"misaligned run broke the welfare floor: r_sw = {ledger.r_sw:.17g} "
-                f"< bound {bound:.17g}; game seed {seed}, horizon {horizon}"
+                f"< bound {bound:.17g}",
+                seed,
+                horizon,
             )
-    return GameResult(
-        mode="no-property",
-        seed=seed,
-        horizon=horizon,
-        instance=instance,
-        oracle=oracle,
-        ledger=ledger,
-        misaligned=misaligned,
-        records=records,
-        breakdown_bound=bound,
-    )
+        result.breakdown_bound = bound
+    return result
 
 
 def run_property(
@@ -344,63 +398,42 @@ def run_property(
     gap_down >= gap_sw (transfers cancel, so the players' regrets jointly
     dominate the welfare regret); the minimum slack is kept in the ledger,
     and a violation raises naming the round, the seed and the horizon.
-    Trajectory rows up to the downstream's phase1_rounds are "search" rows.
+    With a Belgic downstream, its parameters must match the game, the
+    result carries its phase-1 outcome, and trajectory rows up to its
+    phase1_rounds are "search" rows.
     """
-    params = getattr(downstream, "params", None)
-    if params is not None:
-        if params.horizon != horizon:
-            raise ValueError(f"downstream expects horizon {params.horizon}, engine got {horizon}")
-        if params.n_arms != instance.n_arms:
-            raise ValueError(f"downstream expects {params.n_arms} arms, instance has {instance.n_arms}")
+    if not isinstance(downstream, Belgic):
+        return _play("property", instance, upstream, downstream, horizon, seed, record_trajectory)
 
-    oracle = compute_oracle(instance)
-    misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
-    sample = round_sampler(instance, np.random.default_rng(seed))
-    ledger = RegretLedger()
-    records = Trajectory.empty(horizon, offers=True) if record_trajectory else None
-    up_step, up_update = upstream.step, upstream.update
-    down_step, observe = downstream.step, downstream.observe
-    ups, downs, offers = [], [], []
+    params = downstream.params
+    if params.horizon != horizon:
+        raise ValueError(f"downstream expects horizon {params.horizon}, engine got {horizon}")
+    if params.n_arms != instance.n_arms:
+        raise ValueError(f"downstream expects {params.n_arms} arms, instance has {instance.n_arms}")
+    result = _play("property", instance, upstream, downstream, horizon, seed, record_trajectory)
+    result.tau_hat = downstream.estimates.tau_hat
+    result.phase1_rounds = downstream.phase1_rounds
+    result.phase1_batches = list(downstream.diagnostics) or None
+    if result.records is not None:
+        result.records.search_rounds = downstream.phase1_rounds
+    return result
 
-    for start in range(1, horizon + 1, BLOCK):
-        for _ in range(start, min(start + BLOCK, horizon + 1)):
-            offer, down_arm = down_step()
-            up_arm = up_step(offer)
-            z, x = sample(up_arm, down_arm)
-            up_update(up_arm, z)
-            observe(up_arm, x)
-            ups.append(up_arm)
-            downs.append(down_arm)
-            offers.append(offer)
-        up_col, down_col = np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
-        arm_col = np.array([o.arm for o in offers], dtype=np.intp)
-        amount_col = np.array([o.amount for o in offers], dtype=float)
-        try:
-            ledger, *gaps = fold_block(
-                instance, oracle, ledger, start, up_col, down_col, arm_col, amount_col
-            )
-        except RuntimeError as exc:
-            raise RuntimeError(f"{exc}; game seed {seed}, horizon {horizon}") from None
-        if records is not None:
-            records.put(start, up_col, down_col, gaps, arm_col, amount_col)
-        ups.clear()
-        downs.clear()
-        offers.clear()
 
-    phase1_rounds = getattr(downstream, "phase1_rounds", 0)
-    if records is not None:
-        records.search_rounds = phase1_rounds
-    estimates = getattr(downstream, "estimates", None)
-    return GameResult(
-        mode="property",
-        seed=seed,
-        horizon=horizon,
-        instance=instance,
-        oracle=oracle,
-        ledger=ledger,
-        misaligned=misaligned,
-        records=records,
-        tau_hat=None if estimates is None else estimates.tau_hat,
-        phase1_rounds=phase1_rounds,
-        phase1_batches=list(getattr(downstream, "diagnostics", [])) or None,
-    )
+def run_phase1(
+    instance: BanditInstance,
+    upstream,
+    params: BelgicParams,
+    rng: np.random.Generator,
+) -> tuple[TransferEstimates, list[Phase1Batch], int]:
+    """Drive only Belgic's search phase against a live upstream policy.
+
+    Rounds are the property game's own, one batch at a time; Belgic changes
+    phase only when a batch completes, so phase 1 here is bit-identical to
+    phase 1 inside a full game with the same rng. Downstream rewards are
+    drawn and discarded; the search only consumes compliance.
+    """
+    belgic = Belgic(params)
+    sample = round_sampler(instance, rng)
+    while belgic.in_search_phase:
+        _property_rounds(upstream, belgic, sample, params.batch_length)
+    return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds

@@ -18,9 +18,9 @@ from coase_bandits.downstream import (
     PairUCB,
     ZeroTransferDownstream,
     binary_search_batch_update,
-    run_phase1,
     validate_params,
 )
+from coase_bandits.engine import run_phase1
 from coase_bandits.env import (
     build_instance,
     compute_oracle,

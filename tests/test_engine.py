@@ -221,14 +221,24 @@ class TestNoPropertyMode:
 class TestPropertyMode:
     def test_oracle_transfer_double_is_first_best(self):
         oracle = compute_oracle(DYADIC)
-        res = run_property(
-            DYADIC,
-            BestResponseUpstream(DYADIC),
-            OracleTransferDownstream(oracle),
-            256,
-            0,
-            record_trajectory=True,
+        oracle_res, zero_res = (
+            run_property(
+                DYADIC,
+                BestResponseUpstream(DYADIC),
+                downstream,
+                256,
+                0,
+                record_trajectory=True,
+            )
+            for downstream in (OracleTransferDownstream(oracle), ZeroTransferDownstream())
         )
+        # Neither double searches: no phase-1 outcome, and every row is a play row.
+        for res in (oracle_res, zero_res):
+            assert res.tau_hat is None
+            assert res.phase1_rounds == 0
+            assert res.phase1_batches is None
+            assert all(rec.phase == "play" for rec in res.records)
+        res = oracle_res
         assert res.ledger.r_sw == 0.0
         assert res.ledger.r_up_p == 0.0
         assert res.ledger.r_down_p == 0.0

@@ -32,9 +32,15 @@ from coase_bandits.downstream import (
     OracleTransferDownstream,
     PairUCB,
     ZeroTransferDownstream,
-    run_phase1,
 )
-from coase_bandits.engine import BLOCK, RegretLedger, fold_block, run_no_property, run_property
+from coase_bandits.engine import (
+    BLOCK,
+    RegretLedger,
+    fold_block,
+    run_no_property,
+    run_phase1,
+    run_property,
+)
 from coase_bandits.env import (
     build_instance,
     compute_oracle,
