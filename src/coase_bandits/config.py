@@ -3,14 +3,15 @@
 Grammar (documented in docs/config_format.md): blank lines and lines whose
 first non-space character is '#' are ignored; '[name]' opens a section;
 'key = value' assigns within the current section. Values are plain tokens,
-space-separated lists, or ';'-separated matrix rows. The serializer emits a
-canonical form that parses back to an equal config (floats via repr, so the
-round trip is a fixed point).
+space-separated lists, or ';'-separated matrix rows. Each key is declared
+once, in _KEYS, and both the parser and the serializer walk that table. The
+serializer emits a canonical form that parses back to an equal config (floats
+via repr, so the round trip is a fixed point).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -25,16 +26,6 @@ DOWNSTREAM_POLICIES = {
     "no-property": ("naive", "best_response"),
 }
 TRAJECTORY_MODES = ("none", "full")
-
-_SECTIONS = {
-    "game": ("mode", "arms", "horizon", "seeds"),
-    "instance": ("v_up", "v_down", "reward_model", "generate_seed", "require_misaligned"),
-    "params": ("alpha", "beta"),
-    "upstream": ("policy", "c_mode"),
-    "downstream": ("policy",),
-    "output": ("dir", "trajectory"),
-}
-
 
 class ConfigError(ValueError):
     """Config problem; carries the 1-based line number when one applies."""
@@ -64,27 +55,83 @@ class GameConfig:
     trajectory: str = "none"
 
 
-def _parse_int(raw: str, line: int, label: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{label} must be an integer, got {raw!r}", line) from None
+def _number(kind, label: str):
+    """Parser for one int or float token; errors name the key."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(raw: str, line: int):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{label} must be {noun}, got {raw!r}", line) from None
+
+    return parse
 
 
-def _parse_float(raw: str, line: int, label: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{label} must be a number, got {raw!r}", line) from None
+def _items(parse_item, sep: str | None = None):
+    """Parser for a list of tokens split at sep (default: whitespace)."""
+    return lambda raw, line: tuple(parse_item(tok, line) for tok in raw.split(sep))
 
 
-def _parse_bool(raw: str, line: int, label: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("yes", "true", "1"):
-        return True
-    if lowered in ("no", "false", "0"):
-        return False
-    raise ConfigError(f"{label} must be yes/no, got {raw!r}", line)
+def _choice(choices: tuple[str, ...], label: str):
+    def parse(raw: str, line: int) -> str:
+        if raw not in choices:
+            raise ConfigError(f"{label} must be one of {choices}, got {raw!r}", line)
+        return raw
+
+    return parse
+
+
+def _flag(label: str):
+    words = {"yes": True, "true": True, "1": True, "no": False, "false": False, "0": False}
+
+    def parse(raw: str, line: int) -> bool:
+        try:
+            return words[raw.lower()]
+        except KeyError:
+            raise ConfigError(f"{label} must be yes/no, got {raw!r}", line) from None
+
+    return parse
+
+
+def _parse_c_mode_text(raw: str, line: int) -> str:
+    _parse_c_mode(raw, line)
+    return raw
+
+
+def _text(raw: str, line: int) -> str:
+    return raw
+
+
+def _join(render, sep: str = " "):
+    return lambda values: sep.join(map(render, values))
+
+
+# One entry per key, in canonical order: (section, key, GameConfig field,
+# parse(raw, line), render(value)). A key is required exactly when its field
+# has no default.
+_KEYS = (
+    ("game", "mode", "mode", _choice(MODES, "mode"), str),
+    ("game", "arms", "n_arms", _number(int, "arms"), str),
+    ("game", "horizon", "horizon", _number(int, "horizon"), str),
+    ("game", "seeds", "seeds", _items(_number(int, "seed")), _join(str)),
+    ("instance", "v_up", "v_up", _items(_number(float, "v_up entry")), _join(repr)),
+    ("instance", "v_down", "v_down",
+     _items(_items(_number(float, "v_down entry")), ";"), _join(_join(repr), " ; ")),
+    ("instance", "generate_seed", "generate_seed", _number(int, "generate_seed"), str),
+    ("instance", "require_misaligned", "require_misaligned",
+     _flag("require_misaligned"), lambda flag: "yes" if flag else "no"),
+    ("instance", "reward_model", "reward_model", _choice(REWARD_MODELS, "reward_model"), str),
+    ("params", "alpha", "alpha", _number(float, "alpha"), repr),
+    ("params", "beta", "beta", _number(float, "beta"), repr),
+    ("upstream", "policy", "upstream_policy", _choice(UPSTREAM_POLICIES, "upstream policy"), str),
+    ("upstream", "c_mode", "c_mode", _parse_c_mode_text, str),
+    ("downstream", "policy", "downstream_policy", _text, str),
+    ("output", "dir", "output_dir", _text, str),
+    ("output", "trajectory", "trajectory", _choice(TRAJECTORY_MODES, "trajectory"), str),
+)
+_SECTIONS = {section: [k for s, k, *_ in _KEYS if s == section] for section, *_ in _KEYS}
+_REQUIRED = {f.name for f in fields(GameConfig) if f.default is MISSING}
 
 
 def parse_config(text: str) -> GameConfig:
@@ -120,93 +167,14 @@ def parse_config(text: str) -> GameConfig:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", line_no)
         values[(section, key)] = (value, line_no)
 
-    def take(section: str, key: str) -> tuple[str, int] | None:
-        return values.pop((section, key), None)
-
-    def require(section: str, key: str) -> tuple[str, int]:
-        got = take(section, key)
-        if got is None:
+    parsed = {}
+    for section, key, field, parse, _ in _KEYS:
+        got = values.get((section, key))
+        if got is not None:
+            parsed[field] = parse(*got)
+        elif field in _REQUIRED:
             raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return got
-
-    mode_raw, mode_line = require("game", "mode")
-    if mode_raw not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode_raw!r}", mode_line)
-    arms_raw, arms_line = require("game", "arms")
-    n_arms = _parse_int(arms_raw, arms_line, "arms")
-    horizon_raw, horizon_line = require("game", "horizon")
-    horizon = _parse_int(horizon_raw, horizon_line, "horizon")
-    seeds_raw, seeds_line = require("game", "seeds")
-    seeds = tuple(_parse_int(tok, seeds_line, "seed") for tok in seeds_raw.split())
-
-    v_up = v_down = None
-    generate_seed = None
-    require_misaligned = False
-    reward_model = "gaussian"
-    got = take("instance", "reward_model")
-    if got is not None:
-        reward_model, line = got
-        if reward_model not in REWARD_MODELS:
-            raise ConfigError(f"reward_model must be one of {REWARD_MODELS}", line)
-    got = take("instance", "v_up")
-    if got is not None:
-        raw, line = got
-        v_up = tuple(_parse_float(tok, line, "v_up entry") for tok in raw.split())
-    got = take("instance", "v_down")
-    if got is not None:
-        raw, line = got
-        v_down = tuple(
-            tuple(_parse_float(tok, line, "v_down entry") for tok in row.split())
-            for row in raw.split(";")
-        )
-    got = take("instance", "generate_seed")
-    if got is not None:
-        generate_seed = _parse_int(*got, "generate_seed")
-    got = take("instance", "require_misaligned")
-    if got is not None:
-        require_misaligned = _parse_bool(*got, "require_misaligned")
-
-    cfg = GameConfig(
-        mode=mode_raw,
-        n_arms=n_arms,
-        horizon=horizon,
-        seeds=seeds,
-        v_up=v_up,
-        v_down=v_down,
-        reward_model=reward_model,
-        generate_seed=generate_seed,
-        require_misaligned=require_misaligned,
-    )
-    got = take("params", "alpha")
-    if got is not None:
-        cfg = replace(cfg, alpha=_parse_float(*got, "alpha"))
-    got = take("params", "beta")
-    if got is not None:
-        cfg = replace(cfg, beta=_parse_float(*got, "beta"))
-    got = take("upstream", "policy")
-    if got is not None:
-        raw, line = got
-        if raw not in UPSTREAM_POLICIES:
-            raise ConfigError(f"upstream policy must be one of {UPSTREAM_POLICIES}", line)
-        cfg = replace(cfg, upstream_policy=raw)
-    got = take("upstream", "c_mode")
-    if got is not None:
-        raw, line = got
-        _parse_c_mode(raw, line)
-        cfg = replace(cfg, c_mode=raw)
-    got = take("downstream", "policy")
-    if got is not None:
-        cfg = replace(cfg, downstream_policy=got[0])
-    got = take("output", "dir")
-    if got is not None:
-        cfg = replace(cfg, output_dir=got[0])
-    got = take("output", "trajectory")
-    if got is not None:
-        raw, line = got
-        if raw not in TRAJECTORY_MODES:
-            raise ConfigError(f"trajectory must be one of {TRAJECTORY_MODES}", line)
-        cfg = replace(cfg, trajectory=raw)
-
+    cfg = GameConfig(**parsed)
     if not cfg.downstream_policy:
         cfg = replace(
             cfg, downstream_policy="belgic" if cfg.mode == "property" else "naive"
@@ -248,6 +216,10 @@ def validate_config(cfg: GameConfig) -> None:
         raise ConfigError("give either explicit means or generate_seed, not both")
     if not explicit and not generated:
         raise ConfigError("instance needs v_up/v_down or generate_seed")
+    if generated and cfg.generate_seed < 0:
+        raise ConfigError("generate_seed must be >= 0")
+    if cfg.require_misaligned and not generated:
+        raise ConfigError("require_misaligned applies only with generate_seed")
     if explicit:
         if cfg.v_up is None or cfg.v_down is None:
             raise ConfigError("explicit instances need both v_up and v_down")
@@ -305,43 +277,19 @@ def config_instance(cfg: GameConfig) -> BanditInstance:
 
 def serialize_config(cfg: GameConfig) -> str:
     """Canonical form; parse(serialize(cfg)) == cfg."""
-    lines = [
-        "[game]",
-        f"mode = {cfg.mode}",
-        f"arms = {cfg.n_arms}",
-        f"horizon = {cfg.horizon}",
-        "seeds = " + " ".join(str(s) for s in cfg.seeds),
-        "",
-        "[instance]",
-    ]
-    if cfg.v_up is not None:
-        lines.append("v_up = " + " ".join(repr(x) for x in cfg.v_up))
-        lines.append(
-            "v_down = " + " ; ".join(" ".join(repr(x) for x in row) for row in cfg.v_down)
-        )
-    else:
-        lines.append(f"generate_seed = {cfg.generate_seed}")
-        lines.append(f"require_misaligned = {'yes' if cfg.require_misaligned else 'no'}")
-    lines += [
-        f"reward_model = {cfg.reward_model}",
-        "",
-        "[params]",
-        f"alpha = {cfg.alpha!r}",
-        f"beta = {cfg.beta!r}",
-        "",
-        "[upstream]",
-        f"policy = {cfg.upstream_policy}",
-        f"c_mode = {cfg.c_mode}",
-        "",
-        "[downstream]",
-        f"policy = {cfg.downstream_policy}",
-        "",
-        "[output]",
-        f"dir = {cfg.output_dir}",
-        f"trajectory = {cfg.trajectory}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines: list[str] = []
+    current = None
+    for section, key, field, _, render in _KEYS:
+        value = getattr(cfg, field)
+        if value is None:
+            continue  # the instance source that was not given
+        if field == "require_misaligned" and cfg.generate_seed is None:
+            continue  # only generated instances carry the flag
+        if section != current:
+            lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+            current = section
+        lines.append(f"{key} = {render(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_config_file(path: str) -> GameConfig:

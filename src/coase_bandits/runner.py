@@ -1,12 +1,15 @@
 """Run orchestration and CSV serialization.
 
-All CSV output is schema-stable: fixed headers, '\\n' line endings, '.'
-decimal points, floats at 17 significant digits so every value parses back
-bit-identically. Identical config + seed means byte-identical files.
+All CSV output is schema-stable: '\\n' line endings, '.' decimal points,
+floats at 17 significant digits so every value parses back bit-identically.
+Except for the trajectory, each file holds one record dataclass per row, its
+columns that type's fields in order; _cell writes a value and _cell_parser
+reads it back. Identical config + seed means byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import typing
@@ -22,6 +25,7 @@ from .downstream import (
     BestResponseDownstream,
     NaiveContextUCB,
     OracleTransferDownstream,
+    Phase1Batch,
     ZeroTransferDownstream,
 )
 from .engine import GameResult, Trajectory, run_no_property, run_property
@@ -31,16 +35,18 @@ from .upstream import BestResponseUpstream, IncentiveAwareUCB
 WORKERS_ENV_VAR = "COASE_BANDITS_WORKERS"
 
 
-def _fmt_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def _fmt_opt(x) -> str:
-    if x is None:
+def _cell(value) -> str:
+    """One CSV cell: empty for None, yes/no for a bool, 17 significant digits
+    for a float, ';'-joined cells for a tuple, str() otherwise."""
+    if value is None:
         return ""
-    if isinstance(x, float):
-        return _fmt_float(x)
-    return str(x)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ";".join(map(_cell, value))
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -76,28 +82,15 @@ class RunSummary:
     breakdown_bound: float | None
 
     def to_row(self) -> list[str]:
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "tau_hat":
-                out.append("" if value is None else ";".join(_fmt_float(x) for x in value))
-            elif isinstance(value, bool):
-                out.append("yes" if value else "no")
-            elif isinstance(value, float):
-                out.append(_fmt_float(value))
-            else:
-                out.append(_fmt_opt(value))
-        return out
+        return _row(self)
 
     @classmethod
     def from_row(cls, row: list[str]) -> "RunSummary":
-        if len(row) != len(_SUMMARY_PARSERS):
-            raise ValueError(f"expected {len(_SUMMARY_PARSERS)} columns, got {len(row)}")
-        return cls(**{name: parse(cell) for (name, parse), cell in zip(_SUMMARY_PARSERS, row)})
+        return _from_row(cls, row)
 
 
 def _cell_parser(hint):
-    """Inverse of to_row for one field annotated ``hint``: an optional field
+    """Inverse of _cell for one field annotated ``hint``: an optional field
     is None when its cell is empty, a tuple's items are ';'-separated, and a
     bool is "yes" or "no"."""
     args = typing.get_args(hint)
@@ -113,13 +106,30 @@ def _cell_parser(hint):
     return hint
 
 
-_SUMMARY_PARSERS = [
-    (name, _cell_parser(hint)) for name, hint in typing.get_type_hints(RunSummary).items()
-]
+def _header(cls) -> list[str]:
+    """A record type's CSV columns: its dataclass fields, in order."""
+    return [f.name for f in fields(cls)]
+
+
+def _row(record) -> list[str]:
+    return [_cell(getattr(record, f.name)) for f in fields(record)]
+
+
+@functools.cache
+def _parsers(cls) -> list:
+    hints = typing.get_type_hints(cls)
+    return [(f.name, _cell_parser(hints[f.name])) for f in fields(cls)]
+
+
+def _from_row(cls, row: list[str]):
+    parsers = _parsers(cls)
+    if len(row) != len(parsers):
+        raise ValueError(f"expected {len(parsers)} columns, got {len(row)}")
+    return cls(**{name: parse(cell) for (name, parse), cell in zip(parsers, row)})
 
 
 def summary_header() -> list[str]:
-    return [f.name for f in fields(RunSummary)]
+    return _header(RunSummary)
 
 
 def build_upstream(cfg: GameConfig, instance: BanditInstance, horizon: int):
@@ -184,14 +194,14 @@ def summarize(cfg: GameConfig, result: GameResult) -> RunSummary:
     )
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_records(path: str, cls, records) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(_header(cls)) + "\n")
+        for record in records:
+            fh.write(",".join(_row(record)) + "\n")
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_records(path: str, cls) -> list:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -199,18 +209,17 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     if not lines:
         raise ValueError(f"{path}: empty CSV, expected a header")
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    if header != _header(cls):
+        raise ValueError(f"{path}: unexpected {cls.__name__} header {header}")
+    return [_from_row(cls, line.split(",")) for line in lines[1:]]
 
 
 def write_run_summaries(path: str, summaries: list[RunSummary]) -> None:
-    _write_csv(path, summary_header(), [s.to_row() for s in summaries])
+    _write_records(path, RunSummary, summaries)
 
 
 def read_run_summaries(path: str) -> list[RunSummary]:
-    header, rows = _read_csv(path)
-    if header != summary_header():
-        raise ValueError(f"{path}: unexpected summary header {header}")
-    return [RunSummary.from_row(row) for row in rows]
+    return _read_records(path, RunSummary)
 
 
 TRAJECTORY_HEADER = [
@@ -219,9 +228,9 @@ TRAJECTORY_HEADER = [
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
-    """_fmt_float of every value, formatting each distinct bit pattern once."""
+    """The cell of every value, formatting each distinct bit pattern once."""
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = [_fmt_float(x) for x in bits.view(np.float64).tolist()]
+    text = [_cell(x) for x in bits.view(np.float64).tolist()]
     return [text[i] for i in where.tolist()]
 
 
@@ -255,23 +264,8 @@ def write_trajectory(path: str, records: Trajectory) -> None:
         fh.writelines(map(row.__mod__, values))
 
 
-PHASE1_HEADER = ["arm", "batch_index", "tau_mid", "mismatches", "branch", "tau_lower", "tau_upper"]
-
-
-def write_phase1_batches(path: str, batches) -> None:
-    rows = [
-        [
-            str(b.arm),
-            str(b.batch_index),
-            _fmt_float(b.tau_mid),
-            str(b.mismatches),
-            b.branch,
-            _fmt_float(b.tau_lower),
-            _fmt_float(b.tau_upper),
-        ]
-        for b in batches
-    ]
-    _write_csv(path, PHASE1_HEADER, rows)
+def write_phase1_batches(path: str, batches: list[Phase1Batch]) -> None:
+    _write_records(path, Phase1Batch, batches)
 
 
 def _simulate_task(packed) -> tuple[RunSummary, list[str]]:
@@ -386,9 +380,6 @@ class SweepRow:
     sem_r_down_per_round: float
 
 
-SWEEP_HEADER = [f.name for f in fields(SweepRow)]
-
-
 def _mean_sem(xs: list[float]) -> tuple[float, float]:
     arr = np.asarray(xs, dtype=float)
     mean = float(arr.mean())
@@ -451,19 +442,8 @@ def fit_loglog_slope(horizons: list[int], values: list[float]) -> float:
 
 
 def write_sweep_table(path: str, rows: list[SweepRow]) -> None:
-    out = []
-    for r in rows:
-        out.append(
-            [str(r.horizon), str(r.n_seeds)]
-            + [_fmt_float(getattr(r, name)) for name in SWEEP_HEADER[2:]]
-        )
-    _write_csv(path, SWEEP_HEADER, out)
+    _write_records(path, SweepRow, rows)
 
 
 def read_sweep_table(path: str) -> list[SweepRow]:
-    header, rows = _read_csv(path)
-    if header != SWEEP_HEADER:
-        raise ValueError(f"{path}: unexpected sweep header {header}")
-    return [
-        SweepRow(int(r[0]), int(r[1]), *(float(x) for x in r[2:])) for r in rows
-    ]
+    return _read_records(path, SweepRow)

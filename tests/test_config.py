@@ -1,8 +1,18 @@
 """Config grammar, semantic validation, and the canonical round trip."""
 
+import glob
+import math
+import os
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coase_bandits.config import (
+    DOWNSTREAM_POLICIES,
+    MODES,
+    TRAJECTORY_MODES,
+    UPSTREAM_POLICIES,
     ConfigError,
     GameConfig,
     belgic_params,
@@ -13,8 +23,10 @@ from coase_bandits.config import (
     serialize_config,
     validate_config,
 )
-from coase_bandits.env import build_instance, misalignment_holds
+from coase_bandits.env import REWARD_MODELS, build_instance, misalignment_holds
 from coase_bandits.upstream import ucb_certificate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_NO_PROPERTY = """\
 [game]
@@ -185,6 +197,22 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid search parameters"):
             parse_config(text)
 
+    def test_require_misaligned_needs_generate_seed(self):
+        text = BASE_NO_PROPERTY + "require_misaligned = yes\n"
+        with pytest.raises(ConfigError, match="require_misaligned applies only with generate_seed"):
+            parse_config(text)
+
+    def test_require_misaligned_no_is_accepted_with_explicit_means(self):
+        text = BASE_NO_PROPERTY + "require_misaligned = no\n"
+        assert parse_config(text) == parse_config(BASE_NO_PROPERTY)
+
+    def test_negative_generate_seed_rejected(self):
+        text = BASE_NO_PROPERTY.replace(
+            "v_up = 1.0 0.3\nv_down = 0.0 0.0 ; 0.9 0.2", "generate_seed = -1"
+        )
+        with pytest.raises(ConfigError, match="^generate_seed must be >= 0$"):
+            parse_config(text)
+
     def test_validate_config_direct_call(self):
         validate_config(parse_config(BASE_PROPERTY))
 
@@ -209,6 +237,77 @@ class TestCMode:
     def test_unknown_c_mode_rejected(self):
         with pytest.raises(ConfigError, match="c_mode"):
             parse_config(BASE_PROPERTY.replace("fixed:1.0", "adaptive"))
+
+
+AWKWARD_MEANS = (0.0, 1.0, 0.1, 1 / 3, 2 / 3, 5e-324, math.nextafter(1.0, 0.0), 2.0**-1074 * 3)
+
+
+def means():
+    return st.one_of(
+        st.sampled_from(AWKWARD_MEANS),
+        st.floats(0.0, 1.0, allow_subnormal=True),
+    )
+
+
+@st.composite
+def game_configs(draw):
+    """Valid GameConfigs over both instance forms, both modes, every policy
+    pair, both c_mode forms and both trajectory values."""
+    mode = draw(st.sampled_from(MODES))
+    downstream = draw(st.sampled_from(DOWNSTREAM_POLICIES[mode]))
+    upstream = draw(st.sampled_from(UPSTREAM_POLICIES))
+    k = draw(st.integers(1, 4))
+    belgic = downstream == "belgic"
+    horizon = draw(st.integers(2**14, 2**20) if belgic else st.integers(k, 10**9))
+    if belgic:
+        # validate_params: alpha in (0, 1) and beta/alpha < 1/2.
+        alpha = draw(st.floats(0.6, 0.8))
+        beta = draw(st.floats(0.05, 0.15))
+    else:  # unused outside Belgic, so any non-nan float must survive
+        alpha = draw(st.floats(allow_nan=False))
+        beta = draw(st.floats(allow_nan=False))
+    scale = draw(st.floats(0.0, 1.0) if belgic else st.floats(0.0, allow_infinity=True))
+    c_mode = draw(st.sampled_from(["theoretical", f"fixed:{scale!r}"]))
+    if draw(st.booleans()):
+        instance = dict(
+            v_up=tuple(draw(st.lists(means(), min_size=k, max_size=k))),
+            v_down=tuple(
+                tuple(draw(st.lists(means(), min_size=k, max_size=k))) for _ in range(k)
+            ),
+        )
+    else:
+        instance = dict(
+            generate_seed=draw(st.integers(0, 2**63)),
+            require_misaligned=draw(st.booleans()),
+        )
+    cfg = GameConfig(
+        mode=mode,
+        n_arms=k,
+        horizon=horizon,
+        seeds=tuple(draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=5, unique=True))),
+        reward_model=draw(st.sampled_from(REWARD_MODELS)),
+        alpha=alpha,
+        beta=beta,
+        upstream_policy=upstream,
+        c_mode=c_mode,
+        downstream_policy=downstream,
+        output_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+        trajectory=draw(st.sampled_from(TRAJECTORY_MODES)),
+        **instance,
+    )
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        assume(False)  # only a Belgic schedule that does not fit gets here
+    return cfg
+
+
+def assert_round_trips(cfg):
+    text = serialize_config(cfg)
+    back = parse_config(text)
+    assert back == cfg
+    assert repr(back) == repr(cfg)  # bit for bit: repr tells -0.0 from 0.0
+    assert serialize_config(back) == text
 
 
 class TestRoundTrip:
@@ -251,6 +350,27 @@ class TestRoundTrip:
         )
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @settings(max_examples=300, deadline=None)
+    @given(game_configs())
+    def test_parse_inverts_serialize(self, cfg):
+        assert_round_trips(cfg)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(glob.glob(os.path.join(ROOT, "configs", "*.cfg")))
+        + sorted(glob.glob(os.path.join(ROOT, "perfbench", "configs", "*.cfg"))),
+        ids=lambda p: os.path.relpath(p, ROOT),
+    )
+    def test_shipped_configs_round_trip(self, path):
+        assert_round_trips(parse_config_file(path))
+
+    def test_documented_example_is_belgic_cfg(self):
+        with open(os.path.join(ROOT, "docs", "config_format.md"), encoding="utf-8") as fh:
+            doc = fh.read()
+        section = doc[doc.index("## Complete example") :]
+        example = section.split("```")[1]
+        assert parse_config(example) == parse_config_file(os.path.join(ROOT, "configs", "belgic.cfg"))
+
 
 class TestDerivedObjects:
     def test_belgic_params_wiring(self):
@@ -277,3 +397,4 @@ class TestDerivedObjects:
         inst = config_instance(cfg)
         assert inst == config_instance(cfg)
         assert misalignment_holds(inst)
+

@@ -4,10 +4,14 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coase_bandits.config import ConfigError, GameConfig, parse_config_file
+from coase_bandits.downstream import Phase1Batch
 from coase_bandits.runner import (
     RunSummary,
     SweepRow,
@@ -21,6 +25,7 @@ from coase_bandits.runner import (
     summary_header,
     sweep,
     worker_cap,
+    write_phase1_batches,
     write_run_summaries,
     write_sweep_table,
     write_trajectory,
@@ -434,6 +439,90 @@ class TestSweepFiles:
         path.write_text("wrong,header\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
             read_sweep_table(str(path))
+
+    def test_wrong_row_width_names_the_column_count(self, tmp_path):
+        rows, _, _ = sweep(DYADIC_NO_PROPERTY, [64], max_workers=1)
+        path = tmp_path / "sweep.csv"
+        write_sweep_table(str(path), rows)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(lines[0] + "\n64,2,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^expected 14 columns, got 3$"):
+            read_sweep_table(str(path))
+
+
+# Every float a cell must carry bit for bit: infinities, signed zeros,
+# subnormals and values that need all 17 significant digits.
+cell_floats = st.one_of(
+    st.floats(allow_nan=False, allow_subnormal=True),
+    st.sampled_from((math.inf, -math.inf, -0.0, 0.1 + 0.2, 5e-324, 1 / 3)),
+)
+cell_ints = st.integers(-(2**63), 2**63)
+cell_words = st.from_regex(r"[a-z_-]{1,12}", fullmatch=True)
+
+
+def record_strategy(cls, **overrides):
+    """A record of cls with each field drawn by its annotated type."""
+    kinds = {"int": cell_ints, "float": cell_floats, "str": cell_words, "bool": st.booleans()}
+    drawn = {f.name: kinds[f.type] for f in dataclasses.fields(cls) if f.type in kinds}
+    return st.builds(cls, **{**drawn, **overrides})
+
+
+def written(write, records) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        write(path, records)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
+class TestRecordCodec:
+    """Each record CSV reads back bit for bit; repr tells -0.0 from 0.0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            record_strategy(
+                RunSummary,
+                # An empty tau_hat would write the empty cell that means None;
+                # a finished game has one estimate per arm.
+                tau_hat=st.none() | st.lists(cell_floats, min_size=1, max_size=5).map(tuple),
+                breakdown_bound=st.none() | cell_floats,
+            ),
+            max_size=4,
+        )
+    )
+    def test_run_summaries(self, summaries):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run_summary.csv")
+            write_run_summaries(path, summaries)
+            assert repr(read_run_summaries(path)) == repr(summaries)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(record_strategy(SweepRow), max_size=4))
+    def test_sweep_rows(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sweep.csv")
+            write_sweep_table(path, rows)
+            assert repr(read_sweep_table(path)) == repr(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            record_strategy(
+                Phase1Batch, branch=st.sampled_from(("upper", "lower", "early_return"))
+            ),
+            max_size=4,
+        )
+    )
+    def test_phase1_batches_through_their_cells(self, batches):
+        lines = written(write_phase1_batches, batches).split("\n")
+        assert lines[0] == "arm,batch_index,tau_mid,mismatches,branch,tau_lower,tau_upper"
+        assert lines[-1] == ""
+        back = [
+            Phase1Batch(int(a), int(i), float(mid), int(m), branch, float(lo), float(hi))
+            for a, i, mid, m, branch, lo, hi in (line.split(",") for line in lines[1:-1])
+        ]
+        assert repr(back) == repr(batches)
 
 
 class TestSlopeFit:
