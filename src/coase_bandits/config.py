@@ -220,16 +220,16 @@ def validate_config(cfg: GameConfig) -> None:
         raise ConfigError("generate_seed must be >= 0")
     if cfg.require_misaligned and not generated:
         raise ConfigError("require_misaligned applies only with generate_seed")
+    _choice(REWARD_MODELS, "reward_model")(cfg.reward_model, None)
     if explicit:
         if cfg.v_up is None or cfg.v_down is None:
             raise ConfigError("explicit instances need both v_up and v_down")
         if len(cfg.v_up) != cfg.n_arms:
             raise ConfigError(f"v_up has {len(cfg.v_up)} entries but arms = {cfg.n_arms}")
         build_instance(cfg.v_up, cfg.v_down, cfg.reward_model)  # full mean/shape checks
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.upstream_policy not in UPSTREAM_POLICIES:
-        raise ConfigError(f"unknown upstream policy {cfg.upstream_policy!r}")
+    _choice(MODES, "mode")(cfg.mode, None)
+    _choice(UPSTREAM_POLICIES, "upstream policy")(cfg.upstream_policy, None)
+    _choice(TRAJECTORY_MODES, "trajectory")(cfg.trajectory, None)
     allowed = DOWNSTREAM_POLICIES[cfg.mode]
     if cfg.downstream_policy not in allowed:
         raise ConfigError(

@@ -289,8 +289,14 @@ class Belgic:
         self.batch_round += 1
         if upstream_arm != self.search_arm:
             self.mismatches += 1
-        if self.batch_round < self.params.batch_length:
-            return
+        if self.batch_round >= self.params.batch_length:
+            self._close_batch(offer)
+
+    def _close_batch(self, offer: IncentiveOffer) -> None:
+        """Fold the finished batch, played at ``offer``, into the search: move
+        the bracket, log the batch, and open the next batch, the next arm's
+        search or the play phase. Reads the batch's tally from
+        ``mismatches`` and resets it and ``batch_round``."""
         state = self.search_state
         batch_index = state.batches_done
         branch = binary_search_batch_update(state, self.mismatches, self.params)

@@ -6,8 +6,8 @@ rewards. Both modes draw each round's rewards from ``env.round_sampler``,
 which states the per-round draw order, so runs with the same seed stay
 comparable across modes and policies.
 
-One block loop plays both modes: it asks the mode's round function for a block
-of ``BLOCK`` rounds (fewer at the end), which only drives the policies and
+One block loop plays both modes: it asks a round function for a block of
+``BLOCK`` rounds (fewer at the end), which only drives the policies and
 collects each round's arms and offer, and ``fold_block`` turns the
 collected columns into per-round gaps and adds them onto the ledger.
 ``run_phase1`` plays Belgic's search through the same property rounds. The
@@ -15,6 +15,16 @@ gaps are ``per_round_gaps``'s arithmetic applied elementwise, and every sum
 runs in round order, so ledgers and trajectories are bit-identical to
 folding one round at a time. A recorded trajectory is held as columns
 (``Trajectory``), not as one object per round.
+
+The two learning pairs, (IncentiveAwareUCB, Belgic) in the property mode and
+(IncentiveAwareUCB, NaiveContextUCB) in the no-property mode, run on a
+kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that holds both
+players' state in locals and calls no policy method; ``_round_function``
+picks one by exact type. Every other pair, subclasses and test doubles
+included, runs on the generic loops (``_property_rounds``,
+``_no_property_rounds``), which call the policies' methods. A kernel draws
+through the same ``sample`` closure, returns the same columns and leaves the
+policies in the same state as the generic loop.
 """
 
 from __future__ import annotations
@@ -24,7 +34,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .downstream import Belgic, BelgicParams, Phase1Batch, TransferEstimates
+from .downstream import (
+    Belgic,
+    BelgicParams,
+    NaiveContextUCB,
+    PairUCB,
+    Phase1Batch,
+    TransferEstimates,
+)
 from .env import (
     BanditInstance,
     Oracle,
@@ -32,7 +49,7 @@ from .env import (
     misalignment_holds,
     round_sampler,
 )
-from .upstream import NO_OFFER, IncentiveOffer
+from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer
 
 #: Slack allowed to the per-round regret decomposition inequality; covers
 #: float rounding only, the inequality itself is exact.
@@ -310,6 +327,163 @@ def _property_rounds(upstream, downstream, sample, n: int):
     )
 
 
+def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, n: int):
+    """_property_rounds for exactly (IncentiveAwareUCB, Belgic), with both
+    players' state in locals: the same columns, draws and final policy state.
+
+    The policies' lists are updated in place; their counters are written back
+    at the end and before each search batch closes, so ``Belgic._close_batch``
+    (which may end the search in mid-block) sees the state ``observe`` would.
+    """
+    params = downstream.params
+    if downstream._pending is not None:
+        raise RuntimeError("step() called twice without observe()")
+    if downstream.t + n > params.horizon:
+        raise ValueError(f"round {params.horizon + 1} exceeds horizon {params.horizon}")
+    sqrt = math.sqrt
+    k, log_up = upstream.n_arms, upstream.log_term
+    pulls, means, index = upstream.pulls, upstream.means, upstream.index
+    t_up = upstream.t
+    ups, downs, arms, amounts = [], [], [], []
+    up_append = ups.append
+    done = 0
+
+    while done < n and downstream.estimates is None:
+        offer, search_arm = downstream._search_offer, downstream.search_arm
+        arm, amount = offer.arm, offer.amount
+        paid = amount and 0 <= arm < k
+        m = min(n - done, params.batch_length - downstream.batch_round)
+        mismatches = 0
+        for _ in range(m):
+            t_up += 1
+            if t_up <= k:
+                a = t_up - 1
+            elif paid:
+                boosted = index.copy()
+                boosted[arm] += amount
+                a = boosted.index(max(boosted))
+            else:
+                a = index.index(max(index))
+            z, _ = sample(a, 0)
+            c = pulls[a] + 1
+            pulls[a] = c
+            mean = means[a] + (z - means[a]) / c
+            means[a] = mean
+            index[a] = mean + 2.0 * sqrt(log_up / c)
+            if a != search_arm:
+                mismatches += 1
+            up_append(a)
+        downs += [0] * m
+        arms += [arm] * m
+        amounts += [amount] * m
+        done += m
+        downstream.t += m
+        downstream.phase1_rounds += m
+        downstream.batch_round += m
+        downstream.mismatches += mismatches
+        if downstream.batch_round >= params.batch_length:
+            downstream._close_batch(offer)
+
+    if done < n:
+        bandit = downstream.pair_ucb
+        n_pairs, log_pair, init = bandit.n_pairs, bandit.log_term, bandit.init_pointer
+        counts, pair_means, pair_index = bandit.counts, bandit.means, bandit.index
+        # pair -> (offered arm, own arm, amount, whether the amount counts)
+        plays = []
+        for pair in range(n_pairs):
+            arm, own = divmod(pair, params.n_arms)
+            amount = downstream._play_offers[arm].amount
+            plays.append((arm, own, amount, amount and 0 <= arm < k))
+        down_append, arm_append, amount_append = downs.append, arms.append, amounts.append
+        for _ in range(n - done):
+            pair = init if init < n_pairs else pair_index.index(max(pair_index))
+            arm, own, amount, paid = plays[pair]
+            t_up += 1
+            if t_up <= k:
+                a = t_up - 1
+            elif paid:
+                boosted = index.copy()
+                boosted[arm] += amount
+                a = boosted.index(max(boosted))
+            else:
+                a = index.index(max(index))
+            z, x = sample(a, own)
+            c = pulls[a] + 1
+            pulls[a] = c
+            mean = means[a] + (z - means[a]) / c
+            means[a] = mean
+            index[a] = mean + 2.0 * sqrt(log_up / c)
+            if a == arm:
+                c = counts[pair] + 1
+                counts[pair] = c
+                mean = pair_means[pair] + ((x - amount) - pair_means[pair]) / c
+                pair_means[pair] = mean
+                pair_index[pair] = mean + 2.0 * sqrt(log_pair / c)
+                if pair == init:
+                    init += 1
+            up_append(a)
+            down_append(own)
+            arm_append(arm)
+            amount_append(amount)
+        downstream.t += n - done
+        bandit.init_pointer = init
+
+    upstream.t = t_up
+    return (
+        np.array(ups, dtype=np.intp),
+        np.array(downs, dtype=np.intp),
+        np.array(arms, dtype=np.intp),
+        np.array(amounts, dtype=float),
+    )
+
+
+def _ucb_naive_rounds(upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, sample, n: int):
+    """_no_property_rounds for exactly (IncentiveAwareUCB, NaiveContextUCB),
+    with both players' state in locals; the lists are updated in place and
+    the upstream's round counter is written back at the end."""
+    sqrt = math.sqrt
+    k, log_up = upstream.n_arms, upstream.log_term
+    pulls, means, index = upstream.pulls, upstream.means, upstream.index
+    log_down = downstream.log_term
+    counts, down_means, down_index = downstream.counts, downstream.means, downstream.index
+    t_up = upstream.t
+    ups, downs = [], []
+    up_append, down_append = ups.append, downs.append
+    for _ in range(n):
+        t_up += 1
+        a = t_up - 1 if t_up <= k else index.index(max(index))
+        row = down_index[a]
+        b = row.index(max(row))
+        z, x = sample(a, b)
+        c = pulls[a] + 1
+        pulls[a] = c
+        mean = means[a] + (z - means[a]) / c
+        means[a] = mean
+        index[a] = mean + 2.0 * sqrt(log_up / c)
+        c = counts[a][b] + 1
+        counts[a][b] = c
+        row_means = down_means[a]
+        mean = row_means[b] + (x - row_means[b]) / c
+        row_means[b] = mean
+        row[b] = mean + 2.0 * sqrt(log_down / c)
+        up_append(a)
+        down_append(b)
+    upstream.t = t_up
+    return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
+
+
+def _round_function(offers: bool, upstream, downstream):
+    """The round function for this pair of policies: a kernel for exactly the
+    two learning pairs (subclasses may override what a kernel inlines), the
+    generic loop for every other pair."""
+    if type(upstream) is IncentiveAwareUCB:
+        if offers and type(downstream) is Belgic and type(downstream.pair_ucb) is PairUCB:
+            return _ucb_belgic_rounds
+        if not offers and type(downstream) is NaiveContextUCB:
+            return _ucb_naive_rounds
+    return _property_rounds if offers else _no_property_rounds
+
+
 def _game_error(message: str, seed: int, horizon: int) -> RuntimeError:
     return RuntimeError(f"{message}; game seed {seed}, horizon {horizon}")
 
@@ -329,7 +503,7 @@ def _play(
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
     sample = round_sampler(instance, np.random.default_rng(seed))
     offers = mode == "property"
-    play = _property_rounds if offers else _no_property_rounds
+    play = _round_function(offers, upstream, downstream)
     ledger = RegretLedger()
     records = Trajectory.empty(horizon, offers) if record_trajectory else None
 
@@ -434,6 +608,7 @@ def run_phase1(
     """
     belgic = Belgic(params)
     sample = round_sampler(instance, rng)
+    play = _round_function(True, upstream, belgic)
     while belgic.in_search_phase:
-        _property_rounds(upstream, belgic, sample, params.batch_length)
+        play(upstream, belgic, sample, params.batch_length)
     return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds

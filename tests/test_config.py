@@ -3,6 +3,7 @@
 import glob
 import math
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -215,6 +216,19 @@ class TestValidation:
 
     def test_validate_config_direct_call(self):
         validate_config(parse_config(BASE_PROPERTY))
+
+    def test_direct_config_with_unknown_reward_model_names_the_key(self):
+        # A generated instance reaches no build_instance call here, and
+        # runner.sweep builds its configs with replace(), not by parsing.
+        cfg = replace(parse_config(BASE_NO_PROPERTY), v_up=None, v_down=None, generate_seed=1)
+        validate_config(cfg)
+        with pytest.raises(ConfigError, match="^reward_model must be one of .*'poisson'$"):
+            validate_config(replace(cfg, reward_model="poisson"))
+
+    def test_direct_config_with_unknown_trajectory_names_the_key(self):
+        cfg = replace(parse_config(BASE_NO_PROPERTY), trajectory="bogus")
+        with pytest.raises(ConfigError, match="^trajectory must be one of .*'bogus'$"):
+            validate_config(cfg)
 
 
 class TestCMode:

@@ -6,6 +6,9 @@ two uniform slots with scalar calls, then the rewards through
 its indices from the counts and means. ``env.round_sampler`` and the cached
 indices must reproduce it bit for bit, in the engine, in ``run_phase1`` and
 in criterion 6's certificate run.
+
+The engine's kernels for the two learning pairs are also checked against its
+generic round loop: the same games, columns and final policy state.
 """
 
 import dataclasses
@@ -36,6 +39,11 @@ from coase_bandits.downstream import (
 from coase_bandits.engine import (
     BLOCK,
     RegretLedger,
+    _no_property_rounds,
+    _property_rounds,
+    _round_function,
+    _ucb_belgic_rounds,
+    _ucb_naive_rounds,
     fold_block,
     run_no_property,
     run_phase1,
@@ -72,7 +80,8 @@ def ucb_index(mean, pulls, log_term):
 
 
 class RefUCB(IncentiveAwareUCB):
-    """IncentiveAwareUCB recomputing every index from pulls and means."""
+    """IncentiveAwareUCB recomputing every index from pulls and means (the
+    stored indices are only kept for comparison)."""
 
     def step(self, offer):
         self.t += 1
@@ -88,6 +97,7 @@ class RefUCB(IncentiveAwareUCB):
     def update(self, arm, reward):
         self.pulls[arm] += 1
         self.means[arm] += (reward - self.means[arm]) / self.pulls[arm]
+        self.index[arm] = ucb_index(self.means[arm], self.pulls[arm], self.log_term)
 
 
 class RefPairUCB(PairUCB):
@@ -106,6 +116,7 @@ class RefPairUCB(PairUCB):
     def record(self, pair, shifted_reward):
         self.counts[pair] += 1
         self.means[pair] += (shifted_reward - self.means[pair]) / self.counts[pair]
+        self.index[pair] = ucb_index(self.means[pair], self.counts[pair], self.log_term)
         if pair == self.init_pointer:
             self.init_pointer += 1
 
@@ -129,6 +140,7 @@ class RefNaiveContextUCB(NaiveContextUCB):
         self.counts[context][arm] += 1
         n = self.counts[context][arm]
         self.means[context][arm] += (reward - self.means[context][arm]) / n
+        self.index[context][arm] = ucb_index(self.means[context][arm], n, self.log_term)
 
 
 def ref_belgic(params):
@@ -254,8 +266,9 @@ _means = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def _instances(draw):
-    k = draw(st.integers(1, 5))
+def _instances(draw, k=None):
+    if k is None:
+        k = draw(st.integers(1, 5))
     return build_instance(
         draw(st.lists(_means, min_size=k, max_size=k)),
         draw(st.lists(st.lists(_means, min_size=k, max_size=k), min_size=k, max_size=k)),
@@ -284,13 +297,12 @@ def _players(up_kind, down_kind, instance, horizon, reference):
 
 
 def _learned_state(policy):
-    """Counts and means of a learning policy (Belgic: of its pair bandit)."""
-    policy = getattr(policy, "pair_ucb", policy)
-    return {
-        name: getattr(policy, name)
-        for name in ("pulls", "counts", "means", "t", "init_pointer")
-        if hasattr(policy, name)
-    }
+    """Every attribute of a policy, its pair bandit's included: counts, means,
+    indices, round counters and Belgic's search state."""
+    state = dict(vars(policy))
+    if "pair_ucb" in state:
+        state["pair_ucb"] = vars(state["pair_ucb"])
+    return state
 
 
 class TestGamesMatchScalarReference:
@@ -355,6 +367,122 @@ class TestGamesMatchScalarReference:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_certificate_run_prefixes(self, seed):
         assert _certificate_run(seed) == ref_certificate_run(seed)
+
+
+# ---------------------------------------------------------------- the kernels
+
+
+class GenericUCB(IncentiveAwareUCB):
+    """The same policy; as a subclass it is played by the generic loop."""
+
+
+#: (K, batch length, batches per arm) of the Belgic kernel cases. Each arm's
+#: search plays one batch, and then more up to the count unless one returns
+#: early.
+KERNEL_SCHEDULES = [
+    (5, BLOCK, 1),  # every batch, and the search, ends on a block boundary
+    (2, BLOCK // 2, 2),  # the 2nd batch closes on a block boundary
+    (5, 1000, 1),  # the 5th batch straddles a block boundary, the search ends mid-block
+    (3, 1365, 1),  # the search ends one round before a block boundary
+    (4, 91, 2),  # the whole search inside the first block
+    (1, 1000, 3),
+]
+
+
+def _schedule(k, batch_length, n_batches, extra):
+    """(horizon, BelgicParams) for K arms whose search plays n_batches batches
+    of batch_length rounds per arm, leaving extra rounds of play."""
+    horizon = k * batch_length * n_batches + extra
+    alpha = math.log(batch_length - 0.5) / math.log(horizon)
+    beta = (n_batches - 0.5) / math.log2(horizon)
+    params = BelgicParams(k, horizon, alpha, beta, RegretCertificate(0.5))
+    assert (params.batch_length, params.n_batches) == (batch_length, n_batches)
+    return horizon, params
+
+
+def _assert_same_game(result, generic):
+    for field in dataclasses.fields(RegretLedger):
+        assert getattr(result.ledger, field.name) == getattr(generic.ledger, field.name), field.name
+    for column in ("up_arm", "down_arm", "gap_sw", "gap_up", "gap_down", "offered_arm", "tau"):
+        mine, theirs = getattr(result.records, column), getattr(generic.records, column)
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert mine.tolist() == theirs.tolist(), column
+    for field in ("tau_hat", "phase1_rounds", "phase1_batches", "breakdown_bound"):
+        assert getattr(result, field) == getattr(generic, field), field
+
+
+class TestKernelsMatchGenericLoop:
+    """The (IncentiveAwareUCB, Belgic) and (IncentiveAwareUCB, NaiveContextUCB)
+    kernels against the generic round loop, which plays a subclass."""
+
+    @pytest.mark.parametrize("k,batch_length,n_batches", KERNEL_SCHEDULES)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), extra=st.sampled_from((1, 100, BLOCK + 7)), seed=st.integers(0, 2**32 - 1))
+    def test_ucb_belgic(self, k, batch_length, n_batches, data, extra, seed):
+        instance = data.draw(_instances(k))
+        horizon, params = _schedule(k, batch_length, n_batches, extra)
+        players = IncentiveAwareUCB(k, horizon), Belgic(params)
+        generic_players = GenericUCB(k, horizon), Belgic(params)
+        assert _round_function(True, *players) is _ucb_belgic_rounds
+        assert _round_function(True, *generic_players) is _property_rounds
+        result = run_property(instance, *players, horizon, seed, record_trajectory=True)
+        generic = run_property(instance, *generic_players, horizon, seed, record_trajectory=True)
+        _assert_same_game(result, generic)
+        for mine, theirs in zip(players, generic_players):
+            assert _learned_state(mine) == _learned_state(theirs)
+        if batch_length == BLOCK:
+            assert result.phase1_rounds == k * BLOCK
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        instance=_instances(),
+        horizon=st.sampled_from((5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ucb_naive(self, instance, horizon, seed):
+        k = instance.n_arms
+        players = IncentiveAwareUCB(k, horizon), NaiveContextUCB(k, horizon)
+        generic_players = GenericUCB(k, horizon), NaiveContextUCB(k, horizon)
+        assert _round_function(False, *players) is _ucb_naive_rounds
+        assert _round_function(False, *generic_players) is _no_property_rounds
+        result = run_no_property(instance, *players, horizon, seed, record_trajectory=True)
+        generic = run_no_property(instance, *generic_players, horizon, seed, record_trajectory=True)
+        _assert_same_game(result, generic)
+        for mine, theirs in zip(players, generic_players):
+            assert _learned_state(mine) == _learned_state(theirs)
+
+    @pytest.mark.parametrize("mode", ["property", "no-property"])
+    def test_subclasses_are_played_by_the_generic_loop(self, mode):
+        class CountingUCB(IncentiveAwareUCB):
+            steps = 0
+
+            def step(self, offer):
+                self.steps += 1
+                return super().step(offer)
+
+        instance = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
+        horizon = BLOCK + 1
+        if mode == "property":
+            run, downstream = run_property, Belgic(BelgicParams(2, horizon, *SMALL_SCHEDULE))
+        else:
+            run, downstream = run_no_property, NaiveContextUCB(2, horizon)
+        upstream = CountingUCB(2, horizon)
+        run(instance, upstream, downstream, horizon, 0)
+        assert upstream.steps == horizon
+
+    @pytest.mark.parametrize("upstream_class", [IncentiveAwareUCB, GenericUCB])
+    def test_spent_or_stepped_belgic_is_refused(self, upstream_class):
+        instance = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
+        horizon = BLOCK
+        params = BelgicParams(2, horizon, *SMALL_SCHEDULE)
+        spent, stepped = Belgic(params), Belgic(params)
+        run_property(instance, upstream_class(2, horizon), spent, horizon, 0)
+        with pytest.raises(ValueError, match=f"^round {horizon + 1} exceeds horizon {horizon}$"):
+            run_property(instance, upstream_class(2, horizon), spent, horizon, 0)
+        stepped.step()
+        with pytest.raises(RuntimeError, match=r"^step\(\) called twice without observe\(\)$"):
+            run_property(instance, upstream_class(2, horizon), stepped, horizon, 0)
 
 
 # ---------------------------------------------------------------- cached indices
