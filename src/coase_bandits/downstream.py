@@ -188,9 +188,10 @@ def _finish_estimates(params: BelgicParams, states: list[BinarySearchState]) -> 
 class PairUCB:
     """UCB over the K^2 (offered arm, own arm) pairs on shifted rewards.
 
-    Pairs are numbered row-major: pair = offered_arm * K + own_arm. Updates
-    land only on rounds where the upstream actually played the offered arm,
-    so the init sweep keeps proposing the same pair until its sample lands.
+    Pairs are numbered row-major: pair = offered_arm * K + own_arm. A pair
+    without a sample has index +inf, so pairs are tried in row-major order
+    first. Updates land only on rounds where the upstream actually played
+    the offered arm, so a refused pair keeps its +inf and is proposed again.
     """
 
     def __init__(self, n_arms: int, horizon: int):
@@ -201,13 +202,9 @@ class PairUCB:
         self.counts = [0] * n_pairs
         self.means = [0.0] * n_pairs
         self.index = [math.inf] * n_pairs
-        self.init_pointer = 0
 
     def step(self) -> int:
-        """Lowest-numbered pair with the highest index, once every pair has a
-        sample; until then the first pair without one."""
-        if self.init_pointer < self.n_pairs:
-            return self.init_pointer
+        """Lowest-numbered pair with the highest index; changes no state."""
         index = self.index
         return index.index(max(index))
 
@@ -217,11 +214,6 @@ class PairUCB:
         mean = self.means[pair] + (shifted_reward - self.means[pair]) / n
         self.means[pair] = mean
         self.index[pair] = mean + 2.0 * math.sqrt(self.log_term / n)
-        if pair == self.init_pointer:
-            self.init_pointer += 1
-
-    def snapshot(self) -> tuple:
-        return (tuple(self.counts), tuple(self.means), self.init_pointer)
 
 
 class Belgic:
@@ -239,7 +231,6 @@ class Belgic:
         validate_params(params)
         self.params = params
         self.t = 0
-        self.search_arm = 0
         self.search_state = BinarySearchState(arm=0)
         self.arm_states: list[BinarySearchState] = [self.search_state]
         self.batch_round = 0
@@ -287,7 +278,7 @@ class Belgic:
     def _observe_search(self, offer: IncentiveOffer, upstream_arm: int) -> None:
         self.phase1_rounds += 1
         self.batch_round += 1
-        if upstream_arm != self.search_arm:
+        if upstream_arm != offer.arm:
             self.mismatches += 1
         if self.batch_round >= self.params.batch_length:
             self._close_batch(offer)
@@ -320,18 +311,19 @@ class Belgic:
                     IncentiveOffer(a, tau) for a, tau in enumerate(self.estimates.tau_hat)
                 )
                 return
-            self.search_arm = state.arm + 1
-            self.search_state = BinarySearchState(arm=self.search_arm)
+            self.search_state = BinarySearchState(arm=state.arm + 1)
             self.arm_states.append(self.search_state)
-        self._search_offer = IncentiveOffer(self.search_arm, self.search_state.midpoint())
+        self._search_offer = IncentiveOffer(self.search_state.arm, self.search_state.midpoint())
 
 
 class NaiveContextUCB:
     """No-property baseline: an independent UCB per observed upstream arm.
 
     The upstream arm is a context the downstream cannot influence; each
-    context gets its own forced sweep and index. Bonus matches the upstream
-    policy's ln(K * T^3) scaling since each context is a K-armed problem.
+    context gets its own indices, +inf for an arm never played there, so
+    each context tries its arms in index order first. Bonus matches the
+    upstream policy's ln(K * T^3) scaling since each context is a K-armed
+    problem.
     """
 
     def __init__(self, n_arms: int, horizon: int):
@@ -342,8 +334,7 @@ class NaiveContextUCB:
         self.index = [[math.inf] * n_arms for _ in range(n_arms)]
 
     def step(self, context: int) -> int:
-        """Lowest arm with the highest index in this context; an arm never
-        played there has index +inf, so each context sweeps its arms first."""
+        """Lowest arm with the highest index in this context; changes no state."""
         index = self.index[context]
         return index.index(max(index))
 

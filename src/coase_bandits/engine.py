@@ -18,13 +18,18 @@ folding one round at a time. A recorded trajectory is held as columns
 
 The two learning pairs, (IncentiveAwareUCB, Belgic) in the property mode and
 (IncentiveAwareUCB, NaiveContextUCB) in the no-property mode, run on a
-kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that holds both
-players' state in locals and calls no policy method; ``_round_function``
+kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that updates
+both players' lists in place and calls no policy method; ``_round_function``
 picks one by exact type. Every other pair, subclasses and test doubles
 included, runs on the generic loops (``_property_rounds``,
 ``_no_property_rounds``), which call the policies' methods. A kernel draws
 through the same ``sample`` closure, returns the same columns and leaves the
 policies in the same state as the generic loop.
+
+Every UCB explores by one rule, which the kernels share: an arm or pair with
+no sample has index +inf, and the lowest-numbered maximum is played, so the
+unsampled ones go first, in index order. No policy or kernel keeps a step
+counter or sweep pointer for it.
 """
 
 from __future__ import annotations
@@ -82,28 +87,13 @@ class RegretLedger:
     decomposition_min_slack: float = math.inf
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One trajectory row; offered_arm/tau are None in the no-property mode."""
-
-    t: int
-    phase: str
-    offered_arm: int | None
-    tau: float | None
-    up_arm: int
-    down_arm: int
-    gap_sw: float
-    gap_up: float
-    gap_down: float
-
-
 @dataclass(eq=False)
 class Trajectory:
     """One game's per-round records as columns; row i is round t = i + 1.
 
-    offered_arm and tau are None in the no-property mode, where every phase
-    is "-". In the property mode the first search_rounds rounds are
-    "search" and the rest "play". Indexing and iteration yield RoundRecords.
+    offered_arm and tau are None in the no-property mode. In the property
+    mode the first search_rounds rounds are Belgic's search phase;
+    ``runner.write_trajectory`` states the row format.
     """
 
     up_arm: np.ndarray
@@ -135,29 +125,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.up_arm)
-
-    def __getitem__(self, index: int) -> RoundRecord:
-        t = range(1, len(self) + 1)[index]
-        i = t - 1
-        if self.offered_arm is None:
-            phase, arm, tau = "-", None, None
-        else:
-            phase = "search" if t <= self.search_rounds else "play"
-            arm, tau = int(self.offered_arm[i]), float(self.tau[i])
-        return RoundRecord(
-            t,
-            phase,
-            arm,
-            tau,
-            int(self.up_arm[i]),
-            int(self.down_arm[i]),
-            float(self.gap_sw[i]),
-            float(self.gap_up[i]),
-            float(self.gap_down[i]),
-        )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass
@@ -329,11 +296,12 @@ def _property_rounds(upstream, downstream, sample, n: int):
 
 def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, n: int):
     """_property_rounds for exactly (IncentiveAwareUCB, Belgic), with both
-    players' state in locals: the same columns, draws and final policy state.
+    players' lists updated in place: the same columns, draws and final
+    policy state.
 
-    The policies' lists are updated in place; their counters are written back
-    at the end and before each search batch closes, so ``Belgic._close_batch``
-    (which may end the search in mid-block) sees the state ``observe`` would.
+    Belgic's search counters are added up after each stretch of a batch, so
+    ``Belgic._close_batch`` (which may end the search in mid-block) sees the
+    state ``observe`` would.
     """
     params = downstream.params
     if downstream._pending is not None:
@@ -343,22 +311,18 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
     sqrt = math.sqrt
     k, log_up = upstream.n_arms, upstream.log_term
     pulls, means, index = upstream.pulls, upstream.means, upstream.index
-    t_up = upstream.t
     ups, downs, arms, amounts = [], [], [], []
     up_append = ups.append
     done = 0
 
     while done < n and downstream.estimates is None:
-        offer, search_arm = downstream._search_offer, downstream.search_arm
+        offer = downstream._search_offer
         arm, amount = offer.arm, offer.amount
         paid = amount and 0 <= arm < k
         m = min(n - done, params.batch_length - downstream.batch_round)
         mismatches = 0
         for _ in range(m):
-            t_up += 1
-            if t_up <= k:
-                a = t_up - 1
-            elif paid:
+            if paid:
                 boosted = index.copy()
                 boosted[arm] += amount
                 a = boosted.index(max(boosted))
@@ -370,7 +334,7 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
             mean = means[a] + (z - means[a]) / c
             means[a] = mean
             index[a] = mean + 2.0 * sqrt(log_up / c)
-            if a != search_arm:
+            if a != arm:
                 mismatches += 1
             up_append(a)
         downs += [0] * m
@@ -386,7 +350,7 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
 
     if done < n:
         bandit = downstream.pair_ucb
-        n_pairs, log_pair, init = bandit.n_pairs, bandit.log_term, bandit.init_pointer
+        n_pairs, log_pair = bandit.n_pairs, bandit.log_term
         counts, pair_means, pair_index = bandit.counts, bandit.means, bandit.index
         # pair -> (offered arm, own arm, amount, whether the amount counts)
         plays = []
@@ -396,12 +360,9 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
             plays.append((arm, own, amount, amount and 0 <= arm < k))
         down_append, arm_append, amount_append = downs.append, arms.append, amounts.append
         for _ in range(n - done):
-            pair = init if init < n_pairs else pair_index.index(max(pair_index))
+            pair = pair_index.index(max(pair_index))
             arm, own, amount, paid = plays[pair]
-            t_up += 1
-            if t_up <= k:
-                a = t_up - 1
-            elif paid:
+            if paid:
                 boosted = index.copy()
                 boosted[arm] += amount
                 a = boosted.index(max(boosted))
@@ -419,16 +380,12 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
                 mean = pair_means[pair] + ((x - amount) - pair_means[pair]) / c
                 pair_means[pair] = mean
                 pair_index[pair] = mean + 2.0 * sqrt(log_pair / c)
-                if pair == init:
-                    init += 1
             up_append(a)
             down_append(own)
             arm_append(arm)
             amount_append(amount)
         downstream.t += n - done
-        bandit.init_pointer = init
 
-    upstream.t = t_up
     return (
         np.array(ups, dtype=np.intp),
         np.array(downs, dtype=np.intp),
@@ -439,19 +396,16 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
 
 def _ucb_naive_rounds(upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, sample, n: int):
     """_no_property_rounds for exactly (IncentiveAwareUCB, NaiveContextUCB),
-    with both players' state in locals; the lists are updated in place and
-    the upstream's round counter is written back at the end."""
+    with both players' lists updated in place."""
     sqrt = math.sqrt
-    k, log_up = upstream.n_arms, upstream.log_term
+    log_up = upstream.log_term
     pulls, means, index = upstream.pulls, upstream.means, upstream.index
     log_down = downstream.log_term
     counts, down_means, down_index = downstream.counts, downstream.means, downstream.index
-    t_up = upstream.t
     ups, downs = [], []
     up_append, down_append = ups.append, downs.append
     for _ in range(n):
-        t_up += 1
-        a = t_up - 1 if t_up <= k else index.index(max(index))
+        a = index.index(max(index))
         row = down_index[a]
         b = row.index(max(row))
         z, x = sample(a, b)
@@ -468,7 +422,6 @@ def _ucb_naive_rounds(upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, 
         row[b] = mean + 2.0 * sqrt(log_down / c)
         up_append(a)
         down_append(b)
-    upstream.t = t_up
     return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
 
 

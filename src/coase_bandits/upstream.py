@@ -58,12 +58,13 @@ def ucb_certificate(n_arms: int, horizon: float) -> RegretCertificate:
 class IncentiveAwareUCB:
     """UCB that adds the current offer's transfer to the index of its target.
 
-    First K rounds pull each arm once in index order, ignoring offers. After
-    that the played arm maximizes
+    The played arm maximizes
 
         mean_hat[a] + 2 * sqrt(ln(K * T^3) / pulls[a]) + offer.bonus(a)
 
-    with ties to the lowest index. Means track raw rewards only; transfers
+    with ties to the lowest index. An arm never pulled has index +inf, which
+    no finite offer changes, so the first K rounds pull each arm once in
+    index order whatever is offered. Means track raw rewards only; transfers
     never contaminate the estimates.
     """
 
@@ -71,20 +72,15 @@ class IncentiveAwareUCB:
         if horizon < n_arms:
             raise ValueError(f"horizon {horizon} cannot fit one forced pull of {n_arms} arms")
         self.n_arms = n_arms
-        self.horizon = horizon
         self.log_term = math.log(n_arms * horizon**3)
         self.pulls = [0] * n_arms
         self.means = [0.0] * n_arms
         # index[a] = means[a] + 2 * sqrt(log_term / pulls[a]), kept by update;
         # +inf until the arm's first pull.
         self.index = [math.inf] * n_arms
-        self.t = 0  # completed step() calls
 
     def step(self, offer: IncentiveOffer) -> int:
-        """Pick this round's arm; deterministic given the history."""
-        self.t += 1
-        if self.t <= self.n_arms:
-            return self.t - 1
+        """Pick this round's arm from the history; changes no state."""
         index = self.index
         if offer.amount and 0 <= offer.arm < self.n_arms:
             index = index.copy()

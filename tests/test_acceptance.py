@@ -69,3 +69,9 @@ def test_criterion_7_firm_demo():
 
 def test_criterion_8_determinism(tmp_path):
     _gate(criterion_8_determinism(base_dir=str(tmp_path)))
+
+
+def test_criterion_8_removes_its_temporary_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    _gate(criterion_8_determinism())
+    assert list(tmp_path.iterdir()) == []

@@ -298,7 +298,8 @@ class TestPairUCB:
         ucb.record(1, 0.1)
         ucb.record(2, 0.2)
         ucb.record(3, 0.4)
-        assert ucb.init_pointer == 4
+        # every pair has one sample: the highest mean has the highest index
+        assert ucb.step() == 3
 
     def test_argmax_after_init(self):
         ucb = PairUCB(2, 1000)
@@ -320,14 +321,6 @@ class TestPairUCB:
         ucb.record(2, 0.8)
         assert ucb.counts[2] == 2
         assert ucb.means[2] == pytest.approx(0.6)
-
-    def test_snapshot_round_trips_state(self):
-        ucb = PairUCB(2, 1000)
-        ucb.record(0, 0.5)
-        counts, means, pointer = ucb.snapshot()
-        assert counts == (1, 0, 0, 0)
-        assert means == (0.5, 0.0, 0.0, 0.0)
-        assert pointer == 1
 
 
 class TestBelgic:
@@ -366,16 +359,16 @@ class TestBelgic:
         belgic = Belgic(default_params())
         drive(belgic, inst, BestResponseUpstream(inst), np.random.default_rng(0), 3072)
 
+        ucb = belgic.pair_ucb
         offer, _ = belgic.step()
-        before = belgic.pair_ucb.snapshot()
+        before = (ucb.counts.copy(), ucb.means.copy())
         belgic.observe(1 - offer.arm, 0.9)  # refused: nothing recorded
-        assert belgic.pair_ucb.snapshot() == before
+        assert (ucb.counts, ucb.means) == before
 
         offer, _ = belgic.step()
         belgic.observe(offer.arm, 0.9)
-        counts, means, _ = belgic.pair_ucb.snapshot()
-        assert counts[0] == 1
-        assert means[0] == 0.9 - offer.amount
+        assert ucb.counts[0] == 1
+        assert ucb.means[0] == 0.9 - offer.amount
 
     def test_estimated_transfers_redirect_best_response(self):
         # sandwich: tau_hat exceeds tau* by at least the precision pad, so

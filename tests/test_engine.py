@@ -209,13 +209,13 @@ class TestNoPropertyMode:
             0,
             record_trajectory=True,
         )
-        assert len(res.records) == 16
-        first = res.records[0]
-        assert first.t == 1
-        assert first.phase == "-"
-        assert first.offered_arm is None and first.tau is None
-        assert (first.up_arm, first.down_arm) == (0, 0)
-        assert first.gap_sw == 0.25
+        records = res.records
+        assert len(records) == 16
+        # no offer columns and no search rounds: every row's phase is "-"
+        assert records.offered_arm is None and records.tau is None
+        assert records.search_rounds == 0
+        assert (records.up_arm[0], records.down_arm[0]) == (0, 0)
+        assert records.gap_sw[0] == 0.25
 
 
 class TestPropertyMode:
@@ -237,16 +237,18 @@ class TestPropertyMode:
             assert res.tau_hat is None
             assert res.phase1_rounds == 0
             assert res.phase1_batches is None
-            assert all(rec.phase == "play" for rec in res.records)
+            assert res.records.offered_arm is not None and res.records.search_rounds == 0
         res = oracle_res
         assert res.ledger.r_sw == 0.0
         assert res.ledger.r_up_p == 0.0
         assert res.ledger.r_down_p == 0.0
-        for rec in res.records:
-            assert rec.phase == "play"
-            assert (rec.offered_arm, rec.tau) == (1, 0.5)
-            assert (rec.up_arm, rec.down_arm) == (1, 0)
-            assert rec.gap_sw == 0.0 and rec.gap_down == 0.0
+        records = res.records
+        assert records.offered_arm.tolist() == [1] * 256
+        assert records.tau.tolist() == [0.5] * 256
+        assert records.up_arm.tolist() == [1] * 256
+        assert records.down_arm.tolist() == [0] * 256
+        assert records.gap_sw.tolist() == [0.0] * 256
+        assert records.gap_down.tolist() == [0.0] * 256
 
     def test_transfer_conservation_exact_on_dyadic_instance(self):
         # all offers, pads, and means are dyadic: the transfer cancels in
@@ -277,7 +279,7 @@ class TestPropertyMode:
                 seed,
                 record_trajectory=True,
             )
-            assert [r.up_arm for r in prop.records] == [r.up_arm for r in base.records]
+            assert prop.records.up_arm.tolist() == base.records.up_arm.tolist()
             assert prop.ledger.r_up_p == base.ledger.r_up_n
 
     def test_belgic_decomposition_slack_never_negative_beyond_tol(self):
@@ -342,10 +344,10 @@ class TestPropertyMode:
             0,
             record_trajectory=True,
         )
-        phases = [r.phase for r in res.records]
-        assert phases[:3072] == ["search"] * 3072
-        assert phases[3072:] == ["play"] * (4096 - 3072)
-        assert res.records[0].tau == 0.5
+        # rounds 1..3072 are search rows, the other 1024 play rows
+        assert len(res.records) == 4096 and res.records.offered_arm is not None
+        assert res.records.search_rounds == 3072
+        assert res.records.tau[0] == 0.5
 
 
 class TestDeterminism:
@@ -460,7 +462,7 @@ class TestBlockFold:
         traced = run(instance, *players, horizon, seed, record_trajectory=True)
         plain = run(instance, *_players(up_kind, down_kind, instance, horizon), horizon, seed)
         records = traced.records
-        assert len(records) == horizon and records[-1].t == horizon
+        assert len(records) == horizon  # the last row is round T
         led, (gap_sw, gap_up, gap_down) = _scalar_fold(
             instance, traced.oracle, records, mode == "property"
         )

@@ -3,7 +3,8 @@
 The reference is the round loop written the long way: every round draws the
 two uniform slots with scalar calls, then the rewards through
 ``sample_upstream`` and ``sample_downstream``, and every UCB step recomputes
-its indices from the counts and means. ``env.round_sampler`` and the cached
+its indices from the counts and means and tries the unsampled arms or pairs
+first by an explicit sweep, not through +inf indices. ``env.round_sampler`` and the cached
 indices must reproduce it bit for bit, in the engine, in ``run_phase1`` and
 in criterion 6's certificate run.
 
@@ -11,6 +12,7 @@ The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -80,13 +82,18 @@ def ucb_index(mean, pulls, log_term):
 
 
 class RefUCB(IncentiveAwareUCB):
-    """IncentiveAwareUCB recomputing every index from pulls and means (the
-    stored indices are only kept for comparison)."""
+    """IncentiveAwareUCB with a step counter forcing the first K arms and
+    every index recomputed from pulls and means (the stored indices are only
+    kept for comparison)."""
+
+    def __init__(self, n_arms, horizon):
+        super().__init__(n_arms, horizon)
+        self.ref_steps = 0
 
     def step(self, offer):
-        self.t += 1
-        if self.t <= self.n_arms:
-            return self.t - 1
+        self.ref_steps += 1
+        if self.ref_steps <= self.n_arms:
+            return self.ref_steps - 1
         best_arm, best_index = 0, -math.inf
         for a in range(self.n_arms):
             idx = ucb_index(self.means[a], self.pulls[a], self.log_term) + offer.bonus(a)
@@ -101,11 +108,16 @@ class RefUCB(IncentiveAwareUCB):
 
 
 class RefPairUCB(PairUCB):
-    """PairUCB recomputing every index from counts and means."""
+    """PairUCB with a pointer to the first pair without a sample and every
+    index recomputed from counts and means."""
+
+    def __init__(self, n_arms, horizon):
+        super().__init__(n_arms, horizon)
+        self.ref_next_pair = 0
 
     def step(self):
-        if self.init_pointer < self.n_pairs:
-            return self.init_pointer
+        if self.ref_next_pair < self.n_pairs:
+            return self.ref_next_pair
         best_pair, best_index = 0, -math.inf
         for p in range(self.n_pairs):
             idx = ucb_index(self.means[p], self.counts[p], self.log_term)
@@ -117,8 +129,8 @@ class RefPairUCB(PairUCB):
         self.counts[pair] += 1
         self.means[pair] += (shifted_reward - self.means[pair]) / self.counts[pair]
         self.index[pair] = ucb_index(self.means[pair], self.counts[pair], self.log_term)
-        if pair == self.init_pointer:
-            self.init_pointer += 1
+        if pair == self.ref_next_pair:
+            self.ref_next_pair += 1
 
 
 class RefNaiveContextUCB(NaiveContextUCB):
@@ -296,12 +308,17 @@ def _players(up_kind, down_kind, instance, horizon, reference):
     return upstream, downstream
 
 
+#: The reference policies' own sweep state, which the package's keep no copy of.
+REFERENCE_ONLY = {"ref_steps", "ref_next_pair"}
+
+
 def _learned_state(policy):
     """Every attribute of a policy, its pair bandit's included: counts, means,
-    indices, round counters and Belgic's search state."""
-    state = dict(vars(policy))
+    indices and Belgic's round counters and search state; the reference-only
+    sweep state is left out."""
+    state = {name: value for name, value in vars(policy).items() if name not in REFERENCE_ONLY}
     if "pair_ucb" in state:
-        state["pair_ucb"] = vars(state["pair_ucb"])
+        state["pair_ucb"] = _learned_state(state["pair_ucb"])
     return state
 
 
@@ -537,3 +554,74 @@ class TestCachedIndices:
             assert arm == ref.step(offer)
             ucb.update(arm, reward)
             ref.update(arm, reward)
+
+
+# ---------------------------------------------------------------- the exploration rule
+
+
+def _scratch_index(mean, n, log_term):
+    return math.inf if n == 0 else ucb_index(mean, n, log_term)
+
+
+def _first_max(values):
+    best, best_value = 0, -math.inf
+    for i, value in enumerate(values):
+        if value > best_value:
+            best, best_value = i, value
+    return best
+
+
+def _upstream_probes(k, data):
+    """An IncentiveAwareUCB after random updates, probed under random offers
+    (arms outside range(K) included) with their from-scratch indices."""
+    ucb = IncentiveAwareUCB(k, 4096)
+    for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=30)):
+        ucb.update(arm, reward)
+    offers = st.builds(IncentiveOffer, st.integers(-2, k + 1), st.floats(0.0, 3.0, allow_nan=False))
+    probes = []
+    for offer in data.draw(st.lists(offers, min_size=1, max_size=4)):
+        scratch = [_scratch_index(ucb.means[a], ucb.pulls[a], ucb.log_term) for a in range(k)]
+        probes.append(((offer,), [x + offer.bonus(a) for a, x in enumerate(scratch)]))
+    return ucb, probes
+
+
+def _pair_probes(k, data):
+    ucb = PairUCB(k, 4096)
+    n = k * k
+    for pair, reward in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _rewards), max_size=30)):
+        ucb.record(pair, reward)
+    scratch = [_scratch_index(ucb.means[p], ucb.counts[p], ucb.log_term) for p in range(n)]
+    return ucb, [((), scratch)]
+
+
+def _context_probes(k, data):
+    ucb = NaiveContextUCB(k, 4096)
+    arms = st.integers(0, k - 1)
+    for context, arm, reward in data.draw(st.lists(st.tuples(arms, arms, _rewards), max_size=30)):
+        ucb.update(context, arm, reward)
+    probes = []
+    for c in range(k):
+        scratch = [_scratch_index(ucb.means[c][b], ucb.counts[c][b], ucb.log_term) for b in range(k)]
+        probes.append(((c,), scratch))
+    return ucb, probes
+
+
+class TestExplorationRule:
+    """Every UCB explores by one rule: an arm or pair without a sample has
+    index +inf, and step() returns the lowest-numbered maximum and changes no
+    state."""
+
+    @pytest.mark.parametrize(
+        "probes", [_upstream_probes, _pair_probes, _context_probes], ids=["upstream", "pair", "context"]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 5), data=st.data())
+    def test_step_is_the_pure_first_maximum(self, probes, k, data):
+        ucb, cases = probes(k, data)
+        for args, scratch in cases:
+            before = copy.deepcopy(vars(ucb))
+            arm = ucb.step(*args)
+            assert vars(ucb) == before
+            assert ucb.step(*args) == arm
+            assert vars(ucb) == before
+            assert arm == _first_max(scratch)

@@ -37,8 +37,11 @@ class TestIncentiveOffer:
 class TestInitialization:
     def test_three_arms_sweep_in_order(self):
         ucb = IncentiveAwareUCB(3, 100)
-        # huge offer on arm 2 is ignored during the forced sweep
-        seen = [ucb.step(IncentiveOffer(2, 50.0)) for _ in range(3)]
+        # huge offer on arm 2 is ignored while any arm is unpulled
+        seen = []
+        for _ in range(3):
+            seen.append(ucb.step(IncentiveOffer(2, 50.0)))
+            ucb.update(seen[-1], 0.5)
         assert seen == [0, 1, 2]
 
     def test_single_arm(self):
@@ -73,9 +76,8 @@ class TestUpdate:
 
 
 def primed_ucb(means, pulls, horizon=4096):
-    """UCB past initialization with chosen empirical state."""
+    """UCB past initialization with chosen empirical state (every arm pulled)."""
     ucb = IncentiveAwareUCB(len(means), horizon)
-    ucb.t = len(means)
     for arm, (mean, n) in enumerate(zip(means, pulls)):
         for _ in range(n):
             ucb.update(arm, mean)
