@@ -9,16 +9,15 @@ to the true minimal transfers.
 """
 
 import argparse
+import os
 
 import numpy as np
 
-from coase_bandits.config import belgic_params, parse_config_file
+from coase_bandits.config import belgic_params, config_instance, parse_config_file
 from coase_bandits.engine import run_phase1
 from coase_bandits.env import compute_oracle
 from coase_bandits.runner import build_upstream
 from coase_bandits.upstream import BestResponseUpstream
-
-import os
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_CONFIG = os.path.join(HERE, "..", "configs", "belgic.cfg")
@@ -26,7 +25,7 @@ DEFAULT_CONFIG = os.path.join(HERE, "..", "configs", "belgic.cfg")
 
 def trace(label, instance, upstream, params, seed):
     print(f"--- {label} (seed {seed}) ---")
-    estimates, batches, rounds = run_phase1(
+    tau_hat, batches, rounds = run_phase1(
         instance, upstream, params, np.random.default_rng(seed)
     )
     print(f"{'arm':>3} {'batch':>5} {'midpoint':>10} {'mismatch':>8} {'branch':>6} "
@@ -37,7 +36,7 @@ def trace(label, instance, upstream, params, seed):
             f"{b.branch:>6} {b.tau_lower:>8.5f} {b.tau_upper:>8.5f}"
         )
     print(f"search rounds used: {rounds}")
-    return estimates
+    return tau_hat
 
 
 def main() -> None:
@@ -47,8 +46,6 @@ def main() -> None:
     args = parser.parse_args()
 
     cfg = parse_config_file(args.config)
-    from coase_bandits.config import config_instance
-
     instance = config_instance(cfg)
     oracle = compute_oracle(instance)
     params = belgic_params(cfg, cfg.horizon)
@@ -66,7 +63,7 @@ def main() -> None:
     for a in range(instance.n_arms):
         print(
             f"{a:>3} {oracle.tau_star[a]:>10.6f} "
-            f"{exact.tau_hat[a]:>10.6f} {live.tau_hat[a]:>10.6f}"
+            f"{exact[a]:>10.6f} {live[a]:>10.6f}"
         )
 
 

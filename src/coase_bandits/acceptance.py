@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GameConfig, config_instance
-from .downstream import BelgicParams, NaiveContextUCB
-from .engine import DECOMPOSITION_TOL, run_no_property, run_phase1
+from .downstream import BelgicParams
+from .engine import DECOMPOSITION_TOL, run_phase1
 from .env import (
     BanditInstance,
     build_instance,
@@ -169,18 +169,18 @@ BREAKDOWN_SEEDS = tuple(range(50))
 BREAKDOWN_TOP_T = 2**14
 
 
-def _breakdown_run(task) -> tuple[bool, float]:
-    """One misaligned no-property game: (welfare floor held, r_sw / T)."""
-    horizon, seed = task
-    result = run_no_property(
-        BREAKDOWN_INSTANCE,
-        IncentiveAwareUCB(BREAKDOWN_INSTANCE.n_arms, horizon),
-        NaiveContextUCB(BREAKDOWN_INSTANCE.n_arms, horizon),
-        horizon,
-        seed,
+def breakdown_config() -> GameConfig:
+    return GameConfig(
+        mode="no-property",
+        n_arms=BREAKDOWN_INSTANCE.n_arms,
+        horizon=BREAKDOWN_HORIZONS[0],
+        seeds=BREAKDOWN_SEEDS,
+        v_up=BREAKDOWN_INSTANCE.v_up,
+        v_down=BREAKDOWN_INSTANCE.v_down,
+        reward_model=BREAKDOWN_INSTANCE.reward_model,
+        upstream_policy="ucb",
+        downstream_policy="naive",
     )
-    held = result.ledger.r_sw >= result.breakdown_bound - 1e-9 * horizon
-    return held, result.ledger.r_sw / horizon
 
 
 def criterion_3_welfare_breakdown() -> CriterionResult:
@@ -189,14 +189,10 @@ def criterion_3_welfare_breakdown() -> CriterionResult:
     the misalignment margin."""
     t0 = time.perf_counter()
     oracle = compute_oracle(BREAKDOWN_INSTANCE)
-    tasks = [(horizon, seed) for horizon in BREAKDOWN_HORIZONS for seed in BREAKDOWN_SEEDS]
-    outcomes = fan_out(_breakdown_run, tasks)
-    total = len(outcomes)
-    held = sum(ok for ok, _ in outcomes)
-    top_rates = [
-        rate for (horizon, _), (_, rate) in zip(tasks, outcomes) if horizon == BREAKDOWN_TOP_T
-    ]
-    mean_rate = float(np.mean(top_rates))
+    rows, _, summaries = sweep(breakdown_config(), list(BREAKDOWN_HORIZONS))
+    total = len(summaries)
+    held = sum(s.r_sw >= s.breakdown_bound - 1e-9 * s.horizon for s in summaries.values())
+    (mean_rate,) = [r.mean_r_sw_per_round for r in rows if r.horizon == BREAKDOWN_TOP_T]
     lo, hi = 0.9 * oracle.delta_sw, oracle.delta_sw
     passed = held == total and lo <= mean_rate <= hi
     detail = (
@@ -283,10 +279,10 @@ def _sandwich_failed(seed: int) -> bool:
     h = params.precision
     rng = np.random.default_rng(seed)
     upstream = IncentiveAwareUCB(SANDWICH_INSTANCE.n_arms, SEARCH_HORIZON)
-    est, _, _ = run_phase1(SANDWICH_INSTANCE, upstream, params, rng)
+    tau_hat, _, _ = run_phase1(SANDWICH_INSTANCE, upstream, params, rng)
     return any(
-        not tau_hat - 4.0 * h - pad <= tau_true <= tau_hat
-        for tau_hat, tau_true in zip(est.tau_hat, oracle.tau_star, strict=True)
+        not estimate - 4.0 * h - pad <= tau_true <= estimate
+        for estimate, tau_true in zip(tau_hat, oracle.tau_star, strict=True)
     )
 
 

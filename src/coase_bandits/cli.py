@@ -42,7 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--horizons", type=int, nargs="+", required=True, help="horizons to sweep, e.g. 1024 2048"
     )
-    p_sweep.add_argument("--workers", type=int, default=None, help="max parallel workers")
     p_sweep.add_argument("--output", default=None, help="sweep table path (default <dir>/sweep.csv)")
 
     p_oracle = sub.add_parser("oracle", help="print exact benchmark quantities for a config's instance")
@@ -80,7 +79,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = parse_config_file(args.config)
-    rows, slope, _ = sweep(cfg, args.horizons, max_workers=args.workers)
+    rows, slope, _ = sweep(cfg, args.horizons)
     for r in rows:
         print(
             f"T={r.horizon}: mean r_sw/T = {r.mean_r_sw_per_round:.6g} "

@@ -220,6 +220,11 @@ def validate_config(cfg: GameConfig) -> None:
         raise ConfigError("generate_seed must be >= 0")
     if cfg.require_misaligned and not generated:
         raise ConfigError("require_misaligned applies only with generate_seed")
+    if cfg.require_misaligned and cfg.n_arms < 2:
+        raise ConfigError(
+            f"require_misaligned needs arms >= 2, got arms = {cfg.n_arms}: "
+            "a one-arm instance is never misaligned"
+        )
     _choice(REWARD_MODELS, "reward_model")(cfg.reward_model, None)
     if explicit:
         if cfg.v_up is None or cfg.v_down is None:

@@ -41,7 +41,8 @@ class BelgicParams:
 
     @property
     def n_batches(self) -> int:
-        return math.ceil(self.beta * math.log2(self.horizon))
+        # Every arm's search plays at least one batch, even at horizon 1.
+        return max(1, math.ceil(self.beta * math.log2(self.horizon)))
 
     @property
     def precision(self) -> float:
@@ -151,17 +152,6 @@ def binary_search_batch_update(
 
 
 @dataclass(frozen=True)
-class TransferEstimates:
-    """Phase-1 output: per-arm transfer estimates and their final brackets."""
-
-    tau_hat: tuple[float, ...]
-    tau_lower: tuple[float, ...]
-    tau_upper: tuple[float, ...]
-    early_return: tuple[bool, ...]
-    batches_done: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Phase1Batch:
     """Diagnostics row for one completed binary-search batch."""
 
@@ -172,17 +162,6 @@ class Phase1Batch:
     branch: str
     tau_lower: float
     tau_upper: float
-
-
-def _finish_estimates(params: BelgicParams, states: list[BinarySearchState]) -> TransferEstimates:
-    pad = params.precision + params.estimate_pad
-    return TransferEstimates(
-        tau_hat=tuple(s.tau_upper + pad for s in states),
-        tau_lower=tuple(s.tau_lower for s in states),
-        tau_upper=tuple(s.tau_upper for s in states),
-        early_return=tuple(s.early_return for s in states),
-        batches_done=tuple(s.batches_done for s in states),
-    )
 
 
 class PairUCB:
@@ -222,9 +201,16 @@ class Belgic:
     step() -> (IncentiveOffer, own_arm); observe(upstream_arm, reward) must
     follow every step. During the search phase the policy offers the current
     bracket midpoint on the arm under search and plays own arm 0; rewards in
-    that phase are ignored, only compliance counts. The play phase offers
-    tau_hat on the proposed pair's arm and feeds reward - tau_hat through
-    the pair bandit whenever the upstream complied.
+    that phase are ignored, only compliance counts. When the last arm's
+    search ends, tau_hat holds the estimates (None until then) and
+    pair_plays each pair's (offer, own arm): the play phase offers tau_hat
+    on the proposed pair's arm and feeds reward - tau_hat through the pair
+    bandit whenever the upstream complied.
+
+    Belgic alone writes its state: step() and observe() go through reserve()
+    and searched(), as does the engine's (IncentiveAwareUCB, Belgic) kernel,
+    which plays many rounds per call. t counts the rounds handed out, and
+    diagnostics, one Phase1Batch row per full batch, is the search's record.
     """
 
     def __init__(self, params: BelgicParams):
@@ -232,62 +218,60 @@ class Belgic:
         self.params = params
         self.t = 0
         self.search_state = BinarySearchState(arm=0)
-        self.arm_states: list[BinarySearchState] = [self.search_state]
         self.batch_round = 0
         self.mismatches = 0
         self.diagnostics: list[Phase1Batch] = []
-        self.estimates: TransferEstimates | None = None
+        self.tau_hat: tuple[float, ...] | None = None
         self.pair_ucb = PairUCB(params.n_arms, params.horizon)
         self.phase1_rounds = 0
-        self._pending: tuple[IncentiveOffer, int, int] | None = None
-        # Offers change only between batches, and the K play offers are
-        # fixed once the estimates are; each is built once, not per round.
-        self._search_offer = IncentiveOffer(0, self.search_state.midpoint())
-        self._play_offers: tuple[IncentiveOffer, ...] = ()
+        self._pending: tuple[IncentiveOffer, int] | None = None
+        # Offers change only between batches and are fixed once the search
+        # ends; each is built once, not per round.
+        self.search_offer = IncentiveOffer(0, self.search_state.midpoint())
+        self.pair_plays: tuple[tuple[IncentiveOffer, int], ...] = ()
 
     @property
     def in_search_phase(self) -> bool:
-        return self.estimates is None
+        return self.tau_hat is None
 
-    def step(self) -> tuple[IncentiveOffer, int]:
-        if self.t >= self.params.horizon:
-            raise ValueError(f"round {self.t + 1} exceeds horizon {self.params.horizon}")
+    def reserve(self, rounds: int) -> None:
+        """Hand out the next ``rounds`` rounds of the game; refused while a
+        step() awaits its observe() or past the horizon."""
         if self._pending is not None:
             raise RuntimeError("step() called twice without observe()")
-        if self.in_search_phase:
-            offer = self._search_offer
-            own_arm, pair = 0, -1
+        if self.t + rounds > self.params.horizon:
+            raise ValueError(f"round {self.params.horizon + 1} exceeds horizon {self.params.horizon}")
+        self.t += rounds
+
+    def step(self) -> tuple[IncentiveOffer, int]:
+        self.reserve(1)
+        if self.tau_hat is None:
+            offer, own_arm, pair = self.search_offer, 0, -1
         else:
             pair = self.pair_ucb.step()
-            arm, own_arm = divmod(pair, self.params.n_arms)
-            offer = self._play_offers[arm]
-        self._pending = (offer, own_arm, pair)
+            offer, own_arm = self.pair_plays[pair]
+        self._pending = (offer, pair)
         return offer, own_arm
 
     def observe(self, upstream_arm: int, reward: float) -> None:
         if self._pending is None:
             raise RuntimeError("observe() called without a pending step()")
-        offer, _own_arm, pair = self._pending
+        offer, pair = self._pending
         self._pending = None
-        self.t += 1
         if pair < 0:
-            self._observe_search(offer, upstream_arm)
+            self.searched(1, upstream_arm != offer.arm)
         elif upstream_arm == offer.arm:
             self.pair_ucb.record(pair, reward - offer.amount)
 
-    def _observe_search(self, offer: IncentiveOffer, upstream_arm: int) -> None:
-        self.phase1_rounds += 1
-        self.batch_round += 1
-        if upstream_arm != offer.arm:
-            self.mismatches += 1
-        if self.batch_round >= self.params.batch_length:
-            self._close_batch(offer)
-
-    def _close_batch(self, offer: IncentiveOffer) -> None:
-        """Fold the finished batch, played at ``offer``, into the search: move
-        the bracket, log the batch, and open the next batch, the next arm's
-        search or the play phase. Reads the batch's tally from
-        ``mismatches`` and resets it and ``batch_round``."""
+    def searched(self, rounds: int, mismatches: int) -> None:
+        """Add ``rounds`` search rounds at search_offer, ``mismatches`` of them
+        refused, to the open batch. A full batch moves the bracket, is logged,
+        and opens the next batch, the next arm's search or the play phase."""
+        self.phase1_rounds += rounds
+        self.batch_round += rounds
+        self.mismatches += mismatches
+        if self.batch_round < self.params.batch_length:
+            return
         state = self.search_state
         batch_index = state.batches_done
         branch = binary_search_batch_update(state, self.mismatches, self.params)
@@ -295,7 +279,7 @@ class Belgic:
             Phase1Batch(
                 arm=state.arm,
                 batch_index=batch_index,
-                tau_mid=offer.amount,
+                tau_mid=self.search_offer.amount,
                 mismatches=self.mismatches,
                 branch=branch,
                 tau_lower=state.tau_lower,
@@ -306,14 +290,16 @@ class Belgic:
         self.mismatches = 0
         if state.finished:
             if state.arm + 1 == self.params.n_arms:
-                self.estimates = _finish_estimates(self.params, self.arm_states)
-                self._play_offers = tuple(
-                    IncentiveOffer(a, tau) for a, tau in enumerate(self.estimates.tau_hat)
-                )
+                # Each arm's final bracket is its last logged row.
+                pad = self.params.precision + self.params.estimate_pad
+                final_upper = {row.arm: row.tau_upper for row in self.diagnostics}
+                self.tau_hat = tuple(upper + pad for upper in final_upper.values())
+                offers = [IncentiveOffer(arm, tau) for arm, tau in enumerate(self.tau_hat)]
+                own_arms = range(self.params.n_arms)
+                self.pair_plays = tuple((offer, own) for offer in offers for own in own_arms)
                 return
             self.search_state = BinarySearchState(arm=state.arm + 1)
-            self.arm_states.append(self.search_state)
-        self._search_offer = IncentiveOffer(self.search_state.arm, self.search_state.midpoint())
+        self.search_offer = IncentiveOffer(self.search_state.arm, self.search_state.midpoint())
 
 
 class NaiveContextUCB:

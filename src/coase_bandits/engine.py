@@ -18,13 +18,16 @@ folding one round at a time. A recorded trajectory is held as columns
 
 The two learning pairs, (IncentiveAwareUCB, Belgic) in the property mode and
 (IncentiveAwareUCB, NaiveContextUCB) in the no-property mode, run on a
-kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that updates
-both players' lists in place and calls no policy method; ``_round_function``
-picks one by exact type. Every other pair, subclasses and test doubles
-included, runs on the generic loops (``_property_rounds``,
-``_no_property_rounds``), which call the policies' methods. A kernel draws
-through the same ``sample`` closure, returns the same columns and leaves the
-policies in the same state as the generic loop.
+kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that inlines
+the policies' ``step`` and their UCB updates, working on the players' lists
+in place; ``_round_function`` picks one by exact type. Belgic's counters and
+search are its own: the Belgic kernel hands them over through
+``Belgic.reserve`` and ``Belgic.searched`` and assigns no Belgic attribute.
+Every other pair, subclasses and test doubles included, runs on the generic
+loops (``_property_rounds``, ``_no_property_rounds``), which call the
+policies' methods. A kernel draws through the same ``sample`` closure,
+returns the same columns and leaves the policies in the same state as the
+generic loop.
 
 Every UCB explores by one rule, which the kernels share: an arm or pair with
 no sample has index +inf, and the lowest-numbered maximum is played, so the
@@ -45,7 +48,6 @@ from .downstream import (
     NaiveContextUCB,
     PairUCB,
     Phase1Batch,
-    TransferEstimates,
 )
 from .env import (
     BanditInstance,
@@ -295,19 +297,17 @@ def _property_rounds(upstream, downstream, sample, n: int):
 
 
 def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, n: int):
-    """_property_rounds for exactly (IncentiveAwareUCB, Belgic), with both
-    players' lists updated in place: the same columns, draws and final
-    policy state.
+    """_property_rounds for exactly (IncentiveAwareUCB, Belgic), with the
+    upstream's and the pair bandit's lists updated in place: the same
+    columns, draws and final policy state.
 
-    Belgic's search counters are added up after each stretch of a batch, so
-    ``Belgic._close_batch`` (which may end the search in mid-block) sees the
-    state ``observe`` would.
+    The block's rounds are reserved up front, and each stretch of a search
+    batch is handed to ``Belgic.searched`` with its mismatch count, so a
+    batch that fills (and may end the search in mid-block) closes as it
+    would under ``observe``. The play phase reads Belgic's ``pair_plays``.
     """
-    params = downstream.params
-    if downstream._pending is not None:
-        raise RuntimeError("step() called twice without observe()")
-    if downstream.t + n > params.horizon:
-        raise ValueError(f"round {params.horizon + 1} exceeds horizon {params.horizon}")
+    downstream.reserve(n)
+    batch_length = downstream.params.batch_length
     sqrt = math.sqrt
     k, log_up = upstream.n_arms, upstream.log_term
     pulls, means, index = upstream.pulls, upstream.means, upstream.index
@@ -315,11 +315,11 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
     up_append = ups.append
     done = 0
 
-    while done < n and downstream.estimates is None:
-        offer = downstream._search_offer
+    while done < n and downstream.tau_hat is None:
+        offer = downstream.search_offer
         arm, amount = offer.arm, offer.amount
         paid = amount and 0 <= arm < k
-        m = min(n - done, params.batch_length - downstream.batch_round)
+        m = min(n - done, batch_length - downstream.batch_round)
         mismatches = 0
         for _ in range(m):
             if paid:
@@ -341,23 +341,17 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
         arms += [arm] * m
         amounts += [amount] * m
         done += m
-        downstream.t += m
-        downstream.phase1_rounds += m
-        downstream.batch_round += m
-        downstream.mismatches += mismatches
-        if downstream.batch_round >= params.batch_length:
-            downstream._close_batch(offer)
+        downstream.searched(m, mismatches)
 
     if done < n:
         bandit = downstream.pair_ucb
-        n_pairs, log_pair = bandit.n_pairs, bandit.log_term
+        log_pair = bandit.log_term
         counts, pair_means, pair_index = bandit.counts, bandit.means, bandit.index
         # pair -> (offered arm, own arm, amount, whether the amount counts)
-        plays = []
-        for pair in range(n_pairs):
-            arm, own = divmod(pair, params.n_arms)
-            amount = downstream._play_offers[arm].amount
-            plays.append((arm, own, amount, amount and 0 <= arm < k))
+        plays = [
+            (offer.arm, own, offer.amount, offer.amount and 0 <= offer.arm < k)
+            for offer, own in downstream.pair_plays
+        ]
         down_append, arm_append, amount_append = downs.append, arms.append, amounts.append
         for _ in range(n - done):
             pair = pair_index.index(max(pair_index))
@@ -384,7 +378,6 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
             down_append(own)
             arm_append(arm)
             amount_append(amount)
-        downstream.t += n - done
 
     return (
         np.array(ups, dtype=np.intp),
@@ -538,7 +531,7 @@ def run_property(
     if params.n_arms != instance.n_arms:
         raise ValueError(f"downstream expects {params.n_arms} arms, instance has {instance.n_arms}")
     result = _play("property", instance, upstream, downstream, horizon, seed, record_trajectory)
-    result.tau_hat = downstream.estimates.tau_hat
+    result.tau_hat = downstream.tau_hat
     result.phase1_rounds = downstream.phase1_rounds
     result.phase1_batches = list(downstream.diagnostics) or None
     if result.records is not None:
@@ -551,17 +544,20 @@ def run_phase1(
     upstream,
     params: BelgicParams,
     rng: np.random.Generator,
-) -> tuple[TransferEstimates, list[Phase1Batch], int]:
+) -> tuple[tuple[float, ...], list[Phase1Batch], int]:
     """Drive only Belgic's search phase against a live upstream policy.
 
-    Rounds are the property game's own, one batch at a time; Belgic changes
-    phase only when a batch completes, so phase 1 here is bit-identical to
-    phase 1 inside a full game with the same rng. Downstream rewards are
-    drawn and discarded; the search only consumes compliance.
+    Returns (tau_hat, batches, rounds): the transfer estimates, the
+    Phase1Batch log (each arm's last row holds its final bracket, and
+    whether it returned early), and the search rounds played. Rounds are
+    the property game's own, one batch at a time; Belgic changes phase only
+    when a batch completes, so phase 1 here is bit-identical to phase 1
+    inside a full game with the same rng. Downstream rewards are drawn and
+    discarded; the search only consumes compliance.
     """
     belgic = Belgic(params)
     sample = round_sampler(instance, rng)
     play = _round_function(True, upstream, belgic)
     while belgic.in_search_phase:
         play(upstream, belgic, sample, params.batch_length)
-    return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds
+    return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds

@@ -17,9 +17,10 @@ from coase_bandits.acceptance import (
 )
 
 
-# Detail lines of criteria 2-4 as the pinned games report them; a change to
-# how these criteria build or drive their games must leave every number as is.
+# Every criterion's detail line as the pinned games report it; a change to
+# how a criterion builds or drives its games must leave every number as is.
 PINNED_DETAIL = {
+    1: "split identity exact on 50/50 instances; max |grid - closed form| = 9.29e-07 (tol 2e-06)",
     2: (
         "36 runs / 147456 property-mode rounds, zero violations; "
         "min decomposition slack = -1.11e-16 (floor -1e-12)"
@@ -29,14 +30,26 @@ PINNED_DETAIL = {
         "bracket contained tau* every batch on 50/50 instances (max width drift 1.11e-16, tol 1e-12); "
         "sandwich failed 0/200 = 0.000 (budget 0.05000)"
     ),
+    5: (
+        "mean r_sw/T over T=2^10..2^16: 0.0907 0.0700 0.0491 0.0339 0.0251 0.0186 0.0146 "
+        "(strictly decreasing); log-log slope 0.547 (cap 0.9); max r_down/bound = 1.00e-03 (cap 1)"
+    ),
+    6: (
+        "envelope scale 61.8; exceedance fractions t=256:0.000 t=1024:0.000 t=4096:0.000 "
+        "(cap 0.05) over 200 runs"
+    ),
+    7: (
+        "competitive W = 80 (want 80), efficient W = 82 (want 82), transfer = 2 (want 2), "
+        "bargaining == efficient: True; zero-rate collapse: True"
+    ),
+    8: "2 configs simulated twice; 10 output files compared, byte-identical: True",
 }
 
 
 def _gate(result) -> None:
     print(result.line())
     assert result.passed, result.line()
-    if result.number in PINNED_DETAIL:
-        assert result.detail == PINNED_DETAIL[result.number]
+    assert result.detail == PINNED_DETAIL[result.number]
 
 
 def test_criterion_1_oracle_identity():

@@ -77,16 +77,20 @@ class TestSimulate:
 
 
 class TestSweep:
-    def test_sweep_reports_rates_and_writes_table(self, dyadic_cfg, tmp_path, capsys):
+    def test_sweep_reports_rates_and_writes_table(self, dyadic_cfg, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COASE_BANDITS_WORKERS", "1")
         out = str(tmp_path / "sweep.csv")
-        code = cli.main(
-            ["sweep", dyadic_cfg, "--horizons", "64", "128", "--workers", "1", "--output", out]
-        )
+        code = cli.main(["sweep", dyadic_cfg, "--horizons", "64", "128", "--output", out])
         assert code == 0
         captured = capsys.readouterr().out
         assert "T=64: mean r_sw/T = 0.25" in captured
         assert "log-log slope" in captured
         assert [r.horizon for r in read_sweep_table(out)] == [64, 128]
+
+    def test_workers_flag_is_gone(self, dyadic_cfg, capsys):
+        # COASE_BANDITS_WORKERS caps every pool; sweep has no flag of its own.
+        assert cli.main(["sweep", dyadic_cfg, "--horizons", "64", "--workers", "1"]) == 1
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_missing_horizons_is_usage_error(self, dyadic_cfg, capsys):
         assert cli.main(["sweep", dyadic_cfg]) == 1

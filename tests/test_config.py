@@ -203,6 +203,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="require_misaligned applies only with generate_seed"):
             parse_config(text)
 
+    def test_require_misaligned_needs_two_arms(self):
+        # A one-arm instance is never misaligned, so no draw could satisfy it.
+        text = BASE_NO_PROPERTY.replace("arms = 2", "arms = 1").replace(
+            "v_up = 1.0 0.3\nv_down = 0.0 0.0 ; 0.9 0.2",
+            "generate_seed = 3\nrequire_misaligned = yes",
+        )
+        with pytest.raises(ConfigError, match="require_misaligned needs arms >= 2, got arms = 1"):
+            parse_config(text)
+
+    def test_belgic_at_horizon_one_rejected(self):
+        # Each arm's search plays one batch, which a one-round game cannot fit.
+        text = BASE_PROPERTY.replace("horizon = 4096", "horizon = 1").replace(
+            "[upstream]\n", "[upstream]\npolicy = best_response\n"
+        ).replace("fixed:1.0", "fixed:0.1")
+        with pytest.raises(ConfigError, match="invalid search parameters: phase 1 cannot fit"):
+            parse_config(text)
+
     def test_require_misaligned_no_is_accepted_with_explicit_means(self):
         text = BASE_NO_PROPERTY + "require_misaligned = no\n"
         assert parse_config(text) == parse_config(BASE_NO_PROPERTY)
@@ -292,7 +309,7 @@ def game_configs(draw):
     else:
         instance = dict(
             generate_seed=draw(st.integers(0, 2**63)),
-            require_misaligned=draw(st.booleans()),
+            require_misaligned=k > 1 and draw(st.booleans()),
         )
     cfg = GameConfig(
         mode=mode,

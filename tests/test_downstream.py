@@ -49,6 +49,11 @@ def small_params():
     return BelgicParams(2, 256, 0.5, 0.2, RegretCertificate(0.5))
 
 
+def final_rows(diags):
+    """Each arm's last Phase1Batch row, in arm order: its final bracket."""
+    return list({row.arm: row for row in diags}.values())
+
+
 def drive(belgic, instance, upstream, rng, rounds):
     """Engine-equivalent loop: draw order u, v, z, x each round."""
     for _ in range(rounds):
@@ -125,6 +130,13 @@ class TestValidation:
     def test_negative_scale(self):
         p = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(-1.0))
         with pytest.raises(ValueError, match="scale"):
+            validate_params(p)
+
+    def test_horizon_one_cannot_fit_phase1(self):
+        # log2(1) = 0 still leaves one batch per arm to play
+        p = BelgicParams(2, 1, 0.75, 0.25, RegretCertificate(0.1))
+        assert p.n_batches == 1
+        with pytest.raises(ValueError, match="cannot fit"):
             validate_params(p)
 
     def test_degenerate_dimensions(self):
@@ -238,44 +250,45 @@ class TestPhase1:
         ]
 
     def test_final_brackets_contain_tau_star(self):
-        est, _, _ = self.run()
+        _, diags, _ = self.run()
         oracle = compute_oracle(reference())
-        for a in range(2):
-            assert est.tau_lower[a] <= oracle.tau_star[a] <= est.tau_upper[a]
+        for row in final_rows(diags):
+            assert row.tau_lower <= oracle.tau_star[row.arm] <= row.tau_upper
 
     def test_width_matches_halving_recurrence(self):
-        est, _, _ = self.run()
+        _, diags, _ = self.run()
         p = default_params()
         h = p.precision
         ideal = (1.0 - 2.0 * h) / 2.0**p.n_batches + 2.0 * h
-        for a in range(2):
-            width = est.tau_upper[a] - est.tau_lower[a]
+        for row in final_rows(diags):
+            width = row.tau_upper - row.tau_lower
             assert width == pytest.approx(ideal, abs=1e-12)
             assert width <= 2.0 * h + 0.25  # coarse bound, two decisive halvings
 
     def test_tau_hat_identity(self):
-        est, _, _ = self.run()
+        tau_hat, diags, _ = self.run()
         p = default_params()
         pad = p.precision + p.estimate_pad
-        for a in range(2):
-            assert est.tau_hat[a] == est.tau_upper[a] + pad
+        assert tau_hat == tuple(row.tau_upper + pad for row in final_rows(diags))
 
     def test_estimates_bookkeeping(self):
-        est, _, _ = self.run()
-        assert est.early_return == (False, False)
-        assert est.batches_done == (3, 3)
+        _, diags, _ = self.run()
+        rows = final_rows(diags)
+        assert [row.arm for row in rows] == [0, 1]
+        assert [row.branch == "early_return" for row in rows] == [False, False]
+        assert [row.batch_index + 1 for row in rows] == [3, 3]
 
     def test_containment_with_learning_upstream(self):
         inst = reference()
         oracle = compute_oracle(inst)
         for seed in range(10):
-            est, _, _ = run_phase1(
+            _, diags, _ = run_phase1(
                 inst, IncentiveAwareUCB(2, 4096), default_params(), np.random.default_rng(seed)
             )
-            for a in range(2):
-                if est.early_return[a]:
+            for row in final_rows(diags):
+                if row.branch == "early_return":
                     continue
-                assert est.tau_lower[a] <= oracle.tau_star[a] <= est.tau_upper[a]
+                assert row.tau_lower <= oracle.tau_star[row.arm] <= row.tau_upper
 
     def test_deterministic_given_seed(self):
         inst = reference()
@@ -337,6 +350,28 @@ class TestBelgic:
         with pytest.raises(RuntimeError, match="twice"):
             belgic.step()
 
+    def test_t_counts_rounds_handed_out(self):
+        belgic = Belgic(small_params())
+        belgic.step()
+        assert belgic.t == 1  # counted at step(), before observe()
+        belgic.observe(0, 0.0)
+        assert belgic.t == 1
+        belgic.reserve(255)
+        assert belgic.t == 256
+        with pytest.raises(ValueError, match="round 257 exceeds horizon 256"):
+            belgic.reserve(1)
+
+    def test_searched_closes_a_full_batch(self):
+        params = small_params()
+        belgic = Belgic(params)
+        belgic.searched(params.batch_length - 1, 0)
+        assert belgic.diagnostics == []
+        belgic.searched(1, 0)
+        (row,) = belgic.diagnostics
+        assert (row.arm, row.batch_index, row.tau_mid, row.branch) == (0, 0, 0.5, "upper")
+        assert (belgic.batch_round, belgic.mismatches) == (0, 0)
+        assert belgic.phase1_rounds == params.batch_length
+
     def test_observe_requires_pending_step(self):
         belgic = Belgic(default_params())
         with pytest.raises(RuntimeError, match="pending"):
@@ -352,7 +387,7 @@ class TestBelgic:
         assert not belgic.in_search_phase
         offer, own_arm = belgic.step()
         assert offer.arm == 0 and own_arm == 0  # pair 0 opens the init sweep
-        assert offer.amount == belgic.estimates.tau_hat[0]
+        assert offer.amount == belgic.tau_hat[0]
 
     def test_play_phase_records_shifted_reward_only_on_compliance(self):
         inst = reference()
@@ -374,12 +409,12 @@ class TestBelgic:
         # sandwich: tau_hat exceeds tau* by at least the precision pad, so
         # the deterministic upstream complies with every phase-2 offer
         inst = reference()
-        est, _, _ = run_phase1(
+        tau_hat, _, _ = run_phase1(
             inst, BestResponseUpstream(inst), default_params(), np.random.default_rng(0)
         )
         fresh = BestResponseUpstream(inst)
         for a in range(2):
-            assert fresh.step(IncentiveOffer(a, est.tau_hat[a])) == a
+            assert fresh.step(IncentiveOffer(a, tau_hat[a])) == a
 
     def test_step_past_horizon_rejected(self):
         inst = reference()

@@ -1,6 +1,9 @@
-"""Golden outputs: `simulate configs/belgic.cfg` reproduces the committed files byte for byte."""
+"""Golden outputs: `simulate configs/belgic.cfg` and `scripts/trace_phase1.py`
+reproduce the committed files byte for byte."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +43,14 @@ def test_file_is_byte_identical(belgic_run, name):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         expected = fh.read()
     assert produced == expected, f"{name} differs from tests/golden/belgic/{name}"
+
+
+def test_trace_phase1_script_output():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    script = os.path.join(ROOT, "scripts", "trace_phase1.py")
+    produced = subprocess.run(
+        [sys.executable, script], env=env, capture_output=True, check=True
+    ).stdout
+    with open(os.path.join(ROOT, "tests", "golden", "trace_phase1.txt"), "rb") as fh:
+        expected = fh.read()
+    assert produced == expected, "scripts/trace_phase1.py differs from tests/golden/trace_phase1.txt"

@@ -194,7 +194,7 @@ def ref_phase1(instance, upstream, params, rng):
         z, x = scalar_round(instance, rng, upstream_arm, own_arm)
         upstream.update(upstream_arm, z)
         belgic.observe(upstream_arm, x)
-    return belgic.estimates, belgic.diagnostics, belgic.phase1_rounds
+    return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds
 
 
 def ref_certificate_run(seed):
@@ -357,7 +357,7 @@ class TestGamesMatchScalarReference:
             assert _learned_state(mine) == _learned_state(theirs)
         if down_kind == "belgic":
             assert result.phase1_batches == (ref_players[1].diagnostics or None)
-            assert result.tau_hat == ref_players[1].estimates.tau_hat
+            assert result.tau_hat == ref_players[1].tau_hat
 
     @pytest.mark.parametrize("up_kind", ["ucb", "best_response"])
     @settings(max_examples=15, deadline=None)
