@@ -26,9 +26,9 @@ from .env import (
     BanditInstance,
     build_instance,
     compute_oracle,
+    draw_noise,
     optimal_split_identity_holds,
     random_instance,
-    round_sampler,
     transfer_grid_optimum,
 )
 from .firm import FirmExample, firm_demo
@@ -186,10 +186,16 @@ def breakdown_config() -> GameConfig:
 def criterion_3_welfare_breakdown() -> CriterionResult:
     """Misaligned baseline: welfare-regret floor on every path, and the mean
     per-round welfare regret at the largest horizon lands in [0.9, 1.0] of
-    the misalignment margin."""
+    the misalignment margin. The engine raises on the first path below the
+    floor; that game's error is the FAIL detail."""
     t0 = time.perf_counter()
     oracle = compute_oracle(BREAKDOWN_INSTANCE)
-    rows, _, summaries = sweep(breakdown_config(), list(BREAKDOWN_HORIZONS))
+    try:
+        rows, _, summaries = sweep(breakdown_config(), list(BREAKDOWN_HORIZONS))
+    except RuntimeError as exc:
+        if "misaligned run broke the welfare floor" not in str(exc):
+            raise
+        return _timed(3, "welfare-breakdown", False, str(exc), t0)
     total = len(summaries)
     held = sum(s.r_sw >= s.breakdown_bound - 1e-9 * s.horizon for s in summaries.values())
     (mean_rate,) = [r.mean_r_sw_per_round for r in rows if r.horizon == BREAKDOWN_TOP_T]
@@ -389,21 +395,24 @@ CERT_MAX_FRACTION = 0.05
 
 def _certificate_run(seed: int) -> list[float]:
     """Drive the incentive-aware UCB through batched constant per-arm offers
-    and return its transfer-adjusted pseudo-regret at each checkpoint."""
+    and return its transfer-adjusted pseudo-regret at each checkpoint. Each
+    round draws one player's noise (``draw_noise`` with ``players=1``), and
+    the instance's gaussian reward is the mean plus that noise."""
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
-    sample = round_sampler(inst, np.random.default_rng(seed), downstream=False)
+    rounds = max(CERT_CHECKPOINTS)
+    noise = draw_noise(inst, np.random.default_rng(seed), rounds, players=1)[:, 0].tolist()
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
     regret = 0.0
     out = []
     offers = [IncentiveOffer(arm, CERT_TAU[arm]) for arm in range(k)]
     bests = [max(inst.v_up[a] + offer.bonus(a) for a in range(k)) for offer in offers]
 
-    for t in range(1, max(CERT_CHECKPOINTS) + 1):
+    for t, z in enumerate(noise, start=1):
         arm = ((t - 1) // CERT_BATCH) % k
         offer = offers[arm]
         played = ucb.step(offer)
-        ucb.update(played, sample(played))
+        ucb.update(played, inst.v_up[played] + z)
         regret += bests[arm] - (inst.v_up[played] + offer.bonus(played))
         if t in CERT_CHECKPOINTS:
             out.append(regret)

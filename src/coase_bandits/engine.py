@@ -2,9 +2,13 @@
 
 Both game modes share one accounting convention: regrets are pseudo-regrets,
 accumulated from true means along the realized path, never from sampled
-rewards. Both modes draw each round's rewards from ``env.round_sampler``,
-which states the per-round draw order, so runs with the same seed stay
-comparable across modes and policies.
+rewards. Both modes read each round's noise from rows of
+``env.draw_noise``, which states the per-round draw order. The draws never
+depend on the arms played, so a game at horizon T reads exactly the first T
+rounds of ``default_rng(seed)``'s stream, whatever the arms, the mode or the
+policies: runs with the same seed stay comparable across modes and
+policies, and a sweep draws each seed's noise once and plays every horizon
+on a prefix of it.
 
 One block loop plays both modes: it asks a round function for a block of
 ``BLOCK`` rounds (fewer at the end), which only drives the policies and
@@ -25,7 +29,7 @@ search are its own: the Belgic kernel hands them over through
 ``Belgic.reserve`` and ``Belgic.searched`` and assigns no Belgic attribute.
 Every other pair, subclasses and test doubles included, runs on the generic
 loops (``_property_rounds``, ``_no_property_rounds``), which call the
-policies' methods. A kernel draws through the same ``sample`` closure,
+policies' methods. A kernel reads through the same ``sample`` closure,
 returns the same columns and leaves the policies in the same state as the
 generic loop.
 
@@ -53,6 +57,7 @@ from .env import (
     BanditInstance,
     Oracle,
     compute_oracle,
+    draw_noise,
     misalignment_holds,
     round_sampler,
 )
@@ -442,19 +447,31 @@ def _play(
     horizon: int,
     seed: int,
     record_trajectory: bool,
+    noise: np.ndarray | None = None,
 ) -> GameResult:
     """Play one game of ``mode`` in blocks of BLOCK rounds, folding each block
-    onto the ledger; an invariant error names the seed and the horizon."""
+    onto the ledger; an invariant error names the seed and the horizon.
+
+    Each block draws its noise rows from ``default_rng(seed)`` as it plays,
+    so a game holds O(BLOCK) rows. A caller that drew the seed's noise
+    already passes it as ``noise``, at least ``horizon`` rows of
+    ``draw_noise(instance, default_rng(seed), n)``, and the game reads its
+    first ``horizon`` rows instead.
+    """
+    if noise is not None and len(noise) < horizon:
+        raise ValueError(f"{len(noise)} noise rows cannot cover horizon {horizon}")
     oracle = compute_oracle(instance)
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
-    sample = round_sampler(instance, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed) if noise is None else None
     offers = mode == "property"
     play = _round_function(offers, upstream, downstream)
     ledger = RegretLedger()
     records = Trajectory.empty(horizon, offers) if record_trajectory else None
 
     for start in range(1, horizon + 1, BLOCK):
-        columns = play(upstream, downstream, sample, min(BLOCK, horizon + 1 - start))
+        n = min(BLOCK, horizon + 1 - start)
+        rows = draw_noise(instance, rng, n) if noise is None else noise[start - 1 : start - 1 + n]
+        columns = play(upstream, downstream, round_sampler(instance, rows), n)
         try:
             ledger, *gaps = fold_block(instance, oracle, ledger, start, *columns)
         except RuntimeError as exc:
@@ -481,6 +498,7 @@ def run_no_property(
     horizon: int,
     seed: int,
     record_trajectory: bool = False,
+    noise: np.ndarray | None = None,
 ) -> GameResult:
     """Baseline game: no offers, the downstream merely adapts to contexts.
 
@@ -489,7 +507,9 @@ def run_no_property(
     up to float slack proportional to the horizon; a breach raises naming
     the seed and the horizon.
     """
-    result = _play("no-property", instance, upstream, downstream, horizon, seed, record_trajectory)
+    result = _play(
+        "no-property", instance, upstream, downstream, horizon, seed, record_trajectory, noise
+    )
     if result.misaligned:
         ledger = result.ledger
         bound = breakdown_lower_bound(result.oracle, horizon, ledger.r_up_n)
@@ -511,6 +531,7 @@ def run_property(
     horizon: int,
     seed: int,
     record_trajectory: bool = False,
+    noise: np.ndarray | None = None,
 ) -> GameResult:
     """Property-rights game: the downstream opens each round with an offer.
 
@@ -520,17 +541,19 @@ def run_property(
     and a violation raises naming the round, the seed and the horizon.
     With a Belgic downstream, its parameters must match the game, the
     result carries its phase-1 outcome, and trajectory rows up to its
-    phase1_rounds are "search" rows.
+    phase1_rounds are "search" rows. ``noise`` is ``_play``'s: rows the
+    caller drew for this seed, or None to draw them block by block.
     """
+    args = ("property", instance, upstream, downstream, horizon, seed, record_trajectory, noise)
     if not isinstance(downstream, Belgic):
-        return _play("property", instance, upstream, downstream, horizon, seed, record_trajectory)
+        return _play(*args)
 
     params = downstream.params
     if params.horizon != horizon:
         raise ValueError(f"downstream expects horizon {params.horizon}, engine got {horizon}")
     if params.n_arms != instance.n_arms:
         raise ValueError(f"downstream expects {params.n_arms} arms, instance has {instance.n_arms}")
-    result = _play("property", instance, upstream, downstream, horizon, seed, record_trajectory)
+    result = _play(*args)
     result.tau_hat = downstream.tau_hat
     result.phase1_rounds = downstream.phase1_rounds
     result.phase1_batches = list(downstream.diagnostics) or None
@@ -550,14 +573,15 @@ def run_phase1(
     Returns (tau_hat, batches, rounds): the transfer estimates, the
     Phase1Batch log (each arm's last row holds its final bracket, and
     whether it returned early), and the search rounds played. Rounds are
-    the property game's own, one batch at a time; Belgic changes phase only
-    when a batch completes, so phase 1 here is bit-identical to phase 1
-    inside a full game with the same rng. Downstream rewards are drawn and
-    discarded; the search only consumes compliance.
+    the property game's own, one batch at a time, each batch's noise drawn
+    from ``rng`` by ``draw_noise``; Belgic changes phase only when a batch
+    completes, so phase 1 here is bit-identical to phase 1 inside a full
+    game with the same rng. Downstream rewards are drawn and discarded; the
+    search only consumes compliance.
     """
     belgic = Belgic(params)
-    sample = round_sampler(instance, rng)
     play = _round_function(True, upstream, belgic)
+    n = params.batch_length
     while belgic.in_search_phase:
-        play(upstream, belgic, sample, params.batch_length)
+        play(upstream, belgic, round_sampler(instance, draw_noise(instance, rng, n)), n)
     return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds

@@ -79,52 +79,66 @@ def sample_downstream(
     return 1.0 if rng.random() < mean else 0.0
 
 
-def round_sampler(instance: BanditInstance, rng: np.random.Generator, downstream: bool = True):
-    """Every game loop's per-round draws; returns ``sample(up_arm, down_arm)``
-    -> (upstream reward, downstream reward).
+def draw_noise(
+    instance: BanditInstance, rng: np.random.Generator, n: int, players: int = 2
+) -> np.ndarray:
+    """The noise of the next n rounds from ``rng``: an (n, players) array
+    whose column 0 is the upstream player's and column 1 the downstream
+    player's.
 
     This is the one place the per-round draw order is stated. Each round
     takes one uniform per player (slots no policy reads, kept so the stream
-    stays as it always was), then the upstream reward draw, then the
-    downstream one: with gaussian rewards two uniforms and then two standard
-    normals, with bernoulli rewards four uniforms, the last two compared
-    against the means. Array fills consume ``rng`` exactly like the same
-    number of scalar calls, so the rewards equal those of two uniform draws
-    followed by ``sample_upstream`` and ``sample_downstream``, bit for bit.
+    stays as it always was), then one reward draw per player: with gaussian
+    rewards standard normals, with bernoulli rewards uniforms that
+    ``round_sampler`` compares against the means. ``rng`` advances exactly
+    as it would under the same number of scalar calls, so the rewards equal
+    those of two uniform draws followed by ``sample_upstream`` and
+    ``sample_downstream``, bit for bit. Each skipped uniform is one raw word
+    of numpy's default bit generator (PCG64), which is what ``random()``
+    consumes there.
 
-    With ``downstream=False`` a round is one uniform and one upstream reward,
-    and ``sample(up_arm)`` returns that reward alone.
+    Rounds are drawn in order, so drawing a and then b rounds gives the
+    rows and the final ``rng`` state of drawing a + b at once. A game at
+    horizon T therefore reads the first T rows of its seed's stream,
+    whatever the arms, the mode or the policies. Criterion 6 draws
+    ``players=1``: one uniform, then the upstream draw.
     """
+    if instance.reward_model == "bernoulli":
+        return rng.random((n, 2 * players))[:, players:]
+    skip, normal = rng.bit_generator.random_raw, rng.standard_normal
+    if players == 1:
+        # Scalar calls: cheaper than filling a one-element row.
+        upstream = []
+        for _ in range(n):
+            skip()
+            upstream.append(normal())
+        return np.array(upstream).reshape(n, 1)
+    noise = np.empty((n, players))
+    for row in noise:
+        skip(players)
+        normal(out=row)
+    return noise
+
+
+def round_sampler(instance: BanditInstance, noise: np.ndarray):
+    """Every game loop's rewards: ``sample(up_arm, down_arm)`` -> (upstream
+    reward, downstream reward) of the next row of ``noise``, an (n, 2) array
+    from ``draw_noise``. A gaussian reward is the mean plus the noise, a
+    bernoulli one is 1.0 when the uniform falls below the mean."""
     v_up, v_down = instance.v_up, instance.v_down
-    random, normal = rng.random, rng.standard_normal
-    if not downstream:
-        if instance.reward_model == "gaussian":
-
-            def sample_up(up_arm: int) -> float:
-                random()
-                return v_up[up_arm] + normal()
-
-        else:
-
-            def sample_up(up_arm: int) -> float:
-                random()
-                return 1.0 if random() < v_up[up_arm] else 0.0
-
-        return sample_up
-
+    # Column lists zipped, not one list per row: zip reuses its tuple once
+    # the caller has unpacked it, so a round allocates no row.
+    next_row = zip(*noise.T.tolist()).__next__
     if instance.reward_model == "gaussian":
-        slots, noise = np.empty(2), np.empty(2)
 
         def sample(up_arm: int, down_arm: int) -> tuple[float, float]:
-            random(out=slots)
-            z, x = normal(out=noise).tolist()
+            z, x = next_row()
             return v_up[up_arm] + z, v_down[up_arm][down_arm] + x
 
     else:
-        four = np.empty(4)
 
         def sample(up_arm: int, down_arm: int) -> tuple[float, float]:
-            _, _, p, q = random(out=four).tolist()
+            p, q = next_row()
             return (
                 1.0 if p < v_up[up_arm] else 0.0,
                 1.0 if q < v_down[up_arm][down_arm] else 0.0,

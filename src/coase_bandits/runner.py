@@ -29,7 +29,7 @@ from .downstream import (
     ZeroTransferDownstream,
 )
 from .engine import GameResult, Trajectory, run_no_property, run_property
-from .env import BanditInstance, compute_oracle
+from .env import BanditInstance, compute_oracle, draw_noise
 from .upstream import BestResponseUpstream, IncentiveAwareUCB
 
 WORKERS_ENV_VAR = "COASE_BANDITS_WORKERS"
@@ -151,14 +151,20 @@ def build_downstream(cfg: GameConfig, instance: BanditInstance, horizon: int):
 
 
 def simulate_run(
-    cfg: GameConfig, instance: BanditInstance, horizon: int, seed: int, record_trajectory=False
+    cfg: GameConfig,
+    instance: BanditInstance,
+    horizon: int,
+    seed: int,
+    record_trajectory=False,
+    noise: np.ndarray | None = None,
 ) -> GameResult:
-    """One fresh game at (horizon, seed); policies never survive across runs."""
+    """One fresh game at (horizon, seed); policies never survive across runs.
+    ``noise``, when given, is the seed's noise drawn ahead (see
+    ``engine._play``); the game's outputs are the same either way."""
     upstream = build_upstream(cfg, instance, horizon)
     downstream = build_downstream(cfg, instance, horizon)
-    if cfg.mode == "property":
-        return run_property(instance, upstream, downstream, horizon, seed, record_trajectory)
-    return run_no_property(instance, upstream, downstream, horizon, seed, record_trajectory)
+    run = run_property if cfg.mode == "property" else run_no_property
+    return run(instance, upstream, downstream, horizon, seed, record_trajectory, noise)
 
 
 def summarize(cfg: GameConfig, result: GameResult) -> RunSummary:
@@ -352,11 +358,14 @@ def fan_out(fn, tasks, max_workers: int | None = None) -> list:
     return [fn(t) for t in tasks]
 
 
-def _sweep_task(packed):
-    cfg, horizon, seed = packed
+def _sweep_task(packed) -> list[RunSummary]:
+    """Play one seed of a sweep at every horizon, in the order given: the
+    seed's noise is drawn once, for the largest horizon, and each game reads
+    a prefix of it."""
+    cfg, horizons, seed = packed
     instance = config_instance(cfg)
-    result = simulate_run(cfg, instance, horizon, seed)
-    return horizon, seed, summarize(cfg, result)
+    noise = draw_noise(instance, np.random.default_rng(seed), max(horizons))
+    return [summarize(cfg, simulate_run(cfg, instance, h, seed, noise=noise)) for h in horizons]
 
 
 @dataclass(frozen=True)
@@ -393,8 +402,10 @@ def sweep(
     """Run the config's seeds at each horizon; aggregate and fit the slope.
 
     Horizons are validated up front (each must pass the same checks as a
-    single run at that horizon). Games run through fan_out, so results never
-    depend on scheduling order.
+    single run at that horizon). Each seed is one fan_out task that plays
+    every horizon on its noise, drawn once, so results never depend on
+    scheduling order and equal those of games played alone. ``results`` is
+    keyed and ordered by (horizon, seed).
     """
     from .config import validate_config
     from dataclasses import replace
@@ -406,14 +417,16 @@ def sweep(
     for horizon in horizons:
         validate_config(replace(cfg, horizon=horizon))
 
-    tasks = [(cfg, horizon, seed) for horizon in sorted(horizons) for seed in cfg.seeds]
+    horizons = sorted(horizons)
+    by_seed = fan_out(_sweep_task, [(cfg, horizons, seed) for seed in cfg.seeds], max_workers)
     results: dict[tuple[int, int], RunSummary] = {
-        (horizon, seed): summary
-        for horizon, seed, summary in fan_out(_sweep_task, tasks, max_workers)
+        (horizon, seed): summaries[i]
+        for i, horizon in enumerate(horizons)
+        for seed, summaries in zip(cfg.seeds, by_seed)
     }
 
     rows = []
-    for horizon in sorted(horizons):
+    for horizon in horizons:
         group = [results[(horizon, seed)] for seed in cfg.seeds]
         if cfg.mode == "property":
             ups = [s.r_up_p for s in group]

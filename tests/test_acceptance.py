@@ -5,6 +5,9 @@ prints its single PASS/FAIL line, and fails with the recorded detail if
 the criterion does not hold.  Run with -s to see the lines as they land.
 """
 
+import coase_bandits.acceptance as acceptance
+import coase_bandits.engine as engine
+from coase_bandits import cli
 from coase_bandits.acceptance import (
     criterion_1_oracle_identity,
     criterion_2_pathwise_decomposition,
@@ -62,6 +65,24 @@ def test_criterion_2_pathwise_decomposition():
 
 def test_criterion_3_welfare_breakdown():
     _gate(criterion_3_welfare_breakdown())
+
+
+def test_criterion_3_reports_a_broken_floor_as_fail(monkeypatch, capsys):
+    # Raising the floor by 1.0 breaks it on every path; the criterion must
+    # report the engine's error for the first game as a FAIL, and the CLI
+    # must exit 2 (a failed criterion), not 1 (an error).
+    real = engine.breakdown_lower_bound
+    monkeypatch.setattr(engine, "breakdown_lower_bound", lambda *args: real(*args) + 1.0)
+    monkeypatch.setenv("COASE_BANDITS_WORKERS", "1")
+    monkeypatch.setattr(acceptance, "BREAKDOWN_HORIZONS", (64, 128))
+    monkeypatch.setattr(acceptance, "BREAKDOWN_SEEDS", (0, 1))
+    monkeypatch.setattr(acceptance, "BREAKDOWN_TOP_T", 128)
+    result = criterion_3_welfare_breakdown()
+    assert not result.passed
+    assert "misaligned run broke the welfare floor" in result.detail
+    assert result.detail.endswith("game seed 0, horizon 64")
+    assert cli.main(["accept", "breakdown"]) == 2
+    assert "FAIL  criterion 3 (welfare-breakdown)" in capsys.readouterr().out
 
 
 def test_criterion_4_binary_search():

@@ -1,12 +1,13 @@
-"""The round sampler and the cached UCB indices against a scalar reference.
+"""The noise stream, the round sampler and the cached UCB indices against a
+scalar reference.
 
 The reference is the round loop written the long way: every round draws the
 two uniform slots with scalar calls, then the rewards through
 ``sample_upstream`` and ``sample_downstream``, and every UCB step recomputes
 its indices from the counts and means and tries the unsampled arms or pairs
-first by an explicit sweep, not through +inf indices. ``env.round_sampler`` and the cached
-indices must reproduce it bit for bit, in the engine, in ``run_phase1`` and
-in criterion 6's certificate run.
+first by an explicit sweep, not through +inf indices. ``env.draw_noise``,
+``env.round_sampler`` and the cached indices must reproduce it bit for bit,
+in the engine, in ``run_phase1`` and in criterion 6's certificate run.
 
 The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state.
@@ -54,6 +55,7 @@ from coase_bandits.engine import (
 from coase_bandits.env import (
     build_instance,
     compute_oracle,
+    draw_noise,
     round_sampler,
     sample_downstream,
     sample_upstream,
@@ -75,6 +77,18 @@ def scalar_round(instance, rng, up_arm, down_arm):
     rng.random()
     rng.random()
     return sample_upstream(instance, up_arm, rng), sample_downstream(instance, up_arm, down_arm, rng)
+
+
+def scalar_noise(instance, rng, n, players=2):
+    """n rounds of noise with scalar calls: one uniform slot per player, then
+    one standard normal (gaussian) or uniform (bernoulli) per player."""
+    draw = rng.standard_normal if instance.reward_model == "gaussian" else rng.random
+    rows = []
+    for _ in range(n):
+        for _ in range(players):
+            rng.random()
+        rows.append([draw() for _ in range(players)])
+    return rows
 
 
 def ucb_index(mean, pulls, log_term):
@@ -230,14 +244,18 @@ def normal_took_slow_path(rng):
 # ---------------------------------------------------------------- the sampler
 
 
+def _sampler_instance(model):
+    return build_instance((0.2, 0.7, 0.5), ((0.1, 0.9, 0.4), (0.3, 0.3, 0.8), (0.6, 0.0, 1.0)), model)
+
+
 class TestRoundSampler:
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
     def test_matches_four_scalar_draws(self, model):
-        inst = build_instance((0.2, 0.7, 0.5), ((0.1, 0.9, 0.4), (0.3, 0.3, 0.8), (0.6, 0.0, 1.0)), model)
+        inst = _sampler_instance(model)
         arms = np.random.default_rng(99).integers(0, 3, size=(2000, 2)).tolist()
         for seed in range(5):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            sample = round_sampler(inst, fast)
+            sample = round_sampler(inst, draw_noise(inst, fast, len(arms)))
             assert [sample(a, b) for a, b in arms] == [scalar_round(inst, slow, a, b) for a, b in arms]
             assert fast.bit_generator.state == slow.bit_generator.state
 
@@ -252,18 +270,71 @@ class TestRoundSampler:
             slow += normal_took_slow_path(rng) + normal_took_slow_path(rng)
         assert slow > 0
 
+    def test_rejection_path_normals_in_certificate_layout(self):
+        # The same for criterion 6's layout: seed 0, one slot and one normal
+        # per round, over the 2,000 rounds TestNoiseStream draws.
+        rng = np.random.default_rng(0)
+        slow = 0
+        for _ in range(2000):
+            rng.random()
+            slow += normal_took_slow_path(rng)
+        assert slow > 0
+
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
     def test_upstream_only_shape(self, model):
+        # Criterion 6's layout: one uniform slot, then the upstream reward.
         inst = build_instance((0.2, 0.7), ((0.0, 0.0), (0.0, 0.0)), model)
         arms = np.random.default_rng(7).integers(0, 2, size=1000).tolist()
         fast, slow = np.random.default_rng(3), np.random.default_rng(3)
-        sample = round_sampler(inst, fast, downstream=False)
+        noise = draw_noise(inst, fast, len(arms), players=1)
+        assert noise.shape == (len(arms), 1)
+        if model == "gaussian":
+            rewards = [inst.v_up[a] + u for a, (u,) in zip(arms, noise.tolist())]
+        else:
+            rewards = [1.0 if u < inst.v_up[a] else 0.0 for a, (u,) in zip(arms, noise.tolist())]
         expected = []
         for a in arms:
             slow.random()
             expected.append(sample_upstream(inst, a, slow))
-        assert [sample(a) for a in arms] == expected
+        assert rewards == expected
         assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestNoiseStream:
+    """``draw_noise`` is the one statement of the draw order: its rows and the
+    generator state it leaves equal the scalar reference's, and a draw split
+    in two, or cut short, is the same stream."""
+
+    @pytest.mark.parametrize("players", [2, 1], ids=["game", "certificate"])
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    def test_rows_match_scalar_draws(self, model, players):
+        # Seeds 0..4 over 2,000 rounds include normals that take the
+        # ziggurat's rejection path (test_rejection_path_normals_are_covered).
+        inst = _sampler_instance(model)
+        for seed in range(5):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            noise = draw_noise(inst, fast, 2000, players)
+            assert noise.shape == (2000, players)
+            assert noise.tolist() == scalar_noise(inst, slow, 2000, players)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("players", [2, 1], ids=["game", "certificate"])
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("a,b", [(0, 7), (1, 1), (1000, 999), (BLOCK, 3)])
+    def test_split_draw_is_one_draw(self, model, players, a, b):
+        inst = _sampler_instance(model)
+        split, joint = np.random.default_rng(0), np.random.default_rng(0)
+        rows = np.concatenate([draw_noise(inst, split, a, players), draw_noise(inst, split, b, players)])
+        assert rows.tolist() == draw_noise(inst, joint, a + b, players).tolist()
+        assert split.bit_generator.state == joint.bit_generator.state
+
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("horizon", [1, 17, BLOCK - 1, BLOCK + 1])
+    def test_horizon_reads_a_prefix(self, model, horizon):
+        inst = _sampler_instance(model)
+        short = draw_noise(inst, np.random.default_rng(0), horizon)
+        long = draw_noise(inst, np.random.default_rng(0), 2 * horizon)
+        assert short.tolist() == long[:horizon].tolist()
 
 
 # ---------------------------------------------------------------- the games

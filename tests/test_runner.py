@@ -5,13 +5,21 @@ import math
 import multiprocessing
 import os
 import tempfile
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coase_bandits.config import ConfigError, GameConfig, parse_config_file
+from coase_bandits.config import (
+    ConfigError,
+    GameConfig,
+    config_instance,
+    parse_config_file,
+    validate_config,
+)
 from coase_bandits.downstream import Phase1Batch
+from coase_bandits.engine import BLOCK
 from coase_bandits.runner import (
     RunSummary,
     SweepRow,
@@ -425,6 +433,67 @@ class TestSweep:
         rates = [r.mean_r_sw_per_round for r in rows]
         assert rates[0] > rates[1] > rates[2]
         assert slope <= 0.9
+
+
+_means = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def learning_configs(draw):
+    """A (ucb, belgic) or (ucb, naive) config with K in 1..5, either reward
+    model and two seeds, and the horizons around BLOCK it is valid at."""
+    k = draw(st.integers(1, 5))
+    mode, downstream = draw(st.sampled_from((("property", "belgic"), ("no-property", "naive"))))
+    cfg = GameConfig(
+        mode=mode,
+        n_arms=k,
+        horizon=BLOCK,
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True))),
+        v_up=tuple(draw(st.lists(_means, min_size=k, max_size=k))),
+        v_down=tuple(
+            tuple(row)
+            for row in draw(st.lists(st.lists(_means, min_size=k, max_size=k), min_size=k, max_size=k))
+        ),
+        reward_model=draw(st.sampled_from(("gaussian", "bernoulli"))),
+        alpha=0.5,
+        beta=0.2,
+        c_mode="fixed:0.5",
+        downstream_policy=downstream,
+    )
+    horizons = draw(
+        st.lists(st.sampled_from((5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)), min_size=1, unique=True)
+    )
+    valid = []
+    for horizon in horizons:
+        try:
+            validate_config(dataclasses.replace(cfg, horizon=horizon))
+        except ConfigError:
+            continue
+        valid.append(horizon)
+    return cfg, valid
+
+
+class TestSharedNoiseSweep:
+    @settings(max_examples=10, deadline=None)
+    @given(case=learning_configs())
+    def test_sweep_equals_games_played_alone(self, case):
+        # A sweep draws each seed's noise once and plays every horizon on a
+        # prefix of it; each game must equal the same game played on its own.
+        cfg, horizons = case
+        assume(horizons)
+        instance = config_instance(cfg)
+        alone = {
+            (h, s): summarize(cfg, simulate_run(cfg, instance, h, s))
+            for h in sorted(horizons)
+            for s in cfg.seeds
+        }
+        for workers in ("1", "2"):
+            with mock.patch.dict(os.environ, {"COASE_BANDITS_WORKERS": workers}):
+                _, _, results = sweep(cfg, horizons)
+            assert list(results) == list(alone)
+            for key, summary in results.items():
+                assert summary == alone[key], key
+                assert summary.to_row() == alone[key].to_row(), key
 
 
 class TestSweepFiles:
