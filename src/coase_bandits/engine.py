@@ -458,8 +458,6 @@ def _play(
     ``draw_noise(instance, default_rng(seed), n)``, and the game reads its
     first ``horizon`` rows instead.
     """
-    if noise is not None and len(noise) < horizon:
-        raise ValueError(f"{len(noise)} noise rows cannot cover horizon {horizon}")
     oracle = compute_oracle(instance)
     misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
     rng = np.random.default_rng(seed) if noise is None else None

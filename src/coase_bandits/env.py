@@ -104,10 +104,13 @@ def draw_noise(
     ``players=1``: one uniform, then the upstream draw.
     """
     if instance.reward_model == "bernoulli":
-        return rng.random((n, 2 * players))[:, players:]
+        # A compact copy: a view would keep the unread slot columns alive.
+        return rng.random((n, 2 * players))[:, players:].copy()
     skip, normal = rng.bit_generator.random_raw, rng.standard_normal
     if players == 1:
-        # Scalar calls: cheaper than filling a one-element row.
+        # Scalar calls, not the row loop below: filling one-element rows made
+        # criterion 6 take 1.17-1.77x as long (10 of 10 in-process pairs on a
+        # 2-vCPU VM; BENCH_10.json, "in_process").
         upstream = []
         for _ in range(n):
             skip()

@@ -359,12 +359,15 @@ def fan_out(fn, tasks, max_workers: int | None = None) -> list:
 
 
 def _sweep_task(packed) -> list[RunSummary]:
-    """Play one seed of a sweep at every horizon, in the order given: the
-    seed's noise is drawn once, for the largest horizon, and each game reads
-    a prefix of it."""
+    """Play one seed of a sweep at each horizon given, in order. With more
+    than one horizon the seed's noise is drawn once, for the largest, and
+    each game reads a prefix of it, so the task holds 16 bytes (two float64)
+    per round of that horizon. A lone horizon draws block by block."""
     cfg, horizons, seed = packed
     instance = config_instance(cfg)
-    noise = draw_noise(instance, np.random.default_rng(seed), max(horizons))
+    noise = None
+    if len(horizons) > 1:
+        noise = draw_noise(instance, np.random.default_rng(seed), max(horizons))
     return [summarize(cfg, simulate_run(cfg, instance, h, seed, noise=noise)) for h in horizons]
 
 
@@ -403,9 +406,11 @@ def sweep(
 
     Horizons are validated up front (each must pass the same checks as a
     single run at that horizon). Each seed is one fan_out task that plays
-    every horizon on its noise, drawn once, so results never depend on
-    scheduling order and equal those of games played alone. ``results`` is
-    keyed and ordered by (horizon, seed).
+    every horizon on its noise, drawn once; when the seeds are fewer than
+    the pool's workers, each (horizon, seed) game is a task of its own so
+    every worker has work. Either way results never depend on scheduling
+    order and equal those of games played alone. ``results`` is keyed and
+    ordered by (horizon, seed).
     """
     from .config import validate_config
     from dataclasses import replace
@@ -418,11 +423,15 @@ def sweep(
         validate_config(replace(cfg, horizon=horizon))
 
     horizons = sorted(horizons)
-    by_seed = fan_out(_sweep_task, [(cfg, horizons, seed) for seed in cfg.seeds], max_workers)
+    groups = [horizons] if len(cfg.seeds) >= worker_cap(max_workers) else [[h] for h in horizons]
+    tasks = [(cfg, group, seed) for group in groups for seed in cfg.seeds]
+    played = {
+        (horizon, seed): summary
+        for (_, group, seed), summaries in zip(tasks, fan_out(_sweep_task, tasks, max_workers))
+        for horizon, summary in zip(group, summaries)
+    }
     results: dict[tuple[int, int], RunSummary] = {
-        (horizon, seed): summaries[i]
-        for i, horizon in enumerate(horizons)
-        for seed, summaries in zip(cfg.seeds, by_seed)
+        (horizon, seed): played[(horizon, seed)] for horizon in horizons for seed in cfg.seeds
     }
 
     rows = []

@@ -27,7 +27,7 @@ from coase_bandits.engine import (
     run_no_property,
     run_property,
 )
-from coase_bandits.env import build_instance, compute_oracle, draw_noise
+from coase_bandits.env import build_instance, compute_oracle
 from coase_bandits.upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
@@ -373,14 +373,6 @@ class TestDeterminism:
         a = run_no_property(inst, IncentiveAwareUCB(2, 1024), NaiveContextUCB(2, 1024), 1024, 0)
         b = run_no_property(inst, IncentiveAwareUCB(2, 1024), NaiveContextUCB(2, 1024), 1024, 1)
         assert a.ledger != b.ledger
-
-    def test_noise_drawn_ahead_must_cover_the_horizon(self):
-        inst = REFERENCE
-        noise = draw_noise(inst, np.random.default_rng(0), 1023)
-        with pytest.raises(ValueError, match="^1023 noise rows cannot cover horizon 1024$"):
-            run_no_property(
-                inst, IncentiveAwareUCB(2, 1024), NaiveContextUCB(2, 1024), 1024, 0, noise=noise
-            )
 
 
 GAME_KINDS = [

@@ -479,6 +479,8 @@ class TestSharedNoiseSweep:
     def test_sweep_equals_games_played_alone(self, case):
         # A sweep draws each seed's noise once and plays every horizon on a
         # prefix of it; each game must equal the same game played on its own.
+        # Under a cap of 3 the two seeds are fewer than the workers, so each
+        # (horizon, seed) game is a task of its own and draws its own noise.
         cfg, horizons = case
         assume(horizons)
         instance = config_instance(cfg)
@@ -487,13 +489,26 @@ class TestSharedNoiseSweep:
             for h in sorted(horizons)
             for s in cfg.seeds
         }
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "3"):
             with mock.patch.dict(os.environ, {"COASE_BANDITS_WORKERS": workers}):
                 _, _, results = sweep(cfg, horizons)
             assert list(results) == list(alone)
             for key, summary in results.items():
                 assert summary == alone[key], key
                 assert summary.to_row() == alone[key].to_row(), key
+
+    @pytest.mark.parametrize(
+        "workers, tasks",
+        [("1", [(64, 128), (64, 128)]), ("2", [(64, 128), (64, 128)]), ("3", [(64,), (64,), (128,), (128,)])],
+    )
+    def test_few_seeds_split_into_games(self, workers, tasks):
+        # Two seeds keep one or two workers busy with a task per seed; a third
+        # worker would sit idle, so each game becomes a task of its own.
+        with mock.patch.dict(os.environ, {"COASE_BANDITS_WORKERS": workers}), mock.patch(
+            "coase_bandits.runner.fan_out", wraps=fan_out
+        ) as spy:
+            sweep(DYADIC_NO_PROPERTY, [128, 64])
+        assert [tuple(group) for _, group, _ in spy.call_args.args[1]] == tasks
 
 
 class TestSweepFiles:
