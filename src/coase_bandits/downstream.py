@@ -3,8 +3,8 @@
 The centerpiece is BELGIC, the two-phase policy for the property-rights
 game: phase 1 runs a batched binary search per upstream arm to bracket the
 minimal transfer that redirects the upstream player to that arm; phase 2
-treats the K^2 (offered arm, own arm) pairs as one bandit over
-transfer-adjusted rewards. A naive per-context UCB plays the no-property
+treats the K^2 (offered arm, own arm) pairs as one UCBIndex over
+transfer-adjusted rewards. A UCBIndex per context plays the no-property
 baseline, and deterministic doubles cover the test matrix.
 """
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .env import BanditInstance, Oracle
-from .upstream import IncentiveOffer, RegretCertificate
+from .upstream import IncentiveOffer, RegretCertificate, UCBIndex
 
 
 @dataclass(frozen=True)
@@ -95,29 +95,15 @@ def validate_params(params: BelgicParams) -> None:
         )
 
 
-@dataclass
-class BinarySearchState:
-    """Bracket [tau_lower, tau_upper] for one arm's minimal sufficient transfer."""
-
-    arm: int
-    tau_lower: float = 0.0
-    tau_upper: float = 1.0
-    batches_done: int = 0
-    finished: bool = False
-    early_return: bool = False
-
-    def midpoint(self) -> float:
-        return (self.tau_lower + self.tau_upper) / 2.0
-
-
 def _clamp01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
 def binary_search_batch_update(
-    state: BinarySearchState, mismatch_count: int, params: BelgicParams
-) -> str:
-    """Fold one batch's mismatch count into the bracket; returns the branch taken.
+    lower: float, upper: float, mismatches: int, params: BelgicParams
+) -> tuple[str, float, float]:
+    """Fold one batch's mismatch count into [lower, upper]; returns
+    (branch, lower, upper).
 
     With theta the mismatch threshold, a count strictly inside
     (theta, batch - theta) is ambiguous: it contradicts the upstream regret
@@ -127,28 +113,17 @@ def binary_search_batch_update(
     it was refused, giving a lower bound (minus slack). Bounds are clamped
     to [0, 1], where the true minimal transfer always lives.
     """
-    if state.finished:
-        raise ValueError(f"arm {state.arm}: search already finished")
     batch = params.batch_length
-    if not 0 <= mismatch_count <= batch:
-        raise ValueError(f"mismatch count {mismatch_count} outside [0, {batch}]")
+    if not 0 <= mismatches <= batch:
+        raise ValueError(f"mismatch count {mismatches} outside [0, {batch}]")
     theta = params.threshold
-    mid = state.midpoint()
+    mid = (lower + upper) / 2.0
     slack = params.precision
-    if theta < mismatch_count < batch - theta:
-        state.early_return = True
-        state.finished = True
-        branch = "early_return"
-    elif mismatch_count <= theta:
-        state.tau_upper = _clamp01(mid + slack)
-        branch = "upper"
-    else:
-        state.tau_lower = _clamp01(mid - slack)
-        branch = "lower"
-    state.batches_done += 1
-    if state.batches_done >= params.n_batches:
-        state.finished = True
-    return branch
+    if theta < mismatches < batch - theta:
+        return "early_return", lower, upper
+    if mismatches <= theta:
+        return "upper", lower, _clamp01(mid + slack)
+    return "lower", _clamp01(mid - slack), upper
 
 
 @dataclass(frozen=True)
@@ -162,37 +137,6 @@ class Phase1Batch:
     branch: str
     tau_lower: float
     tau_upper: float
-
-
-class PairUCB:
-    """UCB over the K^2 (offered arm, own arm) pairs on shifted rewards.
-
-    Pairs are numbered row-major: pair = offered_arm * K + own_arm. A pair
-    without a sample has index +inf, so pairs are tried in row-major order
-    first. Updates land only on rounds where the upstream actually played
-    the offered arm, so a refused pair keeps its +inf and is proposed again.
-    """
-
-    def __init__(self, n_arms: int, horizon: int):
-        self.n_arms = n_arms
-        n_pairs = n_arms * n_arms
-        self.n_pairs = n_pairs
-        self.log_term = math.log(n_pairs * horizon**3)
-        self.counts = [0] * n_pairs
-        self.means = [0.0] * n_pairs
-        self.index = [math.inf] * n_pairs
-
-    def step(self) -> int:
-        """Lowest-numbered pair with the highest index; changes no state."""
-        index = self.index
-        return index.index(max(index))
-
-    def record(self, pair: int, shifted_reward: float) -> None:
-        n = self.counts[pair] + 1
-        self.counts[pair] = n
-        mean = self.means[pair] + (shifted_reward - self.means[pair]) / n
-        self.means[pair] = mean
-        self.index[pair] = mean + 2.0 * math.sqrt(self.log_term / n)
 
 
 class Belgic:
@@ -210,29 +154,37 @@ class Belgic:
     Belgic alone writes its state: step() and observe() go through reserve()
     and searched(), as does the engine's (IncentiveAwareUCB, Belgic) kernel,
     which plays many rounds per call. t counts the rounds handed out, and
-    diagnostics, one Phase1Batch row per full batch, is the search's record.
+    diagnostics, one Phase1Batch row per full batch, is the search's record
+    and holds its brackets. pair_ucb numbers the pairs row-major, pair =
+    offered_arm * K + own_arm, and records only compliant rounds, so a
+    refused pair keeps its +inf and is proposed again.
     """
 
     def __init__(self, params: BelgicParams):
         validate_params(params)
         self.params = params
         self.t = 0
-        self.search_state = BinarySearchState(arm=0)
         self.batch_round = 0
         self.mismatches = 0
         self.diagnostics: list[Phase1Batch] = []
         self.tau_hat: tuple[float, ...] | None = None
-        self.pair_ucb = PairUCB(params.n_arms, params.horizon)
-        self.phase1_rounds = 0
+        n_pairs = params.n_arms * params.n_arms
+        self.pair_ucb = UCBIndex(n_pairs, math.log(n_pairs * params.horizon**3))
         self._pending: tuple[IncentiveOffer, int] | None = None
         # Offers change only between batches and are fixed once the search
-        # ends; each is built once, not per round.
-        self.search_offer = IncentiveOffer(0, self.search_state.midpoint())
+        # ends; each is built once, not per round. Arm 0's search opens at
+        # the midpoint of [0, 1].
+        self.search_offer = IncentiveOffer(0, 0.5)
         self.pair_plays: tuple[tuple[IncentiveOffer, int], ...] = ()
 
     @property
     def in_search_phase(self) -> bool:
         return self.tau_hat is None
+
+    @property
+    def phase1_rounds(self) -> int:
+        """Search rounds played: every logged batch and the open one."""
+        return len(self.diagnostics) * self.params.batch_length + self.batch_round
 
     def reserve(self, rounds: int) -> None:
         """Hand out the next ``rounds`` rounds of the game; refused while a
@@ -248,7 +200,7 @@ class Belgic:
         if self.tau_hat is None:
             offer, own_arm, pair = self.search_offer, 0, -1
         else:
-            pair = self.pair_ucb.step()
+            pair = self.pair_ucb.best()
             offer, own_arm = self.pair_plays[pair]
         self._pending = (offer, pair)
         return offer, own_arm
@@ -263,74 +215,68 @@ class Belgic:
         elif upstream_arm == offer.arm:
             self.pair_ucb.record(pair, reward - offer.amount)
 
+    def _open_batch(self) -> tuple[int, int, float, float]:
+        """(arm, batch index, lower, upper) of the search's next batch, read
+        from the log. An arm's search ends on an early return or after
+        n_batches rows; the next arm's opens at batch 0 on [0, 1]."""
+        if not self.diagnostics:
+            return 0, 0, 0.0, 1.0
+        last = self.diagnostics[-1]
+        if last.branch == "early_return" or last.batch_index + 1 >= self.params.n_batches:
+            return last.arm + 1, 0, 0.0, 1.0
+        return last.arm, last.batch_index + 1, last.tau_lower, last.tau_upper
+
     def searched(self, rounds: int, mismatches: int) -> None:
         """Add ``rounds`` search rounds at search_offer, ``mismatches`` of them
         refused, to the open batch. A full batch moves the bracket, is logged,
         and opens the next batch, the next arm's search or the play phase."""
-        self.phase1_rounds += rounds
         self.batch_round += rounds
         self.mismatches += mismatches
-        if self.batch_round < self.params.batch_length:
+        params = self.params
+        if self.batch_round < params.batch_length:
             return
-        state = self.search_state
-        batch_index = state.batches_done
-        branch = binary_search_batch_update(state, self.mismatches, self.params)
+        arm, batch_index, lower, upper = self._open_batch()
+        branch, lower, upper = binary_search_batch_update(lower, upper, self.mismatches, params)
         self.diagnostics.append(
             Phase1Batch(
-                arm=state.arm,
-                batch_index=batch_index,
-                tau_mid=self.search_offer.amount,
-                mismatches=self.mismatches,
-                branch=branch,
-                tau_lower=state.tau_lower,
-                tau_upper=state.tau_upper,
+                arm, batch_index, self.search_offer.amount, self.mismatches, branch, lower, upper
             )
         )
         self.batch_round = 0
         self.mismatches = 0
-        if state.finished:
-            if state.arm + 1 == self.params.n_arms:
-                # Each arm's final bracket is its last logged row.
-                pad = self.params.precision + self.params.estimate_pad
-                final_upper = {row.arm: row.tau_upper for row in self.diagnostics}
-                self.tau_hat = tuple(upper + pad for upper in final_upper.values())
-                offers = [IncentiveOffer(arm, tau) for arm, tau in enumerate(self.tau_hat)]
-                own_arms = range(self.params.n_arms)
-                self.pair_plays = tuple((offer, own) for offer in offers for own in own_arms)
-                return
-            self.search_state = BinarySearchState(arm=state.arm + 1)
-        self.search_offer = IncentiveOffer(self.search_state.arm, self.search_state.midpoint())
+        arm, _, lower, upper = self._open_batch()
+        if arm < params.n_arms:
+            self.search_offer = IncentiveOffer(arm, (lower + upper) / 2.0)
+            return
+        # Each arm's final bracket is its last logged row.
+        pad = params.precision + params.estimate_pad
+        final_upper = {row.arm: row.tau_upper for row in self.diagnostics}
+        self.tau_hat = tuple(upper + pad for upper in final_upper.values())
+        offers = [IncentiveOffer(arm, tau) for arm, tau in enumerate(self.tau_hat)]
+        own_arms = range(params.n_arms)
+        self.pair_plays = tuple((offer, own) for offer in offers for own in own_arms)
 
 
 class NaiveContextUCB:
     """No-property baseline: an independent UCB per observed upstream arm.
 
-    The upstream arm is a context the downstream cannot influence; each
-    context gets its own indices, +inf for an arm never played there, so
-    each context tries its arms in index order first. Bonus matches the
+    The upstream arm is a context the downstream cannot influence; each of
+    contexts is a UCBIndex, +inf for an arm never played there, so each
+    context tries its arms in index order first. Bonus matches the
     upstream policy's ln(K * T^3) scaling since each context is a K-armed
     problem.
     """
 
     def __init__(self, n_arms: int, horizon: int):
-        self.n_arms = n_arms
-        self.log_term = math.log(n_arms * horizon**3)
-        self.counts = [[0] * n_arms for _ in range(n_arms)]
-        self.means = [[0.0] * n_arms for _ in range(n_arms)]
-        self.index = [[math.inf] * n_arms for _ in range(n_arms)]
+        log_term = math.log(n_arms * horizon**3)
+        self.contexts = [UCBIndex(n_arms, log_term) for _ in range(n_arms)]
 
     def step(self, context: int) -> int:
         """Lowest arm with the highest index in this context; changes no state."""
-        index = self.index[context]
-        return index.index(max(index))
+        return self.contexts[context].best()
 
     def update(self, context: int, arm: int, reward: float) -> None:
-        n = self.counts[context][arm] + 1
-        self.counts[context][arm] = n
-        means = self.means[context]
-        mean = means[arm] + (reward - means[arm]) / n
-        means[arm] = mean
-        self.index[context][arm] = mean + 2.0 * math.sqrt(self.log_term / n)
+        self.contexts[context].record(arm, reward)
 
 
 class OracleTransferDownstream:

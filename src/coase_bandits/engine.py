@@ -23,10 +23,11 @@ folding one round at a time. A recorded trajectory is held as columns
 The two learning pairs, (IncentiveAwareUCB, Belgic) in the property mode and
 (IncentiveAwareUCB, NaiveContextUCB) in the no-property mode, run on a
 kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that inlines
-the policies' ``step`` and their UCB updates, working on the players' lists
-in place; ``_round_function`` picks one by exact type. Belgic's counters and
-search are its own: the Belgic kernel hands them over through
-``Belgic.reserve`` and ``Belgic.searched`` and assigns no Belgic attribute.
+the policies' ``step`` and ``UCBIndex.record``, working on the UCB tables'
+lists in place; ``_round_function`` picks one by exact type, the pair
+table's included. Belgic's counters and search log are its own: the Belgic
+kernel hands them over through ``Belgic.reserve`` and ``Belgic.searched``
+and assigns no Belgic attribute.
 Every other pair, subclasses and test doubles included, runs on the generic
 loops (``_property_rounds``, ``_no_property_rounds``), which call the
 policies' methods. A kernel reads through the same ``sample`` closure,
@@ -46,13 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .downstream import (
-    Belgic,
-    BelgicParams,
-    NaiveContextUCB,
-    PairUCB,
-    Phase1Batch,
-)
+from .downstream import Belgic, BelgicParams, NaiveContextUCB, Phase1Batch
 from .env import (
     BanditInstance,
     Oracle,
@@ -61,7 +56,7 @@ from .env import (
     misalignment_holds,
     round_sampler,
 )
-from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer
+from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex
 
 #: Slack allowed to the per-round regret decomposition inequality; covers
 #: float rounding only, the inequality itself is exact.
@@ -315,7 +310,7 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
     batch_length = downstream.params.batch_length
     sqrt = math.sqrt
     k, log_up = upstream.n_arms, upstream.log_term
-    pulls, means, index = upstream.pulls, upstream.means, upstream.index
+    pulls, means, index = upstream.counts, upstream.means, upstream.index
     ups, downs, arms, amounts = [], [], [], []
     up_append = ups.append
     done = 0
@@ -394,17 +389,16 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
 
 def _ucb_naive_rounds(upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, sample, n: int):
     """_no_property_rounds for exactly (IncentiveAwareUCB, NaiveContextUCB),
-    with both players' lists updated in place."""
+    with the upstream's and each context's lists updated in place."""
     sqrt = math.sqrt
     log_up = upstream.log_term
-    pulls, means, index = upstream.pulls, upstream.means, upstream.index
-    log_down = downstream.log_term
-    counts, down_means, down_index = downstream.counts, downstream.means, downstream.index
+    pulls, means, index = upstream.counts, upstream.means, upstream.index
+    contexts = [(c.counts, c.means, c.index, c.log_term) for c in downstream.contexts]
     ups, downs = [], []
     up_append, down_append = ups.append, downs.append
     for _ in range(n):
         a = index.index(max(index))
-        row = down_index[a]
+        counts, row_means, row, log_down = contexts[a]
         b = row.index(max(row))
         z, x = sample(a, b)
         c = pulls[a] + 1
@@ -412,9 +406,8 @@ def _ucb_naive_rounds(upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, 
         mean = means[a] + (z - means[a]) / c
         means[a] = mean
         index[a] = mean + 2.0 * sqrt(log_up / c)
-        c = counts[a][b] + 1
-        counts[a][b] = c
-        row_means = down_means[a]
+        c = counts[b] + 1
+        counts[b] = c
         mean = row_means[b] + (x - row_means[b]) / c
         row_means[b] = mean
         row[b] = mean + 2.0 * sqrt(log_down / c)
@@ -428,7 +421,7 @@ def _round_function(offers: bool, upstream, downstream):
     two learning pairs (subclasses may override what a kernel inlines), the
     generic loop for every other pair."""
     if type(upstream) is IncentiveAwareUCB:
-        if offers and type(downstream) is Belgic and type(downstream.pair_ucb) is PairUCB:
+        if offers and type(downstream) is Belgic and type(downstream.pair_ucb) is UCBIndex:
             return _ucb_belgic_rounds
         if not offers and type(downstream) is NaiveContextUCB:
             return _ucb_naive_rounds

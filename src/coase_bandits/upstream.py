@@ -4,6 +4,7 @@ The upstream player sees only its own reward draws plus, each round, an
 incentive offer: a target arm and a transfer amount paid iff the played
 arm equals the target. Policies here never see true means; the
 best-response double (test oracle) is the one exception and says so.
+``UCBIndex`` is the UCB bookkeeping of every bandit in the package.
 """
 
 from __future__ import annotations
@@ -55,29 +56,50 @@ def ucb_certificate(n_arms: int, horizon: float) -> RegretCertificate:
     return RegretCertificate(scale=8.0 * math.sqrt(n_arms * math.log(n_arms * horizon**3)))
 
 
-class IncentiveAwareUCB:
+class UCBIndex:
+    """UCB books over ``n`` arms: counts, running means and the indices
+    means[a] + 2 * sqrt(log_term / counts[a]), kept by record() and +inf
+    until an arm's first sample. The upstream UCB is one; Belgic's pair
+    bandit and each context of the no-property baseline hold one."""
+
+    def __init__(self, n: int, log_term: float):
+        self.log_term = log_term
+        self.counts = [0] * n
+        self.means = [0.0] * n
+        self.index = [math.inf] * n
+
+    def best(self) -> int:
+        """Lowest-numbered arm with the highest index; changes no state."""
+        index = self.index
+        return index.index(max(index))
+
+    def record(self, arm: int, reward: float) -> None:
+        n = self.counts[arm] + 1
+        self.counts[arm] = n
+        mean = self.means[arm] + (reward - self.means[arm]) / n
+        self.means[arm] = mean
+        self.index[arm] = mean + 2.0 * math.sqrt(self.log_term / n)
+
+
+class IncentiveAwareUCB(UCBIndex):
     """UCB that adds the current offer's transfer to the index of its target.
 
     The played arm maximizes
 
-        mean_hat[a] + 2 * sqrt(ln(K * T^3) / pulls[a]) + offer.bonus(a)
+        mean_hat[a] + 2 * sqrt(ln(K * T^3) / counts[a]) + offer.bonus(a)
 
     with ties to the lowest index. An arm never pulled has index +inf, which
     no finite offer changes, so the first K rounds pull each arm once in
-    index order whatever is offered. Means track raw rewards only; transfers
-    never contaminate the estimates.
+    index order whatever is offered; an offer on an arm outside range(K)
+    changes nothing. Means track raw rewards only; transfers never
+    contaminate the estimates.
     """
 
     def __init__(self, n_arms: int, horizon: int):
         if horizon < n_arms:
             raise ValueError(f"horizon {horizon} cannot fit one forced pull of {n_arms} arms")
+        super().__init__(n_arms, math.log(n_arms * horizon**3))
         self.n_arms = n_arms
-        self.log_term = math.log(n_arms * horizon**3)
-        self.pulls = [0] * n_arms
-        self.means = [0.0] * n_arms
-        # index[a] = means[a] + 2 * sqrt(log_term / pulls[a]), kept by update;
-        # +inf until the arm's first pull.
-        self.index = [math.inf] * n_arms
 
     def step(self, offer: IncentiveOffer) -> int:
         """Pick this round's arm from the history; changes no state."""
@@ -87,12 +109,8 @@ class IncentiveAwareUCB:
             index[offer.arm] += offer.amount
         return index.index(max(index))
 
-    def update(self, arm: int, reward: float) -> None:
-        n = self.pulls[arm] + 1
-        self.pulls[arm] = n
-        mean = self.means[arm] + (reward - self.means[arm]) / n
-        self.means[arm] = mean
-        self.index[arm] = mean + 2.0 * math.sqrt(self.log_term / n)
+    # An alias, not a wrapper method: the per-round call stays one call.
+    update = UCBIndex.record
 
 
 class BestResponseUpstream:
@@ -103,7 +121,8 @@ class BestResponseUpstream:
     rationality convention for take-it-or-leave-it transfers; the offered
     amount for the marginal arm is exactly the one that makes it weakly
     best, and acceptance at indifference is what makes that offer optimal);
-    remaining ties go to the lowest index.
+    remaining ties go to the lowest index. As for the learning UCB, an offer
+    on an arm outside range(K) changes nothing.
     """
 
     def __init__(self, instance: BanditInstance):
@@ -115,8 +134,9 @@ class BestResponseUpstream:
             value = self.v_up[a] + offer.bonus(a)
             if value > best_value:
                 best_arm, best_value = a, value
-        if offer.amount > 0.0 and self.v_up[offer.arm] + offer.amount == best_value:
-            return offer.arm
+        a = offer.arm
+        if offer.amount > 0.0 and 0 <= a < len(self.v_up) and self.v_up[a] + offer.amount == best_value:
+            return a
         return best_arm
 
     def update(self, arm: int, reward: float) -> None:

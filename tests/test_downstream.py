@@ -12,10 +12,8 @@ from coase_bandits.downstream import (
     Belgic,
     BelgicParams,
     BestResponseDownstream,
-    BinarySearchState,
     NaiveContextUCB,
     OracleTransferDownstream,
-    PairUCB,
     ZeroTransferDownstream,
     binary_search_batch_update,
     validate_params,
@@ -32,6 +30,7 @@ from coase_bandits.upstream import (
     IncentiveAwareUCB,
     IncentiveOffer,
     RegretCertificate,
+    UCBIndex,
     ucb_certificate,
 )
 
@@ -47,6 +46,11 @@ def default_params():
 def small_params():
     """Smallest schedule that validates; full games finish in 256 rounds."""
     return BelgicParams(2, 256, 0.5, 0.2, RegretCertificate(0.5))
+
+
+def three_batch_params():
+    """Three arms whose searches play up to three batches of 64 rounds."""
+    return BelgicParams(3, 4096, 0.5, 0.2, RegretCertificate(0.5))
 
 
 def final_rows(diags):
@@ -158,67 +162,38 @@ class StubParams:
 
 class TestBatchUpdate:
     def test_low_count_tightens_upper(self):
-        state = BinarySearchState(arm=0)
-        assert binary_search_batch_update(state, 2, StubParams()) == "upper"
-        assert (state.tau_lower, state.tau_upper) == (0.0, 0.625)
-        assert state.batches_done == 1 and not state.finished
+        assert binary_search_batch_update(0.0, 1.0, 2, StubParams()) == ("upper", 0.0, 0.625)
 
     def test_high_count_tightens_lower(self):
-        state = BinarySearchState(arm=0)
-        assert binary_search_batch_update(state, 95, StubParams()) == "lower"
-        assert (state.tau_lower, state.tau_upper) == (0.375, 1.0)
+        assert binary_search_batch_update(0.0, 1.0, 95, StubParams()) == ("lower", 0.375, 1.0)
 
     def test_ambiguous_count_stops_early(self):
-        state = BinarySearchState(arm=0)
-        assert binary_search_batch_update(state, 50, StubParams()) == "early_return"
-        assert (state.tau_lower, state.tau_upper) == (0.0, 1.0)
-        assert state.finished and state.early_return
-        assert state.batches_done == 1
+        assert binary_search_batch_update(0.0, 1.0, 50, StubParams()) == ("early_return", 0.0, 1.0)
 
     def test_threshold_boundaries_are_decisive(self):
-        taken = BinarySearchState(arm=0)
-        assert binary_search_batch_update(taken, 10, StubParams()) == "upper"
-        refused = BinarySearchState(arm=0)
-        assert binary_search_batch_update(refused, 90, StubParams()) == "lower"
+        assert binary_search_batch_update(0.0, 1.0, 10, StubParams())[0] == "upper"
+        assert binary_search_batch_update(0.0, 1.0, 90, StubParams())[0] == "lower"
 
     def test_bounds_clamped_to_unit_interval(self):
-        low = BinarySearchState(arm=0, tau_lower=0.0, tau_upper=0.1)
-        binary_search_batch_update(low, 100, StubParams())
-        assert low.tau_lower == 0.0
-        high = BinarySearchState(arm=0, tau_lower=0.9, tau_upper=1.0)
-        binary_search_batch_update(high, 0, StubParams())
-        assert high.tau_upper == 1.0
+        assert binary_search_batch_update(0.0, 0.1, 100, StubParams())[1] == 0.0
+        assert binary_search_batch_update(0.9, 1.0, 0, StubParams())[2] == 1.0
 
     def test_count_outside_batch_rejected(self):
-        state = BinarySearchState(arm=0)
         with pytest.raises(ValueError, match="outside"):
-            binary_search_batch_update(state, 101, StubParams())
+            binary_search_batch_update(0.0, 1.0, 101, StubParams())
         with pytest.raises(ValueError, match="outside"):
-            binary_search_batch_update(state, -1, StubParams())
-
-    def test_finished_state_rejected(self):
-        state = BinarySearchState(arm=3, finished=True)
-        with pytest.raises(ValueError, match="finished"):
-            binary_search_batch_update(state, 0, StubParams())
-
-    def test_finishes_after_scheduled_batches(self):
-        state = BinarySearchState(arm=0)
-        for _ in range(5):
-            binary_search_batch_update(state, 0, StubParams())
-        assert state.finished and not state.early_return
-        with pytest.raises(ValueError):
-            binary_search_batch_update(state, 0, StubParams())
+            binary_search_batch_update(0.0, 1.0, -1, StubParams())
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_bracket_stays_ordered_in_unit_interval(self, counts):
-        state = BinarySearchState(arm=0)
+        lower, upper = 0.0, 1.0
         for m in counts:
-            if state.finished:
+            branch, lower, upper = binary_search_batch_update(lower, upper, m, StubParams())
+            assert 0.0 <= lower <= upper <= 1.0
+            assert lower <= (lower + upper) / 2.0 <= upper
+            if branch == "early_return":
                 break
-            binary_search_batch_update(state, m, StubParams(n_batches=8))
-            assert 0.0 <= state.tau_lower <= state.tau_upper <= 1.0
-            assert state.tau_lower <= state.midpoint() <= state.tau_upper
 
 
 class TestPhase1:
@@ -301,35 +276,40 @@ class TestPhase1:
         assert runs[0][2] == runs[1][2]
 
 
+def pair_table(n_arms, horizon):
+    """Belgic's pair bandit: a UCBIndex over the K^2 pairs."""
+    return UCBIndex(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
+
+
 class TestPairUCB:
     def test_init_sweep_is_row_major_and_waits_for_samples(self):
-        ucb = PairUCB(2, 1000)
-        assert ucb.step() == 0
-        assert ucb.step() == 0  # no sample landed, keep proposing pair 0
+        ucb = pair_table(2, 1000)
+        assert ucb.best() == 0
+        assert ucb.best() == 0  # no sample landed, keep proposing pair 0
         ucb.record(0, 0.3)
-        assert ucb.step() == 1
+        assert ucb.best() == 1
         ucb.record(1, 0.1)
         ucb.record(2, 0.2)
         ucb.record(3, 0.4)
         # every pair has one sample: the highest mean has the highest index
-        assert ucb.step() == 3
+        assert ucb.best() == 3
 
     def test_argmax_after_init(self):
-        ucb = PairUCB(2, 1000)
+        ucb = pair_table(2, 1000)
         for pair, mean in enumerate([0.1, 0.9, 0.2, 0.3]):
             for _ in range(400):
                 ucb.record(pair, mean)
-        assert ucb.step() == 1
+        assert ucb.best() == 1
 
     def test_exact_tie_prefers_lowest_pair(self):
-        ucb = PairUCB(2, 1000)
+        ucb = pair_table(2, 1000)
         for pair in range(4):
             for _ in range(10):
                 ucb.record(pair, 0.5)
-        assert ucb.step() == 0
+        assert ucb.best() == 0
 
     def test_record_running_mean(self):
-        ucb = PairUCB(2, 1000)
+        ucb = pair_table(2, 1000)
         ucb.record(2, 0.4)
         ucb.record(2, 0.8)
         assert ucb.counts[2] == 2
@@ -371,6 +351,41 @@ class TestBelgic:
         assert (row.arm, row.batch_index, row.tau_mid, row.branch) == (0, 0, 0.5, "upper")
         assert (belgic.batch_round, belgic.mismatches) == (0, 0)
         assert belgic.phase1_rounds == params.batch_length
+
+    @given(
+        stops=st.lists(st.one_of(st.none(), st.integers(0, 2)), min_size=3, max_size=3),
+        refusals=st.lists(st.booleans(), min_size=9, max_size=9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_searched_ends_each_arm_at_its_last_batch(self, stops, refusals):
+        # stops[arm] is the batch that returns early, None for a full search.
+        params = three_batch_params()
+        assert (params.n_arms, params.n_batches, params.batch_length) == (3, 3, 64)
+        length = params.batch_length
+        belgic = Belgic(params)
+        refused = iter(refusals)
+        want = []
+        for arm, stop in enumerate(stops):
+            last = params.n_batches - 1 if stop is None else stop
+            for batch_index in range(last + 1):
+                assert belgic.tau_hat is None
+                if batch_index == 0:
+                    assert belgic.search_offer == IncentiveOffer(arm, 0.5)
+                else:
+                    prev = belgic.diagnostics[-1]
+                    mid = (prev.tau_lower + prev.tau_upper) / 2.0
+                    assert belgic.search_offer == IncentiveOffer(arm, mid)
+                if batch_index == stop:
+                    m, branch = length // 2, "early_return"
+                elif next(refused):
+                    m, branch = length, "lower"
+                else:
+                    m, branch = 0, "upper"
+                belgic.searched(length, m)
+                want.append((arm, batch_index, branch))
+                assert [(r.arm, r.batch_index, r.branch) for r in belgic.diagnostics] == want
+        assert belgic.tau_hat is not None and len(belgic.tau_hat) == 3
+        assert belgic.phase1_rounds == len(want) * length
 
     def test_observe_requires_pending_step(self):
         belgic = Belgic(default_params())
@@ -448,8 +463,8 @@ class TestNaiveContextUCB:
         ucb = NaiveContextUCB(2, 1000)
         ucb.update(1, 0, 0.2)
         ucb.update(1, 0, 0.6)
-        assert ucb.counts[1][0] == 2
-        assert ucb.means[1][0] == pytest.approx(0.4)
+        assert ucb.contexts[1].counts[0] == 2
+        assert ucb.contexts[1].means[0] == pytest.approx(0.4)
 
     def test_learns_best_arm_in_fixed_context(self):
         inst = build_instance((1.0, 0.0), ((0.9, 0.1), (0.0, 0.0)))

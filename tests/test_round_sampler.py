@@ -36,7 +36,6 @@ from coase_bandits.downstream import (
     BestResponseDownstream,
     NaiveContextUCB,
     OracleTransferDownstream,
-    PairUCB,
     ZeroTransferDownstream,
 )
 from coase_bandits.engine import (
@@ -66,6 +65,7 @@ from coase_bandits.upstream import (
     IncentiveAwareUCB,
     IncentiveOffer,
     RegretCertificate,
+    UCBIndex,
 )
 
 # ---------------------------------------------------------------- reference
@@ -97,7 +97,7 @@ def ucb_index(mean, pulls, log_term):
 
 class RefUCB(IncentiveAwareUCB):
     """IncentiveAwareUCB with a step counter forcing the first K arms and
-    every index recomputed from pulls and means (the stored indices are only
+    every index recomputed from counts and means (the stored indices are only
     kept for comparison)."""
 
     def __init__(self, n_arms, horizon):
@@ -110,30 +110,36 @@ class RefUCB(IncentiveAwareUCB):
             return self.ref_steps - 1
         best_arm, best_index = 0, -math.inf
         for a in range(self.n_arms):
-            idx = ucb_index(self.means[a], self.pulls[a], self.log_term) + offer.bonus(a)
+            idx = ucb_index(self.means[a], self.counts[a], self.log_term) + offer.bonus(a)
             if idx > best_index:
                 best_arm, best_index = a, idx
         return best_arm
 
     def update(self, arm, reward):
-        self.pulls[arm] += 1
-        self.means[arm] += (reward - self.means[arm]) / self.pulls[arm]
-        self.index[arm] = ucb_index(self.means[arm], self.pulls[arm], self.log_term)
+        self.counts[arm] += 1
+        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
+        self.index[arm] = ucb_index(self.means[arm], self.counts[arm], self.log_term)
 
 
-class RefPairUCB(PairUCB):
-    """PairUCB with a pointer to the first pair without a sample and every
-    index recomputed from counts and means."""
+def pair_table(n_arms, horizon):
+    """Belgic's pair bandit: a UCBIndex over the K^2 pairs."""
+    return UCBIndex(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
+
+
+class RefPairUCB(UCBIndex):
+    """Belgic's pair table with a pointer to the first pair without a sample
+    and every index recomputed from counts and means."""
 
     def __init__(self, n_arms, horizon):
-        super().__init__(n_arms, horizon)
+        super().__init__(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
         self.ref_next_pair = 0
 
-    def step(self):
-        if self.ref_next_pair < self.n_pairs:
+    def best(self):
+        n_pairs = len(self.counts)
+        if self.ref_next_pair < n_pairs:
             return self.ref_next_pair
         best_pair, best_index = 0, -math.inf
-        for p in range(self.n_pairs):
+        for p in range(n_pairs):
             idx = ucb_index(self.means[p], self.counts[p], self.log_term)
             if idx > best_index:
                 best_pair, best_index = p, idx
@@ -151,22 +157,24 @@ class RefNaiveContextUCB(NaiveContextUCB):
     """NaiveContextUCB with an explicit forced sweep and from-scratch indices."""
 
     def step(self, context):
-        counts, means = self.counts[context], self.means[context]
-        for b in range(self.n_arms):
+        ucb = self.contexts[context]
+        counts, means = ucb.counts, ucb.means
+        for b in range(len(counts)):
             if counts[b] == 0:
                 return b
         best_arm, best_index = 0, -math.inf
-        for b in range(self.n_arms):
-            idx = ucb_index(means[b], counts[b], self.log_term)
+        for b in range(len(counts)):
+            idx = ucb_index(means[b], counts[b], ucb.log_term)
             if idx > best_index:
                 best_arm, best_index = b, idx
         return best_arm
 
     def update(self, context, arm, reward):
-        self.counts[context][arm] += 1
-        n = self.counts[context][arm]
-        self.means[context][arm] += (reward - self.means[context][arm]) / n
-        self.index[context][arm] = ucb_index(self.means[context][arm], n, self.log_term)
+        ucb = self.contexts[context]
+        ucb.counts[arm] += 1
+        n = ucb.counts[arm]
+        ucb.means[arm] += (reward - ucb.means[arm]) / n
+        ucb.index[arm] = ucb_index(ucb.means[arm], n, ucb.log_term)
 
 
 def ref_belgic(params):
@@ -384,12 +392,14 @@ REFERENCE_ONLY = {"ref_steps", "ref_next_pair"}
 
 
 def _learned_state(policy):
-    """Every attribute of a policy, its pair bandit's included: counts, means,
-    indices and Belgic's round counters and search state; the reference-only
-    sweep state is left out."""
+    """Every attribute of a policy by value, its pair bandit's and its
+    contexts' included: counts, means, indices and Belgic's round counters
+    and search log; the reference-only sweep state is left out."""
     state = {name: value for name, value in vars(policy).items() if name not in REFERENCE_ONLY}
     if "pair_ucb" in state:
         state["pair_ucb"] = _learned_state(state["pair_ucb"])
+    if "contexts" in state:
+        state["contexts"] = [_learned_state(context) for context in state["contexts"]]
     return state
 
 
@@ -586,13 +596,13 @@ class TestCachedIndices:
         for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=40)):
             ucb.update(arm, reward)
             for a in range(k):
-                want = math.inf if ucb.pulls[a] == 0 else ucb_index(ucb.means[a], ucb.pulls[a], ucb.log_term)
+                want = math.inf if ucb.counts[a] == 0 else ucb_index(ucb.means[a], ucb.counts[a], ucb.log_term)
                 assert ucb.index[a] == want
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 3), horizon=st.integers(5, 10**6), data=st.data())
     def test_pair_index_is_the_formula(self, k, horizon, data):
-        ucb = PairUCB(k, horizon)
+        ucb = pair_table(k, horizon)
         n = k * k
         for pair, reward in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _rewards), max_size=40)):
             ucb.record(pair, reward)
@@ -607,11 +617,11 @@ class TestCachedIndices:
         arms = st.integers(0, k - 1)
         for context, arm, reward in data.draw(st.lists(st.tuples(arms, arms, _rewards), max_size=40)):
             ucb.update(context, arm, reward)
-            for c in range(k):
+            for table in ucb.contexts:
                 for b in range(k):
-                    n = ucb.counts[c][b]
-                    want = math.inf if n == 0 else ucb_index(ucb.means[c][b], n, ucb.log_term)
-                    assert ucb.index[c][b] == want
+                    n = table.counts[b]
+                    want = math.inf if n == 0 else ucb_index(table.means[b], n, table.log_term)
+                    assert table.index[b] == want
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 5), data=st.data())
@@ -651,18 +661,18 @@ def _upstream_probes(k, data):
     offers = st.builds(IncentiveOffer, st.integers(-2, k + 1), st.floats(0.0, 3.0, allow_nan=False))
     probes = []
     for offer in data.draw(st.lists(offers, min_size=1, max_size=4)):
-        scratch = [_scratch_index(ucb.means[a], ucb.pulls[a], ucb.log_term) for a in range(k)]
+        scratch = [_scratch_index(ucb.means[a], ucb.counts[a], ucb.log_term) for a in range(k)]
         probes.append(((offer,), [x + offer.bonus(a) for a, x in enumerate(scratch)]))
-    return ucb, probes
+    return ucb, ucb.step, probes
 
 
 def _pair_probes(k, data):
-    ucb = PairUCB(k, 4096)
+    ucb = pair_table(k, 4096)
     n = k * k
     for pair, reward in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _rewards), max_size=30)):
         ucb.record(pair, reward)
     scratch = [_scratch_index(ucb.means[p], ucb.counts[p], ucb.log_term) for p in range(n)]
-    return ucb, [((), scratch)]
+    return ucb, ucb.best, [((), scratch)]
 
 
 def _context_probes(k, data):
@@ -671,16 +681,16 @@ def _context_probes(k, data):
     for context, arm, reward in data.draw(st.lists(st.tuples(arms, arms, _rewards), max_size=30)):
         ucb.update(context, arm, reward)
     probes = []
-    for c in range(k):
-        scratch = [_scratch_index(ucb.means[c][b], ucb.counts[c][b], ucb.log_term) for b in range(k)]
+    for c, table in enumerate(ucb.contexts):
+        scratch = [_scratch_index(table.means[b], table.counts[b], table.log_term) for b in range(k)]
         probes.append(((c,), scratch))
-    return ucb, probes
+    return ucb, ucb.step, probes
 
 
 class TestExplorationRule:
     """Every UCB explores by one rule: an arm or pair without a sample has
-    index +inf, and step() returns the lowest-numbered maximum and changes no
-    state."""
+    index +inf, and step() (best() for the pair table) returns the
+    lowest-numbered maximum and changes no state."""
 
     @pytest.mark.parametrize(
         "probes", [_upstream_probes, _pair_probes, _context_probes], ids=["upstream", "pair", "context"]
@@ -688,11 +698,11 @@ class TestExplorationRule:
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 5), data=st.data())
     def test_step_is_the_pure_first_maximum(self, probes, k, data):
-        ucb, cases = probes(k, data)
+        ucb, pick, cases = probes(k, data)
         for args, scratch in cases:
-            before = copy.deepcopy(vars(ucb))
-            arm = ucb.step(*args)
-            assert vars(ucb) == before
-            assert ucb.step(*args) == arm
-            assert vars(ucb) == before
+            before = copy.deepcopy(_learned_state(ucb))
+            arm = pick(*args)
+            assert _learned_state(ucb) == before
+            assert pick(*args) == arm
+            assert _learned_state(ucb) == before
             assert arm == _first_max(scratch)

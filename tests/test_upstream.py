@@ -58,7 +58,7 @@ class TestUpdate:
         ucb = IncentiveAwareUCB(2, 100)
         ucb.update(0, 0.4)
         ucb.update(0, 0.8)
-        assert ucb.pulls[0] == 2
+        assert ucb.counts[0] == 2
         assert ucb.means[0] == pytest.approx(0.6)
 
     def test_first_update_sets_mean(self):
@@ -87,7 +87,7 @@ def primed_ucb(means, pulls, horizon=4096):
 def index_of(ucb, arm, offer):
     return (
         ucb.means[arm]
-        + 2.0 * math.sqrt(ucb.log_term / ucb.pulls[arm])
+        + 2.0 * math.sqrt(ucb.log_term / ucb.counts[arm])
         + offer.bonus(arm)
     )
 
@@ -245,6 +245,14 @@ class TestBestResponseDouble:
         inst = build_instance((0.7, 0.7), ((0.0, 0.0), (0.0, 0.0)))
         double = BestResponseUpstream(inst)
         assert double.step(IncentiveOffer(1, 0.0)) == 0
+
+    def test_offer_outside_the_arms_changes_nothing(self):
+        # v_up[-1] + 0.4 ties the best value, and v_up has no arm 2.
+        inst = build_instance((0.9, 0.5), ((0.0, 0.0), (0.0, 0.0)))
+        double = BestResponseUpstream(inst)
+        for arm in (-2, -1, 2, 3):
+            for amount in (0.0, 0.4, 5.0):
+                assert double.step(IncentiveOffer(arm, amount)) == 0
 
     def test_update_is_noop(self):
         inst = build_instance((0.7, 0.2), ((0.0, 0.0), (0.0, 0.0)))
