@@ -49,6 +49,7 @@ import numpy as np
 
 from .downstream import Belgic, BelgicParams, NaiveContextUCB, Phase1Batch
 from .env import (
+    BLOCK,
     BanditInstance,
     Oracle,
     compute_oracle,
@@ -61,10 +62,6 @@ from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex
 #: Slack allowed to the per-round regret decomposition inequality; covers
 #: float rounding only, the inequality itself is exact.
 DECOMPOSITION_TOL = 1e-12
-
-#: Rounds collected between two folds into the ledger; a run without a
-#: trajectory holds O(BLOCK) per-round values.
-BLOCK = 4096
 
 
 @dataclass

@@ -10,12 +10,21 @@ computed here fixes every benchmark the simulators regret against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 REWARD_MODELS = ("gaussian", "bernoulli")
+
+#: Rounds held at once: the engine folds its ledger every BLOCK rounds, and
+#: ``draw_noise`` replays the gaussian stream at most BLOCK rows per pass.
+BLOCK = 4096
+
+_MASK128 = (1 << 128) - 1
+#: The ziggurat's magnitudes ``rabs`` are 52-bit.
+_RABS_END = 1 << 52
 
 
 @dataclass(frozen=True)
@@ -93,34 +102,183 @@ def draw_noise(
     ``round_sampler`` compares against the means. ``rng`` advances exactly
     as it would under the same number of scalar calls, so the rewards equal
     those of two uniform draws followed by ``sample_upstream`` and
-    ``sample_downstream``, bit for bit. Each skipped uniform is one raw word
-    of numpy's default bit generator (PCG64), which is what ``random()``
-    consumes there.
+    ``sample_downstream``, bit for bit, and ``rng`` is left in the same
+    state. Criterion 6 draws ``players=1``: one uniform, then the upstream
+    draw.
+
+    Gaussian rows are replayed from the raw 64-bit words of ``rng``'s bit
+    generator, which must be PCG64 (numpy's default; anything else raises
+    ``TypeError``). A skipped uniform is one word, which is what
+    ``random()`` consumes there. numpy draws a standard normal with a
+    ziggurat (``_ziggurat``): one word gives the normal directly unless it
+    falls outside the fast path's bound, which about 1.5% of words do; such
+    a word's normal reads more words. The replay evaluates the fast path,
+    with numpy's own tables, on every word of at most BLOCK rows at a time.
+    Only a word outside the bound in a normal's slot matters, and numpy
+    draws that normal itself, from a generator positioned at that word;
+    the words it read, counted on the PCG64 state, shift every later slot.
+    The replay is exact: a fast value is numpy's one multiplication of the
+    same operands, every other value is numpy's own draw, and ``rng`` has
+    read exactly the words the scalar calls would.
 
     Rounds are drawn in order, so drawing a and then b rounds gives the
     rows and the final ``rng`` state of drawing a + b at once. A game at
     horizon T therefore reads the first T rows of its seed's stream,
-    whatever the arms, the mode or the policies. Criterion 6 draws
-    ``players=1``: one uniform, then the upstream draw.
+    whatever the arms, the mode or the policies.
     """
     if instance.reward_model == "bernoulli":
         # A compact copy: a view would keep the unread slot columns alive.
         return rng.random((n, 2 * players))[:, players:].copy()
-    skip, normal = rng.bit_generator.random_raw, rng.standard_normal
-    if players == 1:
-        # Scalar calls, not the row loop below: filling one-element rows made
-        # criterion 6 take 1.17-1.77x as long (10 of 10 in-process pairs on a
-        # 2-vCPU VM; BENCH_10.json, "in_process").
-        upstream = []
-        for _ in range(n):
-            skip()
-            upstream.append(normal())
-        return np.array(upstream).reshape(n, 1)
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise TypeError(
+            f"gaussian noise is replayed from PCG64 words, got {type(bit_generator).__name__}"
+        )
+    wi, ki, mult = _ziggurat()
+    width = 2 * players  # words per round on the fast path
     noise = np.empty((n, players))
-    for row in noise:
-        skip(players)
-        normal(out=row)
+    slow_normals = _SlowNormals(bit_generator.state, mult)
+    read = 0  # words read by earlier passes
+    for start in range(0, n, BLOCK):
+        m = min(BLOCK, n - start)
+        words = bit_generator.random_raw(m * width)
+        ordinals, values, extras = [], [], []
+        shift = 0  # words the slow normals so far read beyond their own slot
+        free = 0  # the first word no slow normal read
+        scanned = 0
+        while scanned < len(words):
+            for at in np.flatnonzero(~_fast(words[scanned:], ki)).tolist():
+                at += scanned
+                row, slot = divmod(at - shift, width)
+                if at < free or slot < players:
+                    continue  # read by an earlier slow normal, or an unread slot
+                value, used = slow_normals.draw(read + at)
+                ordinals.append(row * players + slot - players)
+                values.append(value)
+                extras.append(used - 1)
+                shift += used - 1
+                free = at + used
+            scanned = len(words)
+            # The pass's rows read m * width + shift words: read the rest.
+            if m * width + shift > scanned:
+                more = bit_generator.random_raw(m * width + shift - scanned)
+                words = np.concatenate((words, more))
+        # A slow normal's extra words shift every normal after it.
+        offsets = np.zeros(m * players + 1, np.int64)
+        offsets[np.array(ordinals, np.int64) + 1] = extras
+        slots = np.arange(m * width).reshape(m, width)[:, players:].ravel()
+        rows = _fast_values(words[slots + np.cumsum(offsets[:-1])], wi)
+        rows[ordinals] = values
+        noise[start : start + m] = rows.reshape(m, players)
+        read += len(words)
     return noise
+
+
+def _fast(words: np.ndarray, ki: np.ndarray) -> np.ndarray:
+    """Whether each word draws its normal on the ziggurat's fast path:
+    ``rabs < ki[idx]``, with idx the low 8 bits and rabs bits 9-60."""
+    return ((words >> 9) & (_RABS_END - 1)) < ki[words & 0xFF]
+
+
+def _fast_values(words: np.ndarray, wi: np.ndarray) -> np.ndarray:
+    """The fast path's normal of each word: rabs * wi[idx], negated when
+    bit 8 is set."""
+    x = ((words >> 9) & (_RABS_END - 1)).astype(np.float64) * wi[words & 0xFF]
+    return np.where(words & 0x100, -x, x)
+
+
+class _SlowNormals:
+    """numpy's ``standard_normal()`` at chosen word positions of one PCG64
+    stream, in increasing order, with the words each call consumed."""
+
+    def __init__(self, state: dict, mult: int):
+        self.state, self.mult = state, mult
+        self.gen = None  # made at the first slow normal, if any
+        self.position = 0
+
+    def draw(self, position: int) -> tuple[float, int]:
+        if self.gen is None:
+            self.gen = np.random.Generator(np.random.PCG64(0))
+            self.gen.bit_generator.state = self.state
+        bit_generator = self.gen.bit_generator
+        bit_generator.advance(position - self.position)
+        before = bit_generator.state["state"]
+        value = self.gen.standard_normal()
+        after = bit_generator.state["state"]["state"]
+        # Step the LCG until it meets the state the call left: the count is
+        # read off the stream, not inferred from the ziggurat's branches.
+        state, used = before["state"], 0
+        while state != after:
+            state = (state * self.mult + before["inc"]) & _MASK128
+            used += 1
+        self.position = position + used
+        return value, used
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
+    """numpy's standard-normal ziggurat, probed from the installed numpy:
+    ``(wi, ki, mult)``, with ``mult`` PCG64's LCG multiplier.
+
+    A word's normal is on the fast path when ``rabs < ki[idx]``, and is then
+    ``rabs * wi[idx]``, negated when bit 8 is set (``_fast``,
+    ``_fast_values``). Each entry is read off ``standard_normal()`` drawn
+    from a PCG64 state made to emit a chosen word next. PCG64 steps its
+    128-bit state to ``s * mult + inc`` and outputs the XSL-RR of the
+    stepped state, which is the stepped state itself when that is below
+    2**64; so the state ``(w - inc) / mult`` (mod 2**128) emits word w. The
+    draw was on the fast path iff the state moved one step, and its value
+    at rabs = 1 is ``wi[idx]``. The slow test is monotone in rabs, so
+    ``ki[idx]`` is the smallest slow rabs. For idx >= 2 it lies within one
+    of the strip ratio ``2**52 * wi[idx - 1] / wi[idx]``, where two probes
+    settle it; bisection settles idx 0 and 1 and any guess that misses.
+    Derived at the first gaussian draw, not at import (about 7 ms), and
+    cached for the process.
+    """
+    gen = np.random.Generator(np.random.PCG64(0))
+    bit_generator = gen.bit_generator
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    # One step from state 1 lands on mult + inc.
+    state["state"]["state"] = 1
+    bit_generator.state = state
+    bit_generator.advance(1)
+    mult = (bit_generator.state["state"]["state"] - inc) & _MASK128
+    unstep = pow(mult, -1, 1 << 128)
+
+    def probe(word: int) -> tuple[float, bool]:
+        state["state"]["state"] = ((word - inc) * unstep) & _MASK128
+        bit_generator.state = state
+        value = gen.standard_normal()
+        return value, bit_generator.state["state"]["state"] == word
+
+    def smallest_slow(idx: int, guess: int) -> int:
+        lo, hi = 0, _RABS_END  # the answer lies in [lo, hi]; _RABS_END: none slow
+        rabs = guess
+        for _ in range(2):  # the guess, then its neighbour on the side left open
+            if not lo <= rabs < hi:
+                break
+            if probe(idx | rabs << 9)[1]:
+                lo, rabs = rabs + 1, rabs + 1
+            else:
+                hi, rabs = rabs, rabs - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if probe(idx | mid << 9)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    wi = np.array([probe(idx | 1 << 9)[0] for idx in range(256)])
+    ki = np.array(
+        [
+            smallest_slow(idx, int(2.0**52 * wi[idx - 1] / wi[idx]) if idx >= 2 else -1)
+            for idx in range(256)
+        ],
+        np.uint64,
+    )
+    return wi, ki, mult
 
 
 def round_sampler(instance: BanditInstance, noise: np.ndarray):

@@ -16,6 +16,10 @@ generic round loop: the same games, columns and final policy state.
 import copy
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +56,9 @@ from coase_bandits.engine import (
     run_property,
 )
 from coase_bandits.env import (
+    _fast,
+    _fast_values,
+    _ziggurat,
     build_instance,
     compute_oracle,
     draw_noise,
@@ -89,6 +96,46 @@ def scalar_noise(instance, rng, n, players=2):
             rng.random()
         rows.append([draw() for _ in range(players)])
     return rows
+
+
+def words_between(before, after):
+    """The raw words between two states of one PCG64 stream, counted one
+    step at a time."""
+    probe = np.random.PCG64(0)
+    probe.state = before
+    words = 0
+    while probe.state["state"] != after["state"]:
+        probe.advance(1)
+        words += 1
+    return words
+
+
+def traced_scalar_draws(rng, n, players=2):
+    """scalar_noise's gaussian draws, every slot traced: per round, one
+    (kind, word, used) per slot, kind "slot" for the unread uniforms and
+    "normal" for the rewards, word the slot's raw word, and used the words a
+    standard_normal() drawn there consumes (at an unread slot, the words it
+    would consume). A normal that used more than one word left numpy's
+    ziggurat fast path."""
+    probe = np.random.Generator(np.random.PCG64(0))
+    rounds = []
+    for _ in range(n):
+        slots = []
+        for slot in range(2 * players):
+            state = rng.bit_generator.state
+            probe.bit_generator.state = state
+            word = int(probe.bit_generator.random_raw())
+            probe.bit_generator.state = state
+            probe.standard_normal()
+            used = words_between(state, probe.bit_generator.state)
+            if slot < players:
+                rng.random()
+                slots.append(("slot", word, used))
+            else:
+                rng.standard_normal()
+                slots.append(("normal", word, used))
+        rounds.append(slots)
+    return rounds
 
 
 def ucb_index(mean, pulls, log_term):
@@ -243,10 +290,7 @@ def normal_took_slow_path(rng):
     (the ziggurat's rejection path)."""
     before = rng.bit_generator.state
     rng.standard_normal()
-    probe = np.random.default_rng()
-    probe.bit_generator.state = before
-    probe.bit_generator.advance(1)
-    return probe.bit_generator.state != rng.bit_generator.state
+    return words_between(before, rng.bit_generator.state) > 1
 
 
 # ---------------------------------------------------------------- the sampler
@@ -343,6 +387,184 @@ class TestNoiseStream:
         short = draw_noise(inst, np.random.default_rng(0), horizon)
         long = draw_noise(inst, np.random.default_rng(0), 2 * horizon)
         assert short.tolist() == long[:horizon].tolist()
+
+
+#: Each way the gaussian replay departs from one word per slot, pinned: in
+#: the scalar draws of ``rounds`` rounds from default_rng(seed), round ``at``
+#: shows the case. A normal off numpy's ziggurat fast path uses more than one
+#: word; index 0 is the ziggurat's tail, any other index a wedge, where a
+#: third word means the wedge test rejected and the draw started again.
+REPLAY_CASES = {
+    "slow word in an unread slot": lambda r: any(k == "slot" and u > 1 for k, _, u in r),
+    "both normals slow": lambda r: all(u > 1 for k, _, u in r if k == "normal"),
+    "slow normal": lambda r: any(k == "normal" and u > 1 for k, _, u in r),
+    "tail normal": lambda r: any(k == "normal" and u > 1 and w & 0xFF == 0 for k, w, u in r),
+    "wedge restart": lambda r: any(k == "normal" and u > 2 and w & 0xFF for k, w, u in r),
+}
+REPLAY_PINS = [
+    # (case, seed, players, rounds, at)
+    ("slow word in an unread slot", 0, 2, 100, 51),
+    ("slow word in an unread slot", 0, 1, 100, 37),
+    ("both normals slow", 0, 2, 2700, 2679),
+    ("slow normal", 0, 2, 19, 18),  # in the last round of the call
+    ("slow normal", 0, 1, 215, 214),
+    ("slow normal", 48, 2, BLOCK + 5, BLOCK - 1),  # in the last round of a pass
+    ("slow normal", 2, 1, BLOCK + 5, BLOCK - 1),
+    ("tail normal", 1, 2, 2400, 2315),
+    ("tail normal", 1, 1, 500, 432),
+    ("wedge restart", 0, 2, 100, 18),
+    ("wedge restart", 0, 1, 300, 214),
+]
+
+#: PCG64's LCG multiplier (O'Neill's 128-bit default); a stream is placed by
+#: stepping its 128-bit state back from the one that emits a chosen word.
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def stream_with_word(word, position):
+    """A PCG64 generator whose raw word number ``position`` (from 0) is
+    ``word``. XSL-RR outputs a stepped state below 2**64 as it is, so that
+    state emits ``word``; the generator starts ``position + 1`` steps
+    before it."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    state = rng.bit_generator.state
+    inc, unstep = state["state"]["inc"], pow(PCG64_MULT, -1, 1 << 128)
+    s = word
+    for _ in range(position + 1):
+        s = (s - inc) * unstep % (1 << 128)
+    state["state"]["state"] = s
+    rng.bit_generator.state = state
+    probe = np.random.PCG64(0)
+    probe.state = state
+    assert int(probe.random_raw(position + 1)[-1]) == word
+    return rng
+
+
+def words_of_normal(word):
+    """The words numpy's standard_normal() uses on a stream whose next word
+    is ``word``."""
+    rng = stream_with_word(word, 0)
+    state = rng.bit_generator.state
+    rng.standard_normal()
+    return words_between(state, rng.bit_generator.state)
+
+
+class TestGaussianReplay:
+    """``draw_noise`` replays numpy's ziggurat on raw words: each case where a
+    draw takes more than one word per slot, at a pinned place that is shown
+    to have it, against the scalar reference, final state included."""
+
+    @pytest.mark.parametrize("case,seed,players,rounds,at", REPLAY_PINS)
+    def test_pinned_case(self, case, seed, players, rounds, at):
+        inst = _sampler_instance("gaussian")
+        traced = np.random.default_rng(seed)
+        scalar_noise(inst, traced, at, players)
+        assert REPLAY_CASES[case](traced_scalar_draws(traced, 1, players)[0])
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw_noise(inst, fast, rounds, players).tolist() == scalar_noise(
+            inst, slow, rounds, players
+        )
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rounds=st.integers(0, 3 * BLOCK),
+        players=st.sampled_from((1, 2)),
+    )
+    def test_matches_scalar_draws(self, seed, rounds, players):
+        inst = _sampler_instance("gaussian")
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        noise = draw_noise(inst, fast, rounds, players)
+        assert noise.shape == (rounds, players)
+        assert noise.tolist() == scalar_noise(inst, slow, rounds, players)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_values_are_bit_identical(self):
+        # tolist() equality cannot tell -0.0 from 0.0; the bytes can.
+        inst = _sampler_instance("gaussian")
+        for players in (1, 2):
+            fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+            noise = draw_noise(inst, fast, 3000, players)
+            assert noise.tobytes() == np.array(scalar_noise(inst, slow, 3000, players)).tobytes()
+
+    def test_tables_are_numpys_on_random_words(self):
+        # 20,000 normals drawn by numpy, each with its first word and the
+        # words it used: the tables give the same fast/slow class, and the
+        # same value on the fast path.
+        wi, ki, _ = _ziggurat()
+        rng, probe = np.random.default_rng(20_000), np.random.PCG64(0)
+        words, values, used = [], [], []
+        for _ in range(20_000):
+            state = rng.bit_generator.state
+            probe.state = state
+            words.append(int(probe.random_raw()))
+            values.append(rng.standard_normal())
+            used.append(words_between(state, rng.bit_generator.state))
+        words, values = np.array(words, np.uint64), np.array(values)
+        fast = _fast(words, ki)
+        assert fast.tolist() == [u == 1 for u in used]
+        assert 0 < (~fast).sum() < 1000
+        assert _fast_values(words[fast], wi).tobytes() == values[fast].tobytes()
+
+    def test_fast_path_bound_is_exact(self):
+        # The last fast and the first slow magnitude of every index, placed
+        # in a normal's slot: numpy classifies them as the tables do, and
+        # the replay matches the scalar draw, rows and final state.
+        wi, ki, _ = _ziggurat()
+        inst = _sampler_instance("gaussian")
+        for idx in range(256):
+            for rabs, fast in ((int(ki[idx]) - 1, True), (int(ki[idx]), False)):
+                if not 0 <= rabs < 2**52:
+                    continue
+                for sign in (0, 1):
+                    word = idx | sign << 8 | rabs << 9
+                    assert (words_of_normal(word) == 1) is fast
+                    replay, scalar = stream_with_word(word, 1), stream_with_word(word, 1)
+                    rows = draw_noise(inst, replay, 2, players=1)
+                    expected = scalar_noise(inst, scalar, 2, players=1)
+                    assert rows.tobytes() == np.array(expected).tobytes()
+                    assert replay.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_are_refused(self, bit_generator):
+        inst = _sampler_instance("gaussian")
+        with pytest.raises(TypeError, match="PCG64"):
+            draw_noise(inst, np.random.Generator(bit_generator(0)), 5)
+
+    def test_tables_are_read_at_the_first_gaussian_draw(self):
+        # In a fresh process: importing the CLI and playing a bernoulli game
+        # derive no table; the first gaussian draw does.
+        code = (
+            "import numpy as np\n"
+            "import coase_bandits.cli\n"
+            "from coase_bandits import env\n"
+            "from coase_bandits.downstream import BestResponseDownstream\n"
+            "from coase_bandits.engine import run_no_property\n"
+            "from coase_bandits.upstream import IncentiveAwareUCB\n"
+            "assert env._ziggurat.cache_info().currsize == 0\n"
+            "inst = env.build_instance((0.2, 0.7), ((0.1, 0.9), (0.3, 0.3)), 'bernoulli')\n"
+            "run_no_property(inst, IncentiveAwareUCB(2, 50), BestResponseDownstream(inst), 50, 1)\n"
+            "assert env._ziggurat.cache_info().currsize == 0\n"
+            "env.draw_noise(env.build_instance((0.5,), ((0.5,),)), np.random.default_rng(0), 3)\n"
+            "assert env._ziggurat.cache_info().currsize == 1\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
+
+    def test_memory_is_bounded_by_the_rows(self):
+        # The replay holds at most BLOCK rounds of words at once: a long draw
+        # peaks at its 16 bytes per round plus a fixed allowance.
+        inst = _sampler_instance("gaussian")
+        rng = np.random.default_rng(0)
+        draw_noise(inst, rng, 1)  # the tables and the scratch generator's first use
+        tracemalloc.start()
+        try:
+            draw_noise(inst, rng, 2**18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**18 + 2 * 2**20
 
 
 # ---------------------------------------------------------------- the games
