@@ -147,7 +147,7 @@ def draw_noise(
         free = 0  # the first word no slow normal read
         scanned = 0
         while scanned < len(words):
-            for at in np.flatnonzero(~_fast(words[scanned:], ki)).tolist():
+            for at in np.flatnonzero(_slow(words[scanned:], ki)).tolist():
                 at += scanned
                 row, slot = divmod(at - shift, width)
                 if at < free or slot < players:
@@ -174,17 +174,17 @@ def draw_noise(
     return noise
 
 
-def _fast(words: np.ndarray, ki: np.ndarray) -> np.ndarray:
-    """Whether each word draws its normal on the ziggurat's fast path:
-    ``rabs < ki[idx]``, with idx the low 8 bits and rabs bits 9-60."""
-    return ((words >> 9) & (_RABS_END - 1)) < ki[words & 0xFF]
+def _slow(words: np.ndarray, ki: np.ndarray) -> np.ndarray:
+    """Whether each word's normal leaves the ziggurat's fast path:
+    ``rabs >= ki[idx]``, with idx the low 8 bits and rabs bits 9-60."""
+    return ((words >> 9) & (_RABS_END - 1)) >= ki[words & 0xFF]
 
 
 def _fast_values(words: np.ndarray, wi: np.ndarray) -> np.ndarray:
     """The fast path's normal of each word: rabs * wi[idx], negated when
-    bit 8 is set."""
-    x = ((words >> 9) & (_RABS_END - 1)).astype(np.float64) * wi[words & 0xFF]
-    return np.where(words & 0x100, -x, x)
+    bit 8 is set, as rabs * (-wi[idx]), which IEEE rounding makes the same
+    number (``wi`` holds both signs)."""
+    return ((words >> 9) & (_RABS_END - 1)).astype(np.float64) * wi[words & 0x1FF]
 
 
 class _SlowNormals:
@@ -218,10 +218,12 @@ class _SlowNormals:
 @functools.cache
 def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
     """numpy's standard-normal ziggurat, probed from the installed numpy:
-    ``(wi, ki, mult)``, with ``mult`` PCG64's LCG multiplier.
+    ``(wi, ki, mult)``, with ``mult`` PCG64's LCG multiplier and ``wi``
+    indexed by idx and the sign bit: ``wi[idx]``, then ``-wi[idx]`` at
+    ``idx | 1 << 8``.
 
-    A word's normal is on the fast path when ``rabs < ki[idx]``, and is then
-    ``rabs * wi[idx]``, negated when bit 8 is set (``_fast``,
+    A word's normal is on the fast path unless ``rabs >= ki[idx]``, and is
+    then ``rabs * wi[idx]``, negated when bit 8 is set (``_slow``,
     ``_fast_values``). Each entry is read off ``standard_normal()`` drawn
     from a PCG64 state made to emit a chosen word next. PCG64 steps its
     128-bit state to ``s * mult + inc`` and outputs the XSL-RR of the
@@ -278,7 +280,7 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
         ],
         np.uint64,
     )
-    return wi, ki, mult
+    return np.concatenate((wi, -wi)), ki, mult
 
 
 def round_sampler(instance: BanditInstance, noise: np.ndarray):

@@ -56,8 +56,8 @@ from coase_bandits.engine import (
     run_property,
 )
 from coase_bandits.env import (
-    _fast,
     _fast_values,
+    _slow,
     _ziggurat,
     build_instance,
     compute_oracle,
@@ -502,7 +502,7 @@ class TestGaussianReplay:
             values.append(rng.standard_normal())
             used.append(words_between(state, rng.bit_generator.state))
         words, values = np.array(words, np.uint64), np.array(values)
-        fast = _fast(words, ki)
+        fast = ~_slow(words, ki)
         assert fast.tolist() == [u == 1 for u in used]
         assert 0 < (~fast).sum() < 1000
         assert _fast_values(words[fast], wi).tobytes() == values[fast].tobytes()
