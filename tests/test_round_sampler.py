@@ -110,32 +110,29 @@ def words_between(before, after):
     return words
 
 
-def traced_scalar_draws(rng, n, players=2):
-    """scalar_noise's gaussian draws, every slot traced: per round, one
+def traced_scalar_round(rng, players=2):
+    """One round of scalar_noise's gaussian draws, every slot traced: one
     (kind, word, used) per slot, kind "slot" for the unread uniforms and
     "normal" for the rewards, word the slot's raw word, and used the words a
     standard_normal() drawn there consumes (at an unread slot, the words it
     would consume). A normal that used more than one word left numpy's
     ziggurat fast path."""
     probe = np.random.Generator(np.random.PCG64(0))
-    rounds = []
-    for _ in range(n):
-        slots = []
-        for slot in range(2 * players):
-            state = rng.bit_generator.state
-            probe.bit_generator.state = state
-            word = int(probe.bit_generator.random_raw())
-            probe.bit_generator.state = state
-            probe.standard_normal()
-            used = words_between(state, probe.bit_generator.state)
-            if slot < players:
-                rng.random()
-                slots.append(("slot", word, used))
-            else:
-                rng.standard_normal()
-                slots.append(("normal", word, used))
-        rounds.append(slots)
-    return rounds
+    slots = []
+    for slot in range(2 * players):
+        state = rng.bit_generator.state
+        probe.bit_generator.state = state
+        word = int(probe.bit_generator.random_raw())
+        probe.bit_generator.state = state
+        probe.standard_normal()
+        used = words_between(state, probe.bit_generator.state)
+        if slot < players:
+            rng.random()
+            slots.append(("slot", word, used))
+        else:
+            rng.standard_normal()
+            slots.append(("normal", word, used))
+    return slots
 
 
 def ucb_index(mean, pulls, log_term):
@@ -459,7 +456,7 @@ class TestGaussianReplay:
         inst = _sampler_instance("gaussian")
         traced = np.random.default_rng(seed)
         scalar_noise(inst, traced, at, players)
-        assert REPLAY_CASES[case](traced_scalar_draws(traced, 1, players)[0])
+        assert REPLAY_CASES[case](traced_scalar_round(traced, players))
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
         assert draw_noise(inst, fast, rounds, players).tolist() == scalar_noise(
             inst, slow, rounds, players
