@@ -21,9 +21,10 @@ import numpy as np
 
 from .config import GameConfig, config_instance
 from .downstream import BelgicParams
-from .engine import DECOMPOSITION_TOL, run_phase1
+from .engine import DECOMPOSITION_TOL, run_phase1, ucb_offer_stretch
 from .env import (
     BanditInstance,
+    RewardColumns,
     build_instance,
     compute_oracle,
     draw_noise,
@@ -395,28 +396,35 @@ CERT_MAX_FRACTION = 0.05
 
 def _certificate_run(seed: int) -> list[float]:
     """Drive the incentive-aware UCB through batched constant per-arm offers
-    and return its transfer-adjusted pseudo-regret at each checkpoint. Each
-    round draws one player's noise (``draw_noise`` with ``players=1``), and
-    the instance's gaussian reward is the mean plus that noise."""
+    and return its transfer-adjusted pseudo-regret at each checkpoint.
+
+    Each round draws one player's noise (``draw_noise`` with ``players=1``),
+    and the instance's gaussian reward is the mean plus that noise, read by
+    round index from ``RewardColumns``. Each 256-round batch is one
+    ``ucb_offer_stretch`` at that batch's offer. The regret is one
+    ``np.cumsum`` of the per-round gaps ``best - (v_up[played] + bonus)``;
+    a 1-D cumsum adds in round order, so each checkpoint is the float a
+    running ``+=`` gives.
+    """
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
     rounds = max(CERT_CHECKPOINTS)
-    noise = draw_noise(inst, np.random.default_rng(seed), rounds, players=1)[:, 0].tolist()
+    noise = draw_noise(inst, np.random.default_rng(seed), rounds, players=1)
+    rewards = RewardColumns(inst, noise).up
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
-    regret = 0.0
-    out = []
-    offers = [IncentiveOffer(arm, CERT_TAU[arm]) for arm in range(k)]
-    bests = [max(inst.v_up[a] + offer.bonus(a) for a in range(k)) for offer in offers]
+    played: list[int] = []
+    for start in range(0, rounds, CERT_BATCH):
+        arm = (start // CERT_BATCH) % k
+        stop = min(start + CERT_BATCH, rounds)
+        ucb_offer_stretch(ucb, arm, CERT_TAU[arm], rewards, start, stop, played)
 
-    for t, z in enumerate(noise, start=1):
-        arm = ((t - 1) // CERT_BATCH) % k
-        offer = offers[arm]
-        played = ucb.step(offer)
-        ucb.update(played, inst.v_up[played] + z)
-        regret += bests[arm] - (inst.v_up[played] + offer.bonus(played))
-        if t in CERT_CHECKPOINTS:
-            out.append(regret)
-    return out
+    offers = [IncentiveOffer(arm, CERT_TAU[arm]) for arm in range(k)]
+    bests = np.array([max(inst.v_up[a] + offer.bonus(a) for a in range(k)) for offer in offers])
+    offered = np.arange(rounds) // CERT_BATCH % k
+    played_arms = np.array(played)
+    bonus = np.where(played_arms == offered, np.array(CERT_TAU)[offered], 0.0)
+    regret = np.cumsum(bests[offered] - (np.array(inst.v_up)[played_arms] + bonus))
+    return [float(regret[t - 1]) for t in CERT_CHECKPOINTS]
 
 
 def criterion_6_certificate() -> CriterionResult:

@@ -30,9 +30,17 @@ kernel hands them over through ``Belgic.reserve`` and ``Belgic.searched``
 and assigns no Belgic attribute.
 Every other pair, subclasses and test doubles included, runs on the generic
 loops (``_property_rounds``, ``_no_property_rounds``), which call the
-policies' methods. A kernel reads through the same ``sample`` closure,
-returns the same columns and leaves the policies in the same state as the
-generic loop.
+policies' methods and read each round's rewards through
+``env.round_sampler``'s closure. A kernel reads the same rewards by round
+index from the block's ``env.RewardColumns``: one upstream column per arm,
+built with numpy when the block starts, and one downstream column per pair,
+built the first time the block plays that pair. It returns the same
+columns and leaves the policies in the same state as the generic loop.
+
+``ucb_offer_stretch`` plays IncentiveAwareUCB under one fixed offer for a
+run of rounds and counts the refusals. Belgic's search batches are such
+runs, and so are criterion 6's (``acceptance._certificate_run``), so both
+play through it.
 
 Every UCB explores by one rule, which the kernels share: an arm or pair with
 no sample has index +inf, and the lowest-numbered maximum is played, so the
@@ -52,6 +60,7 @@ from .env import (
     BLOCK,
     BanditInstance,
     Oracle,
+    RewardColumns,
     compute_oracle,
     draw_noise,
     misalignment_holds,
@@ -255,12 +264,13 @@ def fold_block(
     return folded, gap_sw, gap_up, gap_down
 
 
-def _no_property_rounds(upstream, downstream, sample, n: int):
-    """Play n no-property rounds: (up_arm, down_arm) columns."""
+def _no_property_rounds(upstream, downstream, instance: BanditInstance, noise: np.ndarray):
+    """Play one no-property round per row of noise: (up_arm, down_arm) columns."""
+    sample = round_sampler(instance, noise)
     up_step, up_update = upstream.step, upstream.update
     down_step, down_update = downstream.step, downstream.update
     ups, downs = [], []
-    for _ in range(n):
+    for _ in range(len(noise)):
         up_arm = up_step(NO_OFFER)
         down_arm = down_step(up_arm)
         z, x = sample(up_arm, down_arm)
@@ -271,12 +281,14 @@ def _no_property_rounds(upstream, downstream, sample, n: int):
     return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
 
 
-def _property_rounds(upstream, downstream, sample, n: int):
-    """Play n property rounds: (up_arm, down_arm, offer_arm, amount) columns."""
+def _property_rounds(upstream, downstream, instance: BanditInstance, noise: np.ndarray):
+    """Play one property round per row of noise: (up_arm, down_arm,
+    offer_arm, amount) columns."""
+    sample = round_sampler(instance, noise)
     up_step, up_update = upstream.step, upstream.update
     down_step, observe = downstream.step, downstream.observe
     ups, downs, offers = [], [], []
-    for _ in range(n):
+    for _ in range(len(noise)):
         offer, down_arm = down_step()
         up_arm = up_step(offer)
         z, x = sample(up_arm, down_arm)
@@ -293,79 +305,110 @@ def _property_rounds(upstream, downstream, sample, n: int):
     )
 
 
-def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, n: int):
+def ucb_offer_stretch(
+    ucb: IncentiveAwareUCB,
+    arm: int,
+    amount: float,
+    rewards: list[list[float]],
+    start: int,
+    stop: int,
+    played: list[int],
+) -> int:
+    """Play ``ucb`` under the fixed offer (arm, amount) on rounds start,
+    ..., stop - 1 of a block, appending each played arm to ``played``, and
+    return how many rounds refused the offer (played another arm).
+
+    Round i's reward for arm a is ``rewards[a][i]`` (``RewardColumns.up``).
+    Each round plays what ``ucb.step(IncentiveOffer(arm, amount))`` would,
+    without copying the index list: the first maximum a, unless the offered
+    arm's boosted index beats it, or ties it from a lower number. That is
+    step()'s first maximum of the boosted list because the amount is finite
+    and at least 0; an offer on an arm outside range(K) changes nothing.
+    The tables are updated in place with ``UCBIndex.record``'s arithmetic.
+    """
+    sqrt = math.sqrt
+    log_term = ucb.log_term
+    pulls, means, index = ucb.counts, ucb.means, ucb.index
+    offered = 0 <= arm < ucb.n_arms
+    append = played.append
+    refusals = 0
+    for i in range(start, stop):
+        top = max(index)
+        a = index.index(top)
+        if a != arm:
+            if offered and ((boosted := index[arm] + amount) > top or boosted == top and arm < a):
+                a = arm
+            else:
+                refusals += 1
+        z = rewards[a][i]
+        c = pulls[a] + 1
+        pulls[a] = c
+        mean = means[a] + (z - means[a]) / c
+        means[a] = mean
+        index[a] = mean + 2.0 * sqrt(log_term / c)
+        append(a)
+    return refusals
+
+
+def _ucb_belgic_rounds(
+    upstream: IncentiveAwareUCB, downstream: Belgic, instance: BanditInstance, noise: np.ndarray
+):
     """_property_rounds for exactly (IncentiveAwareUCB, Belgic), with the
     upstream's and the pair bandit's lists updated in place: the same
-    columns, draws and final policy state.
+    columns and final policy state, rewards read from ``RewardColumns``.
 
-    The block's rounds are reserved up front, and each stretch of a search
-    batch is handed to ``Belgic.searched`` with its mismatch count, so a
-    batch that fills (and may end the search in mid-block) closes as it
-    would under ``observe``. The play phase reads Belgic's ``pair_plays``.
+    The block's rounds are reserved up front. Each stretch of a search batch
+    is played by ``ucb_offer_stretch`` and handed to ``Belgic.searched``
+    with its refusals, so a batch that fills (and may end the search in
+    mid-block) closes as it would under ``observe``. The play phase reads
+    Belgic's ``pair_plays`` and picks the upstream arm by the stretch's rule.
     """
+    n = len(noise)
     downstream.reserve(n)
     batch_length = downstream.params.batch_length
-    sqrt = math.sqrt
-    k, log_up = upstream.n_arms, upstream.log_term
-    pulls, means, index = upstream.counts, upstream.means, upstream.index
+    rewards = RewardColumns(instance, noise)
+    up = rewards.up
     ups, downs, arms, amounts = [], [], [], []
-    up_append = ups.append
     done = 0
 
     while done < n and downstream.tau_hat is None:
         offer = downstream.search_offer
-        arm, amount = offer.arm, offer.amount
-        paid = amount and 0 <= arm < k
         m = min(n - done, batch_length - downstream.batch_round)
-        mismatches = 0
-        for _ in range(m):
-            if paid:
-                boosted = index.copy()
-                boosted[arm] += amount
-                a = boosted.index(max(boosted))
-            else:
-                a = index.index(max(index))
-            z, _ = sample(a, 0)
-            c = pulls[a] + 1
-            pulls[a] = c
-            mean = means[a] + (z - means[a]) / c
-            means[a] = mean
-            index[a] = mean + 2.0 * sqrt(log_up / c)
-            if a != arm:
-                mismatches += 1
-            up_append(a)
+        refusals = ucb_offer_stretch(upstream, offer.arm, offer.amount, up, done, done + m, ups)
         downs += [0] * m
-        arms += [arm] * m
-        amounts += [amount] * m
+        arms += [offer.arm] * m
+        amounts += [offer.amount] * m
         done += m
-        downstream.searched(m, mismatches)
+        downstream.searched(m, refusals)
 
     if done < n:
+        sqrt = math.sqrt
+        log_up = upstream.log_term
+        pulls, means, index = upstream.counts, upstream.means, upstream.index
         bandit = downstream.pair_ucb
         log_pair = bandit.log_term
         counts, pair_means, pair_index = bandit.counts, bandit.means, bandit.index
-        # pair -> (offered arm, own arm, amount, whether the amount counts)
-        plays = [
-            (offer.arm, own, offer.amount, offer.amount and 0 <= offer.arm < k)
-            for offer, own in downstream.pair_plays
-        ]
-        down_append, arm_append, amount_append = downs.append, arms.append, amounts.append
-        for _ in range(n - done):
+        # Belgic offers on arms 0..K-1, so each pair is also its own
+        # (offered arm, own arm) downstream column.
+        plays = [(offer.arm, own, offer.amount) for offer, own in downstream.pair_plays]
+        down = rewards.down
+        up_append, down_append = ups.append, downs.append
+        arm_append, amount_append = arms.append, amounts.append
+        for i in range(done, n):
             pair = pair_index.index(max(pair_index))
-            arm, own, amount, paid = plays[pair]
-            if paid:
-                boosted = index.copy()
-                boosted[arm] += amount
-                a = boosted.index(max(boosted))
-            else:
-                a = index.index(max(index))
-            z, x = sample(a, own)
+            arm, own, amount = plays[pair]
+            top = max(index)
+            a = index.index(top)
+            if a != arm and ((boosted := index[arm] + amount) > top or boosted == top and arm < a):
+                a = arm
+            z = up[a][i]
             c = pulls[a] + 1
             pulls[a] = c
             mean = means[a] + (z - means[a]) / c
             means[a] = mean
             index[a] = mean + 2.0 * sqrt(log_up / c)
             if a == arm:
+                x = (down[pair] or rewards.down_column(pair))[i]
                 c = counts[pair] + 1
                 counts[pair] = c
                 mean = pair_means[pair] + ((x - amount) - pair_means[pair]) / c
@@ -384,20 +427,33 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, sample, 
     )
 
 
-def _ucb_naive_rounds(upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, sample, n: int):
+def _ucb_naive_rounds(
+    upstream: IncentiveAwareUCB,
+    downstream: NaiveContextUCB,
+    instance: BanditInstance,
+    noise: np.ndarray,
+):
     """_no_property_rounds for exactly (IncentiveAwareUCB, NaiveContextUCB),
-    with the upstream's and each context's lists updated in place."""
+    with the upstream's and each context's lists updated in place and
+    rewards read from ``RewardColumns``."""
     sqrt = math.sqrt
     log_up = upstream.log_term
     pulls, means, index = upstream.counts, upstream.means, upstream.index
-    contexts = [(c.counts, c.means, c.index, c.log_term) for c in downstream.contexts]
+    k = upstream.n_arms
+    # Context a's table, and its first pair a * K in the downstream columns.
+    contexts = [
+        (c.counts, c.means, c.index, c.log_term, a * k) for a, c in enumerate(downstream.contexts)
+    ]
+    rewards = RewardColumns(instance, noise)
+    up, down = rewards.up, rewards.down
     ups, downs = [], []
     up_append, down_append = ups.append, downs.append
-    for _ in range(n):
+    for i in range(len(noise)):
         a = index.index(max(index))
-        counts, row_means, row, log_down = contexts[a]
+        counts, row_means, row, log_down, first_pair = contexts[a]
         b = row.index(max(row))
-        z, x = sample(a, b)
+        z = up[a][i]
+        x = (down[first_pair + b] or rewards.down_column(first_pair + b))[i]
         c = pulls[a] + 1
         pulls[a] = c
         mean = means[a] + (z - means[a]) / c
@@ -459,7 +515,7 @@ def _play(
     for start in range(1, horizon + 1, BLOCK):
         n = min(BLOCK, horizon + 1 - start)
         rows = draw_noise(instance, rng, n) if noise is None else noise[start - 1 : start - 1 + n]
-        columns = play(upstream, downstream, round_sampler(instance, rows), n)
+        columns = play(upstream, downstream, instance, rows)
         try:
             ledger, *gaps = fold_block(instance, oracle, ledger, start, *columns)
         except RuntimeError as exc:
@@ -571,5 +627,5 @@ def run_phase1(
     play = _round_function(True, upstream, belgic)
     n = params.batch_length
     while belgic.in_search_phase:
-        play(upstream, belgic, round_sampler(instance, draw_noise(instance, rng, n)), n)
+        play(upstream, belgic, instance, draw_noise(instance, rng, n))
     return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds

@@ -193,12 +193,12 @@ class _SlowNormals:
 
     def __init__(self, state: dict, mult: int):
         self.state, self.mult = state, mult
-        self.gen = None  # made at the first slow normal, if any
+        self.gen = None  # placed on the stream at the first slow normal, if any
         self.position = 0
 
     def draw(self, position: int) -> tuple[float, int]:
         if self.gen is None:
-            self.gen = np.random.Generator(np.random.PCG64(0))
+            self.gen = _scratch_generator()
             self.gen.bit_generator.state = self.state
         bit_generator = self.gen.bit_generator
         bit_generator.advance(position - self.position)
@@ -213,6 +213,14 @@ class _SlowNormals:
             used += 1
         self.position = position + used
         return value, used
+
+
+@functools.cache
+def _scratch_generator() -> np.random.Generator:
+    """The generator ``_SlowNormals`` draws on, one per process: seeding a
+    new PCG64 costs more than a short ``draw_noise`` call's replay, and each
+    call sets the state before its first draw, so no call sees another's."""
+    return np.random.Generator(np.random.PCG64(0))
 
 
 @functools.cache
@@ -284,10 +292,11 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def round_sampler(instance: BanditInstance, noise: np.ndarray):
-    """Every game loop's rewards: ``sample(up_arm, down_arm)`` -> (upstream
-    reward, downstream reward) of the next row of ``noise``, an (n, 2) array
-    from ``draw_noise``. A gaussian reward is the mean plus the noise, a
-    bernoulli one is 1.0 when the uniform falls below the mean."""
+    """The generic round loops' rewards: ``sample(up_arm, down_arm)`` ->
+    (upstream reward, downstream reward) of the next row of ``noise``, an
+    (n, 2) array from ``draw_noise``. A gaussian reward is the mean plus the
+    noise, a bernoulli one is 1.0 when the uniform falls below the mean. The
+    engine's kernels read the same rewards from ``RewardColumns``."""
     v_up, v_down = instance.v_up, instance.v_down
     # Column lists zipped, not one list per row: zip reuses its tuple once
     # the caller has unpacked it, so a round allocates no row.
@@ -308,6 +317,41 @@ def round_sampler(instance: BanditInstance, noise: np.ndarray):
             )
 
     return sample
+
+
+class RewardColumns:
+    """One block's rewards read by round index, for the engine's kernels:
+    ``up[a][i]`` is arm a's upstream reward in row i of ``noise`` (an
+    (n, players) array from ``draw_noise``), and ``down_column(pair)[i]``
+    the downstream reward at pair = a * K + b in that row. Each column is
+    ``round_sampler``'s arithmetic done elementwise by numpy, so the values
+    are the same floats: the mean plus the noise (gaussian), or 1.0 where
+    the uniform falls below the mean (bernoulli).
+
+    The K upstream columns are built up front. A downstream column is built
+    the first time a kernel asks for it and kept in ``down`` (None until
+    then): a block usually reads a few of the K^2 pairs, and building all of
+    them up front costs more than the reads save at K=5.
+    """
+
+    def __init__(self, instance: BanditInstance, noise: np.ndarray):
+        self._gaussian = instance.reward_model == "gaussian"
+        self._noise = noise
+        self._v_down = [mean for row in instance.v_down for mean in row]
+        self.up = [self._column(mean, 0) for mean in instance.v_up]
+        self.down: list[list[float] | None] = [None] * len(self._v_down)
+
+    def _column(self, mean: float, player: int) -> list[float]:
+        noise = self._noise[:, player]
+        if self._gaussian:
+            return (mean + noise).tolist()
+        return (noise < mean).astype(float).tolist()
+
+    def down_column(self, pair: int) -> list[float]:
+        column = self.down[pair]
+        if column is None:
+            column = self.down[pair] = self._column(self._v_down[pair], 1)
+        return column
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ first by an explicit sweep, not through +inf indices. ``env.draw_noise``,
 in the engine, in ``run_phase1`` and in criterion 6's certificate run.
 
 The engine's kernels for the two learning pairs are also checked against its
-generic round loop: the same games, columns and final policy state.
+generic round loop: the same games, columns and final policy state. The
+offer stretch they and criterion 6 play through is checked against
+IncentiveAwareUCB's own step and update.
 """
 
 import copy
@@ -30,6 +32,7 @@ from coase_bandits.acceptance import (
     CERT_BATCH,
     CERT_CHECKPOINTS,
     CERT_HORIZON,
+    CERT_RUNS,
     CERT_TAU,
     CERT_V_UP,
     _certificate_run,
@@ -54,9 +57,12 @@ from coase_bandits.engine import (
     run_no_property,
     run_phase1,
     run_property,
+    ucb_offer_stretch,
 )
 from coase_bandits.env import (
+    RewardColumns,
     _fast_values,
+    _scratch_generator,
     _slow,
     _ziggurat,
     build_instance,
@@ -385,6 +391,25 @@ class TestNoiseStream:
         long = draw_noise(inst, np.random.default_rng(0), 2 * horizon)
         assert short.tolist() == long[:horizon].tolist()
 
+    @pytest.mark.parametrize("players", [2, 1], ids=["game", "certificate"])
+    def test_interleaved_seeds_share_one_scratch_generator(self, players):
+        # Two seeds drawn by turns in short calls, as Belgic's search batches
+        # are: every call whose slots hold a slow normal places the one
+        # scratch generator on its own stream, and each seed still reads the
+        # rows and leaves the state that a fresh generator's scalar draws do.
+        inst = _sampler_instance("gaussian")
+        rngs = {seed: np.random.default_rng(seed) for seed in (0, 1)}
+        rows = {seed: [] for seed in rngs}
+        hits = _scratch_generator.cache_info().hits
+        for _ in range(6):
+            for seed, rng in rngs.items():
+                rows[seed] += draw_noise(inst, rng, 50, players).tolist()
+        assert _scratch_generator.cache_info().hits > hits
+        for seed, rng in rngs.items():
+            fresh = np.random.default_rng(seed)
+            assert rows[seed] == scalar_noise(inst, fresh, 300, players)
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
 
 #: Each way the gaussian replay departs from one word per slot, pinned: in
 #: the scalar draws of ``rounds`` rounds from default_rng(seed), round ``at``
@@ -685,6 +710,12 @@ class TestGamesMatchScalarReference:
     def test_certificate_run_prefixes(self, seed):
         assert _certificate_run(seed) == ref_certificate_run(seed)
 
+    @pytest.mark.parametrize("seed", range(CERT_RUNS)[:20])
+    def test_certificate_run_pinned_seeds(self, seed):
+        # Criterion 6's own seeds: the regrets summed by one cumsum over the
+        # stretches' arms are the reference's running sums.
+        assert _certificate_run(seed) == ref_certificate_run(seed)
+
 
 # ---------------------------------------------------------------- the kernels
 
@@ -800,6 +831,96 @@ class TestKernelsMatchGenericLoop:
         stepped.step()
         with pytest.raises(RuntimeError, match=r"^step\(\) called twice without observe\(\)$"):
             run_property(instance, upstream_class(2, horizon), stepped, horizon, 0)
+
+
+# ---------------------------------------------------------------- the offer stretch
+
+#: Index values and amounts on a dyadic grid, so that index[arm] + amount
+#: lands exactly on another entry: the ties are exact, not rounded.
+_dyadic_indices = st.sampled_from((-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, math.inf))
+_dyadic_amounts = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.5))
+
+
+def _trained_ucb(k, data):
+    """An IncentiveAwareUCB after random updates: arms never updated keep
+    their +inf index."""
+    ucb = IncentiveAwareUCB(k, 4096)
+    for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=12)):
+        ucb.update(arm, reward)
+    return ucb
+
+
+class TestOfferStretch:
+    """``ucb_offer_stretch`` against IncentiveAwareUCB's own step/update."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        amount=st.one_of(_dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)),
+    )
+    def test_arm_choice_is_step(self, k, data, amount):
+        ucb = IncentiveAwareUCB(k, 4096)
+        ucb.index = data.draw(st.lists(_dyadic_indices, min_size=k, max_size=k))
+        arm = data.draw(st.integers(-1, k))
+        want = ucb.step(IncentiveOffer(arm, amount))
+        played = []
+        refusals = ucb_offer_stretch(copy.deepcopy(ucb), arm, amount, [[0.0]] * k, 0, 1, played)
+        assert played == [want]
+        assert refusals == (want != arm)
+
+    def test_arm_choice_cases_are_reached(self):
+        # The cases the property above is meant to cover, each pinned once:
+        # (index, arm, amount, the arm step() plays).
+        cases = [
+            ([1.0, math.inf, 0.5], 2, 0.5, 1),  # +inf beats any finite boost
+            ([math.inf, math.inf], 1, 0.5, 0),  # +inf tie: the lower number
+            ([0.5, 1.0, 0.5], 0, 0.5, 0),  # exact tie from a lower number
+            ([1.0, 0.5], 1, 0.5, 0),  # exact tie from a higher number
+            ([0.5, 1.0], 0, 0.0, 1),  # amount 0 changes nothing
+            ([1.0, 1.0], 1, 0.0, 0),
+            ([0.5, 1.0], -1, 1.0, 1),  # arms outside range(K) change nothing
+            ([1.0, 0.5], 2, 1.0, 0),
+        ]
+        for index, arm, amount, want in cases:
+            ucb = IncentiveAwareUCB(len(index), 4096)
+            ucb.index = list(index)
+            assert ucb.step(IncentiveOffer(arm, amount)) == want
+            played = []
+            ucb_offer_stretch(ucb, arm, amount, [[0.0]] * len(index), 0, 1, played)
+            assert played == [want]
+
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        amount=st.one_of(_dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)),
+        start=st.integers(0, 3),
+        m=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stretch_is_steps_and_updates(self, model, k, data, amount, start, m, seed):
+        v_up = data.draw(st.lists(_means, min_size=k, max_size=k))
+        instance = build_instance(v_up, [[0.0] * k] * k, model)
+        arm = data.draw(st.integers(-1, k))
+        ucb = _trained_ucb(k, data)
+        ref = copy.deepcopy(ucb)
+        noise = draw_noise(instance, np.random.default_rng(seed), start + m)
+        played = []
+        refusals = ucb_offer_stretch(
+            ucb, arm, amount, RewardColumns(instance, noise).up, start, start + m, played
+        )
+        sample = round_sampler(instance, noise[start:])
+        offer = IncentiveOffer(arm, amount)
+        ref_played = []
+        for _ in range(m):
+            a = ref.step(offer)
+            ref.update(a, sample(a, 0)[0])
+            ref_played.append(a)
+        assert played == ref_played
+        assert refusals == sum(a != arm for a in ref_played)
+        assert _learned_state(ucb) == _learned_state(ref)
 
 
 # ---------------------------------------------------------------- cached indices
