@@ -22,12 +22,12 @@ folding one round at a time. A recorded trajectory is held as columns
 
 The two learning pairs, (IncentiveAwareUCB, Belgic) in the property mode and
 (IncentiveAwareUCB, NaiveContextUCB) in the no-property mode, run on a
-kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that inlines
-the policies' ``step`` and ``UCBIndex.record``, working on the UCB tables'
-lists in place; ``_round_function`` picks one by exact type, the pair
-table's included. Belgic's counters and search log are its own: the Belgic
-kernel hands them over through ``Belgic.reserve`` and ``Belgic.searched``
-and assigns no Belgic attribute.
+kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that plays the
+policies' ``step`` and ``UCBIndex.record`` in runs (below), working on the
+UCB tables' lists in place; ``_round_function`` picks one by exact type,
+the pair table's included. Belgic's counters and search log are its own:
+the Belgic kernel hands them over through ``Belgic.reserve`` and
+``Belgic.searched`` and assigns no Belgic attribute.
 Every other pair, subclasses and test doubles included, runs on the generic
 loops (``_property_rounds``, ``_no_property_rounds``), which call the
 policies' methods and read each round's rewards through
@@ -38,9 +38,23 @@ built the first time the block plays that pair. It returns the same
 columns and leaves the policies in the same state as the generic loop.
 
 ``ucb_offer_stretch`` plays IncentiveAwareUCB under one fixed offer for a
-run of rounds and counts the refusals. Belgic's search batches are such
-runs, and so are criterion 6's (``acceptance._certificate_run``), so both
-play through it.
+stretch of rounds and counts the refusals. Belgic's search batches are such
+stretches, and so are criterion 6's (``acceptance._certificate_run``), so
+both play through it.
+
+The kernels and the stretch play their rounds in runs: rounds in a row with
+the same played arms. Every UCB table's ``log_term`` is fixed when it is
+built and a round changes only the played arm's entries, so while an arm
+keeps playing, every other index of its table is frozen, and the arm stays
+the first maximum exactly while its own new index stays above one threshold
+read from the table when the run starts (``_run_start``). Each round of a
+run is then one update, with ``UCBIndex.record``'s arithmetic on locals, and
+one comparison per table; the round that fails it ends the run, the entries
+are written back once, and the next run reads the tables afresh. Where two
+tables move together (the naive pair's upstream and context row, Belgic's
+upstream and pair table on a taken offer), the run ends when either fails.
+The runs therefore play the arms the policies' ``step`` would, round by
+round.
 
 Every UCB explores by one rule, which the kernels share: an arm or pair with
 no sample has index +inf, and the lowest-numbered maximum is played, so the
@@ -305,6 +319,28 @@ def _property_rounds(upstream, downstream, instance: BanditInstance, noise: np.n
     )
 
 
+def _run_start(index: list[float], arm: int = -1, amount: float = 0.0) -> tuple[int, float]:
+    """Open a run on one UCB table: (a, bar).
+
+    a is the arm the table plays now, the lowest-numbered maximum of
+    ``index`` with ``amount`` added to ``index[arm]`` (as
+    ``IncentiveAwareUCB.step`` boosts an offered arm; an arm outside the
+    table adds nothing). bar is the one threshold of the run: while only a's
+    entry moves, a is still that first maximum exactly when its new index,
+    plus ``amount`` if a is the offered arm, is above bar. bar is top, the
+    highest other (boosted) index, when an arm numbered below a holds it,
+    and otherwise the float just below top, since a then wins a tie.
+    """
+    rivals = index.copy()
+    if 0 <= arm < len(rivals):
+        rivals[arm] += amount
+    a = rivals.index(max(rivals))
+    rivals[a] = -math.inf
+    top = max(rivals)
+    wins_tie = a < rivals.index(top)
+    return a, math.nextafter(top, -math.inf) if wins_tie else top
+
+
 def ucb_offer_stretch(
     ucb: IncentiveAwareUCB,
     arm: int,
@@ -319,34 +355,39 @@ def ucb_offer_stretch(
     return how many rounds refused the offer (played another arm).
 
     Round i's reward for arm a is ``rewards[a][i]`` (``RewardColumns.up``).
-    Each round plays what ``ucb.step(IncentiveOffer(arm, amount))`` would,
-    without copying the index list: the first maximum a, unless the offered
-    arm's boosted index beats it, or ties it from a lower number. That is
-    step()'s first maximum of the boosted list because the amount is finite
-    and at least 0; an offer on an arm outside range(K) changes nothing.
-    The tables are updated in place with ``UCBIndex.record``'s arithmetic.
+    Each round plays what ``ucb.step(IncentiveOffer(arm, amount))`` would
+    and updates the tables with ``UCBIndex.record``'s arithmetic, but the
+    rounds are played in runs of one arm. ``log_term`` is fixed and a round
+    changes only the played arm's entries, so while an arm plays every other
+    index, boosted or not, is frozen: ``_run_start`` reads the run's arm and
+    threshold from the tables once, and the run goes on, with the arm's
+    count, mean and index in locals, while its new (boosted) index stays
+    above the threshold. The round that drops it to or below ends the run,
+    the entries are written back, and the next run reads the tables again.
+    So a run that ``stop`` cuts resumes exactly where it was cut.
     """
     sqrt = math.sqrt
     log_term = ucb.log_term
     pulls, means, index = ucb.counts, ucb.means, ucb.index
-    offered = 0 <= arm < ucb.n_arms
-    append = played.append
     refusals = 0
-    for i in range(start, stop):
-        top = max(index)
-        a = index.index(top)
+    i = start
+    while i < stop:
+        a, bar = _run_start(index, arm, amount)
+        boost = amount if a == arm else 0.0
+        zs = rewards[a]
+        c, mean = pulls[a], means[a]
+        for end in range(i, stop):
+            c += 1
+            mean += (zs[end] - mean) / c
+            value = mean + 2.0 * sqrt(log_term / c)
+            if value + boost <= bar:
+                break
+        m = c - pulls[a]
+        pulls[a], means[a], index[a] = c, mean, value
+        played.extend([a] * m)
         if a != arm:
-            if offered and ((boosted := index[arm] + amount) > top or boosted == top and arm < a):
-                a = arm
-            else:
-                refusals += 1
-        z = rewards[a][i]
-        c = pulls[a] + 1
-        pulls[a] = c
-        mean = means[a] + (z - means[a]) / c
-        means[a] = mean
-        index[a] = mean + 2.0 * sqrt(log_term / c)
-        append(a)
+            refusals += m
+        i += m
     return refusals
 
 
@@ -361,7 +402,10 @@ def _ucb_belgic_rounds(
     is played by ``ucb_offer_stretch`` and handed to ``Belgic.searched``
     with its refusals, so a batch that fills (and may end the search in
     mid-block) closes as it would under ``observe``. The play phase reads
-    Belgic's ``pair_plays`` and picks the upstream arm by the stretch's rule.
+    Belgic's ``pair_plays`` and plays runs of one (pair, upstream arm), by
+    the stretch's rule: a refused offer leaves the pair table as it is, and
+    a taken one moves both tables, so the run ends at the first round where
+    either played entry drops to its threshold.
     """
     n = len(noise)
     downstream.reserve(n)
@@ -392,32 +436,40 @@ def _ucb_belgic_rounds(
         # (offered arm, own arm) downstream column.
         plays = [(offer.arm, own, offer.amount) for offer, own in downstream.pair_plays]
         down = rewards.down
-        up_append, down_append = ups.append, downs.append
-        arm_append, amount_append = arms.append, amounts.append
-        for i in range(done, n):
-            pair = pair_index.index(max(pair_index))
+        i = done
+        while i < n:
+            pair, pair_bar = _run_start(pair_index)
             arm, own, amount = plays[pair]
-            top = max(index)
-            a = index.index(top)
-            if a != arm and ((boosted := index[arm] + amount) > top or boosted == top and arm < a):
-                a = arm
-            z = up[a][i]
-            c = pulls[a] + 1
-            pulls[a] = c
-            mean = means[a] + (z - means[a]) / c
-            means[a] = mean
-            index[a] = mean + 2.0 * sqrt(log_up / c)
+            a, bar = _run_start(index, arm, amount)
+            zs = up[a]
+            c, mean = pulls[a], means[a]
             if a == arm:
-                x = (down[pair] or rewards.down_column(pair))[i]
-                c = counts[pair] + 1
-                counts[pair] = c
-                mean = pair_means[pair] + ((x - amount) - pair_means[pair]) / c
-                pair_means[pair] = mean
-                pair_index[pair] = mean + 2.0 * sqrt(log_pair / c)
-            up_append(a)
-            down_append(own)
-            arm_append(arm)
-            amount_append(amount)
+                xs = down[pair] or rewards.down_column(pair)
+                d, pair_mean = counts[pair], pair_means[pair]
+                for end in range(i, n):
+                    c += 1
+                    mean += (zs[end] - mean) / c
+                    value = mean + 2.0 * sqrt(log_up / c)
+                    d += 1
+                    pair_mean += ((xs[end] - amount) - pair_mean) / d
+                    pair_value = pair_mean + 2.0 * sqrt(log_pair / d)
+                    if value + amount <= bar or pair_value <= pair_bar:
+                        break
+                counts[pair], pair_means[pair], pair_index[pair] = d, pair_mean, pair_value
+            else:
+                for end in range(i, n):
+                    c += 1
+                    mean += (zs[end] - mean) / c
+                    value = mean + 2.0 * sqrt(log_up / c)
+                    if value <= bar:
+                        break
+            m = c - pulls[a]
+            pulls[a], means[a], index[a] = c, mean, value
+            ups += [a] * m
+            downs += [own] * m
+            arms += [arm] * m
+            amounts += [amount] * m
+            i += m
 
     return (
         np.array(ups, dtype=np.intp),
@@ -435,7 +487,12 @@ def _ucb_naive_rounds(
 ):
     """_no_property_rounds for exactly (IncentiveAwareUCB, NaiveContextUCB),
     with the upstream's and each context's lists updated in place and
-    rewards read from ``RewardColumns``."""
+    rewards read from ``RewardColumns``.
+
+    The rounds are played in runs of one (upstream arm a, downstream arm b),
+    by ``ucb_offer_stretch``'s rule with no offer. A round moves only a's
+    entry of the upstream table and b's of context a's row, so the run ends
+    at the first round where either drops to its threshold."""
     sqrt = math.sqrt
     log_up = upstream.log_term
     pulls, means, index = upstream.counts, upstream.means, upstream.index
@@ -446,26 +503,32 @@ def _ucb_naive_rounds(
     ]
     rewards = RewardColumns(instance, noise)
     up, down = rewards.up, rewards.down
+    n = len(noise)
     ups, downs = [], []
-    up_append, down_append = ups.append, downs.append
-    for i in range(len(noise)):
-        a = index.index(max(index))
+    i = 0
+    while i < n:
+        a, up_bar = _run_start(index)
         counts, row_means, row, log_down, first_pair = contexts[a]
-        b = row.index(max(row))
-        z = up[a][i]
-        x = (down[first_pair + b] or rewards.down_column(first_pair + b))[i]
-        c = pulls[a] + 1
-        pulls[a] = c
-        mean = means[a] + (z - means[a]) / c
-        means[a] = mean
-        index[a] = mean + 2.0 * sqrt(log_up / c)
-        c = counts[b] + 1
-        counts[b] = c
-        mean = row_means[b] + (x - row_means[b]) / c
-        row_means[b] = mean
-        row[b] = mean + 2.0 * sqrt(log_down / c)
-        up_append(a)
-        down_append(b)
+        b, row_bar = _run_start(row)
+        zs = up[a]
+        xs = down[first_pair + b] or rewards.down_column(first_pair + b)
+        c, mean = pulls[a], means[a]
+        d, row_mean = counts[b], row_means[b]
+        for end in range(i, n):
+            c += 1
+            mean += (zs[end] - mean) / c
+            value = mean + 2.0 * sqrt(log_up / c)
+            d += 1
+            row_mean += (xs[end] - row_mean) / d
+            row_value = row_mean + 2.0 * sqrt(log_down / d)
+            if value <= up_bar or row_value <= row_bar:
+                break
+        m = c - pulls[a]
+        pulls[a], means[a], index[a] = c, mean, value
+        counts[b], row_means[b], row[b] = d, row_mean, row_value
+        ups += [a] * m
+        downs += [b] * m
+        i += m
     return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
 
 

@@ -12,7 +12,9 @@ in the engine, in ``run_phase1`` and in criterion 6's certificate run.
 The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state. The
 offer stretch they and criterion 6 play through is checked against
-IncentiveAwareUCB's own step and update.
+IncentiveAwareUCB's own step and update. All three play their rounds in runs
+of one arm; the tie cases check, on indices that meet exactly, that a run
+goes on or ends where the policies' own steps say.
 """
 
 import copy
@@ -921,6 +923,147 @@ class TestOfferStretch:
         assert played == ref_played
         assert refusals == sum(a != arm for a in ref_played)
         assert _learned_state(ucb) == _learned_state(ref)
+
+
+# ---------------------------------------------------------------- runs
+
+#: The rewards of the tie cases. With every log_term at 0.0 an index is its
+#: arm's running mean, so means of these rewards, offers on the dyadic grid
+#: added, meet each other exactly: a run's played arm often ties its
+#: threshold, and only the arm numbers decide who plays next.
+_DYADIC_REWARDS = (0.0, 0.5, 1.0)
+
+
+def _dyadic_rewards(seed, k, n):
+    """k columns of n rewards from _DYADIC_REWARDS: RewardColumns.up's layout."""
+    return np.random.default_rng(seed).choice(_DYADIC_REWARDS, size=(k, n)).tolist()
+
+
+def _dyadic_noise(seed, n):
+    """n noise rows that a gaussian instance with zero means turns into
+    rewards from _DYADIC_REWARDS."""
+    return np.random.default_rng(seed).choice(_DYADIC_REWARDS, size=(n, 2))
+
+
+def _zero_means(k):
+    return build_instance([0.0] * k, [[0.0] * k] * k)
+
+
+def _no_exploration_bonus(*tables):
+    for table in tables:
+        table.log_term = 0.0
+
+
+def _play_in_pieces(play, players, instance, noise, cuts):
+    """Play noise's rows in pieces split at cuts; the columns joined."""
+    bounds = [0, *sorted(cuts), len(noise)]
+    pieces = [play(*players, instance, noise[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+    return [np.concatenate(column).tolist() for column in zip(*pieces)]
+
+
+class TestRuns:
+    """The kernels and the stretch play runs of one arm. On tables whose
+    indices tie exactly in mid-run they must match the policies' own
+    step/update/observe: a run ends where a tie goes to a lower-numbered
+    arm, and goes on where the played arm wins it. Fresh tables open with
+    their arms at +inf. A run that a stretch's stop cuts must resume exactly.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        amount=st.sampled_from((0.0, 0.5, 1.0)),
+        m=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_offer_stretch(self, k, data, amount, m, seed):
+        arm = data.draw(st.integers(-1, k))
+        ucb = IncentiveAwareUCB(k, 4096)
+        _no_exploration_bonus(ucb)
+        updates = st.tuples(st.integers(0, k - 1), st.sampled_from(_DYADIC_REWARDS))
+        for a, reward in data.draw(st.lists(updates, max_size=2 * k)):
+            ucb.update(a, reward)
+        ref = copy.deepcopy(ucb)
+        rewards = _dyadic_rewards(seed, k, m)
+        played = []
+        refusals = ucb_offer_stretch(ucb, arm, amount, rewards, 0, m, played)
+        offer = IncentiveOffer(arm, amount)
+        ref_played = []
+        for i in range(m):
+            a = ref.step(offer)
+            ref.update(a, rewards[a][i])
+            ref_played.append(a)
+        assert played == ref_played
+        assert refusals == sum(a != arm for a in ref_played)
+        assert _learned_state(ucb) == _learned_state(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        n=st.integers(1, 300),
+        cuts=st.lists(st.integers(0, 300), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ucb_naive(self, k, n, cuts, seed):
+        instance, noise = _zero_means(k), _dyadic_noise(seed, n)
+        players = IncentiveAwareUCB(k, 4096), NaiveContextUCB(k, 4096)
+        generic_players = GenericUCB(k, 4096), NaiveContextUCB(k, 4096)
+        for up, down in (players, generic_players):
+            _no_exploration_bonus(up, *down.contexts)
+        columns = _play_in_pieces(_ucb_naive_rounds, players, instance, noise, cuts)
+        generic = _play_in_pieces(_no_property_rounds, generic_players, instance, noise, cuts)
+        assert columns == generic
+        for mine, theirs in zip(players, generic_players):
+            assert _learned_state(mine) == _learned_state(theirs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        cuts=st.lists(st.integers(0, 4096), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ucb_belgic(self, k, cuts, seed):
+        # T = 4096 with alpha 0.6 and beta 1/4: 148-round batches, 3 per
+        # arm, precision 1/8 and no certificate pad, so the search offers
+        # and the estimates tau_hat are all on the dyadic grid.
+        horizon = 4096
+        params = BelgicParams(k, horizon, 0.6, 0.25, RegretCertificate(0.0))
+        instance, noise = _zero_means(k), _dyadic_noise(seed, horizon)
+        players = IncentiveAwareUCB(k, horizon), Belgic(params)
+        generic_players = GenericUCB(k, horizon), Belgic(params)
+        for up, down in (players, generic_players):
+            _no_exploration_bonus(up, down.pair_ucb)
+        columns = _play_in_pieces(_ucb_belgic_rounds, players, instance, noise, cuts)
+        generic = _play_in_pieces(_property_rounds, generic_players, instance, noise, cuts)
+        assert columns == generic
+        for mine, theirs in zip(players, generic_players):
+            assert _learned_state(mine) == _learned_state(theirs)
+        assert all((tau * 2**10).is_integer() for tau in players[1].tau_hat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        amount=_dyadic_amounts,
+        start=st.integers(0, 3),
+        lengths=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cut_stretch_resumes_exactly(self, k, data, amount, start, lengths, seed):
+        # A run that stop cuts in two is picked up again from the tables.
+        arm = data.draw(st.integers(-1, k))
+        ucb = _trained_ucb(k, data)
+        whole = copy.deepcopy(ucb)
+        cut, stop = start + lengths[0], start + sum(lengths)
+        rewards = _dyadic_rewards(seed, k, stop)
+        played, whole_played = [], []
+        refusals = ucb_offer_stretch(ucb, arm, amount, rewards, start, cut, played)
+        refusals += ucb_offer_stretch(ucb, arm, amount, rewards, cut, stop, played)
+        whole_refusals = ucb_offer_stretch(whole, arm, amount, rewards, start, stop, whole_played)
+        assert played == whole_played
+        assert refusals == whole_refusals
+        assert _learned_state(ucb) == _learned_state(whole)
 
 
 # ---------------------------------------------------------------- cached indices
