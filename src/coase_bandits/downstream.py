@@ -287,10 +287,6 @@ class OracleTransferDownstream:
         self.offer = IncentiveOffer(oracle.a_sw, oracle.tau_star[oracle.a_sw])
         self.own_arm = oracle.b_sw
 
-    @property
-    def in_search_phase(self) -> bool:
-        return False
-
     def step(self) -> tuple[IncentiveOffer, int]:
         return self.offer, self.own_arm
 
@@ -305,10 +301,6 @@ class ZeroTransferDownstream:
     def __init__(self, own_arm: int = 0):
         self.offer = IncentiveOffer(0, 0.0)
         self.own_arm = own_arm
-
-    @property
-    def in_search_phase(self) -> bool:
-        return False
 
     def step(self) -> tuple[IncentiveOffer, int]:
         return self.offer, self.own_arm

@@ -20,22 +20,23 @@ runs in round order, so ledgers and trajectories are bit-identical to
 folding one round at a time. A recorded trajectory is held as columns
 (``Trajectory``), not as one object per round.
 
-The two learning pairs, (IncentiveAwareUCB, Belgic) in the property mode and
-(IncentiveAwareUCB, NaiveContextUCB) in the no-property mode, run on a
-kernel each (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that plays the
-policies' ``step`` and ``UCBIndex.record`` in runs (below), working on the
-UCB tables' lists in place; ``_round_function`` picks one by exact type,
-the pair table's included. Belgic's counters and search log are its own:
-the Belgic kernel hands them over through ``Belgic.reserve`` and
-``Belgic.searched`` and assigns no Belgic attribute.
-Every other pair, subclasses and test doubles included, runs on the generic
-loops (``_property_rounds``, ``_no_property_rounds``), which call the
-policies' methods and read each round's rewards through
-``env.round_sampler``'s closure. A kernel reads the same rewards by round
-index from the block's ``env.RewardColumns``: one upstream column per arm,
-built with numpy when the block starts, and one downstream column per pair,
-built the first time the block plays that pair. It returns the same
-columns and leaves the policies in the same state as the generic loop.
+Every round function takes ``(upstream, downstream, rewards)``, with
+``rewards`` the block's ``env.RewardColumns``, built once per block (or per
+search batch in ``run_phase1``): round i's upstream reward for arm a is
+``rewards.up[a][i]`` and its downstream reward at pair (a, b) is
+``rewards.down_column(a * K + b)[i]``. The two learning pairs,
+(IncentiveAwareUCB, Belgic) in the property mode and (IncentiveAwareUCB,
+NaiveContextUCB) in the no-property mode, run on a kernel each
+(``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that plays the policies'
+``step`` and ``UCBIndex.record`` in runs (below), working on the UCB tables'
+lists in place; ``_round_function`` picks one by exact type, the pair
+table's included. Belgic's counters and search log are its own: the Belgic
+kernel hands them over through ``Belgic.reserve`` and ``Belgic.searched``
+and assigns no Belgic attribute. Every other pair, subclasses and test
+doubles included, runs on the generic loops (``_property_rounds``,
+``_no_property_rounds``), which call the policies' methods. A kernel
+returns the same columns and leaves the policies in the same state as the
+generic loop.
 
 ``ucb_offer_stretch`` plays IncentiveAwareUCB under one fixed offer for a
 stretch of rounds and counts the refusals. Belgic's search batches are such
@@ -47,14 +48,15 @@ the same played arms. Every UCB table's ``log_term`` is fixed when it is
 built and a round changes only the played arm's entries, so while an arm
 keeps playing, every other index of its table is frozen, and the arm stays
 the first maximum exactly while its own new index stays above one threshold
-read from the table when the run starts (``_run_start``). Each round of a
-run is then one update, with ``UCBIndex.record``'s arithmetic on locals, and
-one comparison per table; the round that fails it ends the run, the entries
-are written back once, and the next run reads the tables afresh. Where two
-tables move together (the naive pair's upstream and context row, Belgic's
-upstream and pair table on a taken offer), the run ends when either fails.
-The runs therefore play the arms the policies' ``step`` would, round by
-round.
+read from the table when the run starts (``_run_start``). Two helpers play
+a run, and they are the only copies of ``UCBIndex.record``'s arithmetic
+outside it: ``_run`` moves one table (the stretch, and Belgic's refused
+offers), and ``_joint_run`` moves two tables together (Belgic's upstream and
+pair table on a taken offer, the naive pair's upstream and context row).
+Each round of a run is one update per table on locals and one comparison
+per table; the round that fails it ends the run, the entries are written
+back once, and the next run reads the tables afresh. The runs therefore
+play the arms the policies' ``step`` would, round by round.
 
 Every UCB explores by one rule, which the kernels share: an arm or pair with
 no sample has index +inf, and the lowest-numbered maximum is played, so the
@@ -78,7 +80,6 @@ from .env import (
     compute_oracle,
     draw_noise,
     misalignment_holds,
-    round_sampler,
 )
 from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex
 
@@ -278,36 +279,36 @@ def fold_block(
     return folded, gap_sw, gap_up, gap_down
 
 
-def _no_property_rounds(upstream, downstream, instance: BanditInstance, noise: np.ndarray):
-    """Play one no-property round per row of noise: (up_arm, down_arm) columns."""
-    sample = round_sampler(instance, noise)
+def _no_property_rounds(upstream, downstream, rewards: RewardColumns):
+    """Play one no-property round per row of rewards: (up_arm, down_arm) columns."""
+    up, down = rewards.up, rewards.down_column
+    k = len(up)
     up_step, up_update = upstream.step, upstream.update
     down_step, down_update = downstream.step, downstream.update
     ups, downs = [], []
-    for _ in range(len(noise)):
+    for i in range(len(rewards)):
         up_arm = up_step(NO_OFFER)
         down_arm = down_step(up_arm)
-        z, x = sample(up_arm, down_arm)
-        up_update(up_arm, z)
-        down_update(up_arm, down_arm, x)
+        up_update(up_arm, up[up_arm][i])
+        down_update(up_arm, down_arm, down(up_arm * k + down_arm)[i])
         ups.append(up_arm)
         downs.append(down_arm)
     return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
 
 
-def _property_rounds(upstream, downstream, instance: BanditInstance, noise: np.ndarray):
-    """Play one property round per row of noise: (up_arm, down_arm,
+def _property_rounds(upstream, downstream, rewards: RewardColumns):
+    """Play one property round per row of rewards: (up_arm, down_arm,
     offer_arm, amount) columns."""
-    sample = round_sampler(instance, noise)
+    up, down = rewards.up, rewards.down_column
+    k = len(up)
     up_step, up_update = upstream.step, upstream.update
     down_step, observe = downstream.step, downstream.observe
     ups, downs, offers = [], [], []
-    for _ in range(len(noise)):
+    for i in range(len(rewards)):
         offer, down_arm = down_step()
         up_arm = up_step(offer)
-        z, x = sample(up_arm, down_arm)
-        up_update(up_arm, z)
-        observe(up_arm, x)
+        up_update(up_arm, up[up_arm][i])
+        observe(up_arm, down(up_arm * k + down_arm)[i])
         ups.append(up_arm)
         downs.append(down_arm)
         offers.append(offer)
@@ -341,6 +342,67 @@ def _run_start(index: list[float], arm: int = -1, amount: float = 0.0) -> tuple[
     return a, math.nextafter(top, -math.inf) if wins_tie else top
 
 
+def _run(table: UCBIndex, a: int, bar: float, boost: float, zs, i: int, stop: int) -> int:
+    """Play one run of arm a on ``table`` from round i, before ``stop``, and
+    return the rounds played.
+
+    Round j records reward ``zs[j]`` with ``UCBIndex.record``'s arithmetic on
+    locals, and the run goes on while the new index plus ``boost`` stays
+    above ``bar`` (``_run_start``'s); the round that drops it to or below
+    ends the run. The entries are written back once."""
+    sqrt = math.sqrt
+    log_term = table.log_term
+    counts, means = table.counts, table.means
+    c, mean = counts[a], means[a]
+    for end in range(i, stop):
+        c += 1
+        mean += (zs[end] - mean) / c
+        value = mean + 2.0 * sqrt(log_term / c)
+        if value + boost <= bar:
+            break
+    m = c - counts[a]
+    counts[a], means[a], table.index[a] = c, mean, value
+    return m
+
+
+def _joint_run(
+    up: UCBIndex,
+    a: int,
+    bar: float,
+    boost: float,
+    zs,
+    table: UCBIndex,
+    p: int,
+    p_bar: float,
+    shift: float,
+    xs,
+    i: int,
+    stop: int,
+) -> int:
+    """``_run`` on two tables that move together: arm a of ``up`` records
+    ``zs[j]`` and entry p of ``table`` records ``xs[j] - shift`` each round,
+    and the run ends at the first round where either new index (a's plus
+    ``boost``) drops to its threshold. Returns the rounds played."""
+    sqrt = math.sqrt
+    log_up, log_p = up.log_term, table.log_term
+    counts, means = up.counts, up.means
+    c, mean = counts[a], means[a]
+    d, p_mean = table.counts[p], table.means[p]
+    for end in range(i, stop):
+        c += 1
+        mean += (zs[end] - mean) / c
+        value = mean + 2.0 * sqrt(log_up / c)
+        d += 1
+        p_mean += ((xs[end] - shift) - p_mean) / d
+        p_value = p_mean + 2.0 * sqrt(log_p / d)
+        if value + boost <= bar or p_value <= p_bar:
+            break
+    m = c - counts[a]
+    counts[a], means[a], up.index[a] = c, mean, value
+    table.counts[p], table.means[p], table.index[p] = d, p_mean, p_value
+    return m
+
+
 def ucb_offer_stretch(
     ucb: IncentiveAwareUCB,
     arm: int,
@@ -355,35 +417,15 @@ def ucb_offer_stretch(
     return how many rounds refused the offer (played another arm).
 
     Round i's reward for arm a is ``rewards[a][i]`` (``RewardColumns.up``).
-    Each round plays what ``ucb.step(IncentiveOffer(arm, amount))`` would
-    and updates the tables with ``UCBIndex.record``'s arithmetic, but the
-    rounds are played in runs of one arm. ``log_term`` is fixed and a round
-    changes only the played arm's entries, so while an arm plays every other
-    index, boosted or not, is frozen: ``_run_start`` reads the run's arm and
-    threshold from the tables once, and the run goes on, with the arm's
-    count, mean and index in locals, while its new (boosted) index stays
-    above the threshold. The round that drops it to or below ends the run,
-    the entries are written back, and the next run reads the tables again.
-    So a run that ``stop`` cuts resumes exactly where it was cut.
+    Each round plays what ``ucb.step(IncentiveOffer(arm, amount))`` would,
+    in runs of one arm (``_run``), so a run that ``stop`` cuts resumes
+    exactly where it was cut.
     """
-    sqrt = math.sqrt
-    log_term = ucb.log_term
-    pulls, means, index = ucb.counts, ucb.means, ucb.index
     refusals = 0
     i = start
     while i < stop:
-        a, bar = _run_start(index, arm, amount)
-        boost = amount if a == arm else 0.0
-        zs = rewards[a]
-        c, mean = pulls[a], means[a]
-        for end in range(i, stop):
-            c += 1
-            mean += (zs[end] - mean) / c
-            value = mean + 2.0 * sqrt(log_term / c)
-            if value + boost <= bar:
-                break
-        m = c - pulls[a]
-        pulls[a], means[a], index[a] = c, mean, value
+        a, bar = _run_start(ucb.index, arm, amount)
+        m = _run(ucb, a, bar, amount if a == arm else 0.0, rewards[a], i, stop)
         played.extend([a] * m)
         if a != arm:
             refusals += m
@@ -391,26 +433,22 @@ def ucb_offer_stretch(
     return refusals
 
 
-def _ucb_belgic_rounds(
-    upstream: IncentiveAwareUCB, downstream: Belgic, instance: BanditInstance, noise: np.ndarray
-):
+def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, rewards: RewardColumns):
     """_property_rounds for exactly (IncentiveAwareUCB, Belgic), with the
     upstream's and the pair bandit's lists updated in place: the same
-    columns and final policy state, rewards read from ``RewardColumns``.
+    columns and final policy state.
 
     The block's rounds are reserved up front. Each stretch of a search batch
     is played by ``ucb_offer_stretch`` and handed to ``Belgic.searched``
     with its refusals, so a batch that fills (and may end the search in
     mid-block) closes as it would under ``observe``. The play phase reads
-    Belgic's ``pair_plays`` and plays runs of one (pair, upstream arm), by
-    the stretch's rule: a refused offer leaves the pair table as it is, and
-    a taken one moves both tables, so the run ends at the first round where
-    either played entry drops to its threshold.
+    Belgic's ``pair_plays`` and plays runs of one (pair, upstream arm): a
+    refused offer moves the upstream table alone (``_run``), and a taken one
+    moves it and the pair table together (``_joint_run``).
     """
-    n = len(noise)
+    n = len(rewards)
     downstream.reserve(n)
     batch_length = downstream.params.batch_length
-    rewards = RewardColumns(instance, noise)
     up = rewards.up
     ups, downs, arms, amounts = [], [], [], []
     done = 0
@@ -426,45 +464,22 @@ def _ucb_belgic_rounds(
         downstream.searched(m, refusals)
 
     if done < n:
-        sqrt = math.sqrt
-        log_up = upstream.log_term
-        pulls, means, index = upstream.counts, upstream.means, upstream.index
         bandit = downstream.pair_ucb
-        log_pair = bandit.log_term
-        counts, pair_means, pair_index = bandit.counts, bandit.means, bandit.index
         # Belgic offers on arms 0..K-1, so each pair is also its own
         # (offered arm, own arm) downstream column.
         plays = [(offer.arm, own, offer.amount) for offer, own in downstream.pair_plays]
-        down = rewards.down
         i = done
         while i < n:
-            pair, pair_bar = _run_start(pair_index)
+            pair, pair_bar = _run_start(bandit.index)
             arm, own, amount = plays[pair]
-            a, bar = _run_start(index, arm, amount)
-            zs = up[a]
-            c, mean = pulls[a], means[a]
+            a, bar = _run_start(upstream.index, arm, amount)
             if a == arm:
-                xs = down[pair] or rewards.down_column(pair)
-                d, pair_mean = counts[pair], pair_means[pair]
-                for end in range(i, n):
-                    c += 1
-                    mean += (zs[end] - mean) / c
-                    value = mean + 2.0 * sqrt(log_up / c)
-                    d += 1
-                    pair_mean += ((xs[end] - amount) - pair_mean) / d
-                    pair_value = pair_mean + 2.0 * sqrt(log_pair / d)
-                    if value + amount <= bar or pair_value <= pair_bar:
-                        break
-                counts[pair], pair_means[pair], pair_index[pair] = d, pair_mean, pair_value
+                xs = rewards.down_column(pair)
+                m = _joint_run(
+                    upstream, a, bar, amount, up[a], bandit, pair, pair_bar, amount, xs, i, n
+                )
             else:
-                for end in range(i, n):
-                    c += 1
-                    mean += (zs[end] - mean) / c
-                    value = mean + 2.0 * sqrt(log_up / c)
-                    if value <= bar:
-                        break
-            m = c - pulls[a]
-            pulls[a], means[a], index[a] = c, mean, value
+                m = _run(upstream, a, bar, 0.0, up[a], i, n)
             ups += [a] * m
             downs += [own] * m
             arms += [arm] * m
@@ -480,52 +495,26 @@ def _ucb_belgic_rounds(
 
 
 def _ucb_naive_rounds(
-    upstream: IncentiveAwareUCB,
-    downstream: NaiveContextUCB,
-    instance: BanditInstance,
-    noise: np.ndarray,
+    upstream: IncentiveAwareUCB, downstream: NaiveContextUCB, rewards: RewardColumns
 ):
     """_no_property_rounds for exactly (IncentiveAwareUCB, NaiveContextUCB),
-    with the upstream's and each context's lists updated in place and
-    rewards read from ``RewardColumns``.
+    with the upstream's and each context's lists updated in place.
 
-    The rounds are played in runs of one (upstream arm a, downstream arm b),
-    by ``ucb_offer_stretch``'s rule with no offer. A round moves only a's
-    entry of the upstream table and b's of context a's row, so the run ends
-    at the first round where either drops to its threshold."""
-    sqrt = math.sqrt
-    log_up = upstream.log_term
-    pulls, means, index = upstream.counts, upstream.means, upstream.index
+    The rounds are played in runs of one (upstream arm a, downstream arm b)
+    with no offer: a round moves only a's entry of the upstream table and
+    b's of context a's row, so each run is one ``_joint_run`` with nothing
+    boosted or shifted."""
+    up, down = rewards.up, rewards.down_column
     k = upstream.n_arms
-    # Context a's table, and its first pair a * K in the downstream columns.
-    contexts = [
-        (c.counts, c.means, c.index, c.log_term, a * k) for a, c in enumerate(downstream.contexts)
-    ]
-    rewards = RewardColumns(instance, noise)
-    up, down = rewards.up, rewards.down
-    n = len(noise)
+    contexts = downstream.contexts
+    n = len(rewards)
     ups, downs = [], []
     i = 0
     while i < n:
-        a, up_bar = _run_start(index)
-        counts, row_means, row, log_down, first_pair = contexts[a]
-        b, row_bar = _run_start(row)
-        zs = up[a]
-        xs = down[first_pair + b] or rewards.down_column(first_pair + b)
-        c, mean = pulls[a], means[a]
-        d, row_mean = counts[b], row_means[b]
-        for end in range(i, n):
-            c += 1
-            mean += (zs[end] - mean) / c
-            value = mean + 2.0 * sqrt(log_up / c)
-            d += 1
-            row_mean += (xs[end] - row_mean) / d
-            row_value = row_mean + 2.0 * sqrt(log_down / d)
-            if value <= up_bar or row_value <= row_bar:
-                break
-        m = c - pulls[a]
-        pulls[a], means[a], index[a] = c, mean, value
-        counts[b], row_means[b], row[b] = d, row_mean, row_value
+        a, up_bar = _run_start(upstream.index)
+        row = contexts[a]
+        b, row_bar = _run_start(row.index)
+        m = _joint_run(upstream, a, up_bar, 0.0, up[a], row, b, row_bar, 0.0, down(a * k + b), i, n)
         ups += [a] * m
         downs += [b] * m
         i += m
@@ -578,7 +567,7 @@ def _play(
     for start in range(1, horizon + 1, BLOCK):
         n = min(BLOCK, horizon + 1 - start)
         rows = draw_noise(instance, rng, n) if noise is None else noise[start - 1 : start - 1 + n]
-        columns = play(upstream, downstream, instance, rows)
+        columns = play(upstream, downstream, RewardColumns(instance, rows))
         try:
             ledger, *gaps = fold_block(instance, oracle, ledger, start, *columns)
         except RuntimeError as exc:
@@ -690,5 +679,5 @@ def run_phase1(
     play = _round_function(True, upstream, belgic)
     n = params.batch_length
     while belgic.in_search_phase:
-        play(upstream, belgic, instance, draw_noise(instance, rng, n))
+        play(upstream, belgic, RewardColumns(instance, draw_noise(instance, rng, n)))
     return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds

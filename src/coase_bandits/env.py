@@ -99,7 +99,7 @@ def draw_noise(
     takes one uniform per player (slots no policy reads, kept so the stream
     stays as it always was), then one reward draw per player: with gaussian
     rewards standard normals, with bernoulli rewards uniforms that
-    ``round_sampler`` compares against the means. ``rng`` advances exactly
+    ``RewardColumns`` compares against the means. ``rng`` advances exactly
     as it would under the same number of scalar calls, so the rewards equal
     those of two uniform draws followed by ``sample_upstream`` and
     ``sample_downstream``, bit for bit, and ``rng`` is left in the same
@@ -291,47 +291,19 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
     return np.concatenate((wi, -wi)), ki, mult
 
 
-def round_sampler(instance: BanditInstance, noise: np.ndarray):
-    """The generic round loops' rewards: ``sample(up_arm, down_arm)`` ->
-    (upstream reward, downstream reward) of the next row of ``noise``, an
-    (n, 2) array from ``draw_noise``. A gaussian reward is the mean plus the
-    noise, a bernoulli one is 1.0 when the uniform falls below the mean. The
-    engine's kernels read the same rewards from ``RewardColumns``."""
-    v_up, v_down = instance.v_up, instance.v_down
-    # Column lists zipped, not one list per row: zip reuses its tuple once
-    # the caller has unpacked it, so a round allocates no row.
-    next_row = zip(*noise.T.tolist()).__next__
-    if instance.reward_model == "gaussian":
-
-        def sample(up_arm: int, down_arm: int) -> tuple[float, float]:
-            z, x = next_row()
-            return v_up[up_arm] + z, v_down[up_arm][down_arm] + x
-
-    else:
-
-        def sample(up_arm: int, down_arm: int) -> tuple[float, float]:
-            p, q = next_row()
-            return (
-                1.0 if p < v_up[up_arm] else 0.0,
-                1.0 if q < v_down[up_arm][down_arm] else 0.0,
-            )
-
-    return sample
-
-
 class RewardColumns:
-    """One block's rewards read by round index, for the engine's kernels:
-    ``up[a][i]`` is arm a's upstream reward in row i of ``noise`` (an
-    (n, players) array from ``draw_noise``), and ``down_column(pair)[i]``
-    the downstream reward at pair = a * K + b in that row. Each column is
-    ``round_sampler``'s arithmetic done elementwise by numpy, so the values
-    are the same floats: the mean plus the noise (gaussian), or 1.0 where
-    the uniform falls below the mean (bernoulli).
+    """One block's rewards read by round index: ``up[a][i]`` is arm a's
+    upstream reward in row i of ``noise`` (an (n, players) array from
+    ``draw_noise``), and ``down_column(pair)[i]`` the downstream reward at
+    pair = a * K + b in that row. This is the one statement of the reward
+    rule, done elementwise by numpy: the mean plus the noise (gaussian), or
+    1.0 where the uniform falls below the mean (bernoulli). Every round
+    function of the engine reads its rewards here.
 
     The K upstream columns are built up front. A downstream column is built
-    the first time a kernel asks for it and kept in ``down`` (None until
-    then): a block usually reads a few of the K^2 pairs, and building all of
-    them up front costs more than the reads save at K=5.
+    the first time a round function asks for it and kept: a block usually
+    reads a few of the K^2 pairs, and building all of them up front costs
+    more than the reads save at K=5.
     """
 
     def __init__(self, instance: BanditInstance, noise: np.ndarray):
@@ -339,7 +311,10 @@ class RewardColumns:
         self._noise = noise
         self._v_down = [mean for row in instance.v_down for mean in row]
         self.up = [self._column(mean, 0) for mean in instance.v_up]
-        self.down: list[list[float] | None] = [None] * len(self._v_down)
+        self._down: list[list[float] | None] = [None] * len(self._v_down)
+
+    def __len__(self) -> int:
+        return len(self._noise)
 
     def _column(self, mean: float, player: int) -> list[float]:
         noise = self._noise[:, player]
@@ -348,9 +323,9 @@ class RewardColumns:
         return (noise < mean).astype(float).tolist()
 
     def down_column(self, pair: int) -> list[float]:
-        column = self.down[pair]
+        column = self._down[pair]
         if column is None:
-            column = self.down[pair] = self._column(self._v_down[pair], 1)
+            column = self._down[pair] = self._column(self._v_down[pair], 1)
         return column
 
 

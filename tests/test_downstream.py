@@ -485,7 +485,6 @@ class TestDoubles:
         offer, own_arm = double.step()
         assert (offer.arm, offer.amount) == (1, 0.4)
         assert own_arm == 0
-        assert not double.in_search_phase
         double.observe(1, 0.5)  # no-op
 
     def test_zero_transfer_double(self):

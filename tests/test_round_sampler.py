@@ -1,4 +1,4 @@
-"""The noise stream, the round sampler and the cached UCB indices against a
+"""The noise stream, the reward columns and the cached UCB indices against a
 scalar reference.
 
 The reference is the round loop written the long way: every round draws the
@@ -6,8 +6,9 @@ two uniform slots with scalar calls, then the rewards through
 ``sample_upstream`` and ``sample_downstream``, and every UCB step recomputes
 its indices from the counts and means and tries the unsampled arms or pairs
 first by an explicit sweep, not through +inf indices. ``env.draw_noise``,
-``env.round_sampler`` and the cached indices must reproduce it bit for bit,
-in the engine, in ``run_phase1`` and in criterion 6's certificate run.
+``env.RewardColumns`` (the one reward view every round function reads) and
+the cached indices must reproduce it bit for bit, in the engine, in
+``run_phase1`` and in criterion 6's certificate run.
 
 The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state. The
@@ -27,7 +28,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from coase_bandits.acceptance import (
@@ -70,7 +71,6 @@ from coase_bandits.env import (
     build_instance,
     compute_oracle,
     draw_noise,
-    round_sampler,
     sample_downstream,
     sample_upstream,
 )
@@ -290,6 +290,19 @@ def ref_certificate_run(seed):
     return out
 
 
+def assert_same_column(name, mine, theirs):
+    """Assert two columns of rounds are equal. A failure names the column and
+    its first differing row, rather than handing pytest thousands of rounds
+    to diff."""
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
+    if np.array_equal(mine, theirs):
+        return
+    if mine.shape != theirs.shape:
+        pytest.fail(f"{name}: shape {mine.shape} against {theirs.shape}")
+    i = int(np.flatnonzero(mine != theirs)[0])
+    pytest.fail(f"{name}: row {i} is {mine[i].item()!r}, expected {theirs[i].item()!r}")
+
+
 def normal_took_slow_path(rng):
     """Draw one standard normal; True when it used more than one 64-bit word
     (the ziggurat's rejection path)."""
@@ -312,8 +325,11 @@ class TestRoundSampler:
         arms = np.random.default_rng(99).integers(0, 3, size=(2000, 2)).tolist()
         for seed in range(5):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            sample = round_sampler(inst, draw_noise(inst, fast, len(arms)))
-            assert [sample(a, b) for a, b in arms] == [scalar_round(inst, slow, a, b) for a, b in arms]
+            rewards = RewardColumns(inst, draw_noise(inst, fast, len(arms)))
+            got = [
+                (rewards.up[a][i], rewards.down_column(a * 3 + b)[i]) for i, (a, b) in enumerate(arms)
+            ]
+            assert got == [scalar_round(inst, slow, a, b) for a, b in arms]
             assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_rejection_path_normals_are_covered(self):
@@ -593,6 +609,12 @@ class TestGaussianReplay:
 
 # ---------------------------------------------------------------- the games
 
+#: Hypothesis's phases without "explain", which replays a failing example
+#: under line tracing: on a game of thousands of rounds that takes minutes.
+#: The tests that play games use these; generation and shrinking are as
+#: before.
+NO_EXPLAIN = tuple(phase for phase in Phase if phase.name != "explain")
+
 GAME_KINDS = [
     ("property", up, down) for up in ("ucb", "best_response") for down in ("belgic", "oracle", "zero")
 ] + [("no-property", up, down) for up in ("ucb", "best_response") for down in ("naive", "best_response")]
@@ -652,7 +674,7 @@ def _learned_state(policy):
 class TestGamesMatchScalarReference:
     @pytest.mark.parametrize("horizon", HORIZONS)
     @pytest.mark.parametrize("kind", GAME_KINDS, ids="-".join)
-    @settings(max_examples=2, deadline=None)
+    @settings(max_examples=2, deadline=None, phases=NO_EXPLAIN)
     @given(instance=_instances(), seed=st.integers(0, 2**32 - 1))
     def test_engine(self, kind, horizon, instance, seed):
         mode, up_kind, down_kind = kind
@@ -667,19 +689,19 @@ class TestGamesMatchScalarReference:
         columns = ref_play(instance, *ref_players, horizon, seed, property_mode)
 
         records = result.records
-        assert records.up_arm.tolist() == columns[0]
-        assert records.down_arm.tolist() == columns[1]
+        assert_same_column("up_arm", records.up_arm, columns[0])
+        assert_same_column("down_arm", records.down_arm, columns[1])
         if property_mode:
-            assert records.offered_arm.tolist() == columns[2]
-            assert records.tau.tolist() == columns[3]
+            assert_same_column("offered_arm", records.offered_arm, columns[2])
+            assert_same_column("tau", records.tau, columns[3])
             ledger, *gaps = fold_block(instance, result.oracle, RegretLedger(), 1, *columns)
         else:
             ledger, *gaps = fold_block(instance, result.oracle, RegretLedger(), 1, *columns[:2])
         for field in dataclasses.fields(RegretLedger):
             assert getattr(result.ledger, field.name) == getattr(ledger, field.name), field.name
-        assert records.gap_sw.tolist() == gaps[0].tolist()
-        assert records.gap_up.tolist() == gaps[1].tolist()
-        assert records.gap_down.tolist() == gaps[2].tolist()
+        assert_same_column("gap_sw", records.gap_sw, gaps[0])
+        assert_same_column("gap_up", records.gap_up, gaps[1])
+        assert_same_column("gap_down", records.gap_down, gaps[2])
         for mine, theirs in zip(players, ref_players):
             assert _learned_state(mine) == _learned_state(theirs)
         if down_kind == "belgic":
@@ -687,7 +709,7 @@ class TestGamesMatchScalarReference:
             assert result.tau_hat == ref_players[1].tau_hat
 
     @pytest.mark.parametrize("up_kind", ["ucb", "best_response"])
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15, deadline=None, phases=NO_EXPLAIN)
     @given(
         instance=_instances(),
         horizon=st.sampled_from((256, 1024, BLOCK, 2 * BLOCK + 3)),
@@ -751,13 +773,13 @@ def _schedule(k, batch_length, n_batches, extra):
 
 
 def _assert_same_game(result, generic):
-    for field in dataclasses.fields(RegretLedger):
-        assert getattr(result.ledger, field.name) == getattr(generic.ledger, field.name), field.name
     for column in ("up_arm", "down_arm", "gap_sw", "gap_up", "gap_down", "offered_arm", "tau"):
         mine, theirs = getattr(result.records, column), getattr(generic.records, column)
         assert (mine is None) == (theirs is None)
         if mine is not None:
-            assert mine.tolist() == theirs.tolist(), column
+            assert_same_column(column, mine, theirs)
+    for field in dataclasses.fields(RegretLedger):
+        assert getattr(result.ledger, field.name) == getattr(generic.ledger, field.name), field.name
     for field in ("tau_hat", "phase1_rounds", "phase1_batches", "breakdown_bound"):
         assert getattr(result, field) == getattr(generic, field), field
 
@@ -767,7 +789,7 @@ class TestKernelsMatchGenericLoop:
     kernels against the generic round loop, which plays a subclass."""
 
     @pytest.mark.parametrize("k,batch_length,n_batches", KERNEL_SCHEDULES)
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=8, deadline=None, phases=NO_EXPLAIN)
     @given(data=st.data(), extra=st.sampled_from((1, 100, BLOCK + 7)), seed=st.integers(0, 2**32 - 1))
     def test_ucb_belgic(self, k, batch_length, n_batches, data, extra, seed):
         instance = data.draw(_instances(k))
@@ -784,7 +806,7 @@ class TestKernelsMatchGenericLoop:
         if batch_length == BLOCK:
             assert result.phase1_rounds == k * BLOCK
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, phases=NO_EXPLAIN)
     @given(
         instance=_instances(),
         horizon=st.sampled_from((5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)),
@@ -913,12 +935,13 @@ class TestOfferStretch:
         refusals = ucb_offer_stretch(
             ucb, arm, amount, RewardColumns(instance, noise).up, start, start + m, played
         )
-        sample = round_sampler(instance, noise[start:])
+        slow = np.random.default_rng(seed)
+        scalar_noise(instance, slow, start)
         offer = IncentiveOffer(arm, amount)
         ref_played = []
         for _ in range(m):
             a = ref.step(offer)
-            ref.update(a, sample(a, 0)[0])
+            ref.update(a, scalar_round(instance, slow, a, 0)[0])
             ref_played.append(a)
         assert played == ref_played
         assert refusals == sum(a != arm for a in ref_played)
@@ -955,10 +978,25 @@ def _no_exploration_bonus(*tables):
 
 
 def _play_in_pieces(play, players, instance, noise, cuts):
-    """Play noise's rows in pieces split at cuts; the columns joined."""
+    """Play noise's rows in pieces split at cuts, each piece's rewards one
+    RewardColumns; the columns joined."""
     bounds = [0, *sorted(cuts), len(noise)]
-    pieces = [play(*players, instance, noise[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
-    return [np.concatenate(column).tolist() for column in zip(*pieces)]
+    pieces = [
+        play(*players, RewardColumns(instance, noise[a:b]))
+        for a, b in zip(bounds, bounds[1:])
+        if a < b
+    ]
+    return [np.concatenate(column) for column in zip(*pieces)]
+
+
+def _assert_same_columns(columns, generic):
+    """A kernel's columns against the generic loop's, named as they are
+    returned: (up_arm, down_arm), then (offered_arm, amount) in the property
+    mode."""
+    assert len(columns) == len(generic)
+    names = ("up_arm", "down_arm", "offered_arm", "amount")
+    for name, mine, theirs in zip(names, columns, generic):
+        assert_same_column(name, mine, theirs)
 
 
 class TestRuns:
@@ -998,7 +1036,7 @@ class TestRuns:
         assert refusals == sum(a != arm for a in ref_played)
         assert _learned_state(ucb) == _learned_state(ref)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
     @given(
         k=st.integers(1, 5),
         n=st.integers(1, 300),
@@ -1013,11 +1051,11 @@ class TestRuns:
             _no_exploration_bonus(up, *down.contexts)
         columns = _play_in_pieces(_ucb_naive_rounds, players, instance, noise, cuts)
         generic = _play_in_pieces(_no_property_rounds, generic_players, instance, noise, cuts)
-        assert columns == generic
+        _assert_same_columns(columns, generic)
         for mine, theirs in zip(players, generic_players):
             assert _learned_state(mine) == _learned_state(theirs)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
     @given(
         k=st.integers(1, 5),
         cuts=st.lists(st.integers(0, 4096), max_size=2),
@@ -1036,7 +1074,7 @@ class TestRuns:
             _no_exploration_bonus(up, down.pair_ucb)
         columns = _play_in_pieces(_ucb_belgic_rounds, players, instance, noise, cuts)
         generic = _play_in_pieces(_property_rounds, generic_players, instance, noise, cuts)
-        assert columns == generic
+        _assert_same_columns(columns, generic)
         for mine, theirs in zip(players, generic_players):
             assert _learned_state(mine) == _learned_state(theirs)
         assert all((tau * 2**10).is_integer() for tau in players[1].tau_hat)
