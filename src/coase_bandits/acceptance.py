@@ -5,7 +5,9 @@ with one human-readable pass/fail line. Everything is pinned: instances,
 seeds, horizons, search parameters, and tolerances. The test suite and the
 ``accept`` CLI subcommand both run these; nothing here depends on wall
 clock, machine, or process count: independent runs go through
-``runner.fan_out`` and are aggregated in their pinned task order.
+``runner.fan_out`` and are aggregated in their pinned task order. Each
+pinned instance is stated once, and every config on it is built from it by
+``_config``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GameConfig, config_instance
+from .config import GameConfig
 from .downstream import BelgicParams
 from .engine import DECOMPOSITION_TOL, run_phase1, ucb_offer_stretch
 from .env import (
@@ -33,7 +35,7 @@ from .env import (
     transfer_grid_optimum,
 )
 from .firm import FirmExample, firm_demo
-from .runner import fan_out, simulate_command, simulate_run, sweep
+from .runner import fan_out, play_seed, simulate_command, sweep
 from .upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
@@ -76,6 +78,23 @@ def instance_suite() -> list[BanditInstance]:
     ]
 
 
+#: Criterion 3's misaligned instance; criteria 2 and 8 play it too.
+BREAKDOWN_INSTANCE = build_instance((1.0, 0.3), ((0.0, 0.0), (0.9, 0.85)))
+#: Criterion 4's sandwich instance; criteria 2 and 8 play it too.
+SANDWICH_INSTANCE = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
+
+
+def _config(inst: BanditInstance, **keys) -> GameConfig:
+    """A config on ``inst`` (its arms, means and reward model) with ``keys``."""
+    return GameConfig(
+        n_arms=inst.n_arms,
+        v_up=inst.v_up,
+        v_down=inst.v_down,
+        reward_model=inst.reward_model,
+        **keys,
+    )
+
+
 # ---------------------------------------------------------------- criterion 1
 
 GRID_STEP = 1e-6
@@ -105,55 +124,48 @@ def criterion_1_oracle_identity() -> CriterionResult:
 
 MATRIX_HORIZON = 4096
 MATRIX_SEEDS = (0, 1, 2)
-MATRIX_INSTANCES = (
-    build_instance((1.0, 0.3), ((0.0, 0.0), (0.9, 0.85))),
-    build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3))),
-)
+MATRIX_INSTANCES = (BREAKDOWN_INSTANCE, SANDWICH_INSTANCE)
 MATRIX_ALPHA, MATRIX_BETA, MATRIX_SCALE = 0.75, 0.25, 1.0
 
 
-def _matrix_config(inst: BanditInstance, up_kind: str, down_kind: str) -> GameConfig:
-    return GameConfig(
-        mode="property",
-        n_arms=inst.n_arms,
-        horizon=MATRIX_HORIZON,
-        seeds=MATRIX_SEEDS,
-        v_up=inst.v_up,
-        v_down=inst.v_down,
-        reward_model=inst.reward_model,
-        alpha=MATRIX_ALPHA,
-        beta=MATRIX_BETA,
-        upstream_policy=up_kind,
-        c_mode=f"fixed:{MATRIX_SCALE}",
-        downstream_policy=down_kind,
-    )
-
-
-def _matrix_run(task) -> tuple[int, float]:
-    """One property-mode game of the matrix: (rounds, min decomposition slack)."""
-    cfg, seed = task
-    result = simulate_run(cfg, config_instance(cfg), cfg.horizon, seed)
-    return result.ledger.rounds, result.ledger.decomposition_min_slack
+def _matrix_configs(inst: BanditInstance) -> list[GameConfig]:
+    """The matrix's six policy pairs on ``inst``."""
+    return [
+        _config(
+            inst,
+            mode="property",
+            horizon=MATRIX_HORIZON,
+            seeds=MATRIX_SEEDS,
+            alpha=MATRIX_ALPHA,
+            beta=MATRIX_BETA,
+            upstream_policy=up_kind,
+            c_mode=f"fixed:{MATRIX_SCALE}",
+            downstream_policy=down_kind,
+        )
+        for up_kind in ("ucb", "best_response")
+        for down_kind in ("belgic", "oracle", "zero")
+    ]
 
 
 def criterion_2_pathwise_decomposition() -> CriterionResult:
     """Per-round regret decomposition across the whole property-mode matrix.
 
-    The engine raises on any violation; this criterion also reports the
-    minimum observed slack, which must stay above -1e-12.
+    Each (instance, seed) is one ``runner.play_seed`` task holding the six
+    policy pairs, so the seed's noise is drawn once for all six games. The
+    engine raises on any violation; this criterion also reports the rounds
+    played and the minimum observed slack, read from the returned
+    summaries, and the slack must stay above -1e-12.
     """
     t0 = time.perf_counter()
     tasks = [
-        (_matrix_config(inst, up_kind, down_kind), seed)
+        (_matrix_configs(inst), [MATRIX_HORIZON], seed)
         for inst in MATRIX_INSTANCES
-        for up_kind in ("ucb", "best_response")
-        for down_kind in ("belgic", "oracle", "zero")
         for seed in MATRIX_SEEDS
     ]
-    outcomes = fan_out(_matrix_run, tasks)
-    runs = len(outcomes)
-    rounds = sum(r for r, _ in outcomes)
-    min_slack = min(slack for _, slack in outcomes)
+    summaries = [s for played in fan_out(play_seed, tasks) for s in played]
+    runs = len(summaries)
+    rounds = sum(s.horizon for s in summaries)
+    min_slack = min(s.decomposition_min_slack for s in summaries)
     passed = min_slack >= -DECOMPOSITION_TOL
     detail = (
         f"{runs} runs / {rounds} property-mode rounds, zero violations; "
@@ -164,21 +176,17 @@ def criterion_2_pathwise_decomposition() -> CriterionResult:
 
 # ---------------------------------------------------------------- criterion 3
 
-BREAKDOWN_INSTANCE = build_instance((1.0, 0.3), ((0.0, 0.0), (0.9, 0.85)))
 BREAKDOWN_HORIZONS = (2**10, 2**12, 2**14)
 BREAKDOWN_SEEDS = tuple(range(50))
 BREAKDOWN_TOP_T = 2**14
 
 
 def breakdown_config() -> GameConfig:
-    return GameConfig(
+    return _config(
+        BREAKDOWN_INSTANCE,
         mode="no-property",
-        n_arms=BREAKDOWN_INSTANCE.n_arms,
         horizon=BREAKDOWN_HORIZONS[0],
         seeds=BREAKDOWN_SEEDS,
-        v_up=BREAKDOWN_INSTANCE.v_up,
-        v_down=BREAKDOWN_INSTANCE.v_down,
-        reward_model=BREAKDOWN_INSTANCE.reward_model,
         upstream_policy="ucb",
         downstream_policy="naive",
     )
@@ -214,7 +222,6 @@ def criterion_3_welfare_breakdown() -> CriterionResult:
 SEARCH_HORIZON = 2**14
 SEARCH_ALPHA, SEARCH_BETA = 0.75, 0.25
 SEARCH_SCALE = 1.0
-SANDWICH_INSTANCE = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
 SANDWICH_SEEDS = tuple(range(1000, 1200))
 WIDTH_TOL = 1e-12
 # The default exponents cannot fit phase 1 for K in {3, 5} at desk horizons,
@@ -332,13 +339,11 @@ SLOPE_CAP = 0.9
 
 
 def efficiency_config() -> GameConfig:
-    return GameConfig(
+    return _config(
+        EFFICIENCY_INSTANCE,
         mode="property",
-        n_arms=2,
         horizon=EFFICIENCY_HORIZONS[0],
         seeds=EFFICIENCY_SEEDS,
-        v_up=EFFICIENCY_INSTANCE.v_up,
-        v_down=EFFICIENCY_INSTANCE.v_down,
         alpha=EFFICIENCY_ALPHA,
         beta=EFFICIENCY_BETA,
         upstream_policy="ucb",
@@ -483,13 +488,11 @@ def criterion_7_firm_demo() -> CriterionResult:
 # ---------------------------------------------------------------- criterion 8
 
 DETERMINISM_CONFIGS = (
-    GameConfig(
+    _config(
+        SANDWICH_INSTANCE,
         mode="property",
-        n_arms=2,
         horizon=2048,
         seeds=(7, 11),
-        v_up=(0.9, 0.5),
-        v_down=((0.2, 0.1), (0.8, 0.3)),
         alpha=0.75,
         beta=0.25,
         upstream_policy="ucb",
@@ -497,13 +500,11 @@ DETERMINISM_CONFIGS = (
         downstream_policy="belgic",
         trajectory="full",
     ),
-    GameConfig(
+    _config(
+        BREAKDOWN_INSTANCE,
         mode="no-property",
-        n_arms=2,
         horizon=2048,
         seeds=(7, 11),
-        v_up=(1.0, 0.3),
-        v_down=((0.0, 0.0), (0.9, 0.85)),
         upstream_policy="ucb",
         downstream_policy="naive",
         trajectory="full",

@@ -7,8 +7,9 @@ rewards. Both modes read each round's noise from rows of
 depend on the arms played, so a game at horizon T reads exactly the first T
 rounds of ``default_rng(seed)``'s stream, whatever the arms, the mode or the
 policies: runs with the same seed stay comparable across modes and
-policies, and a sweep draws each seed's noise once and plays every horizon
-on a prefix of it.
+policies. ``runner.play_seed`` relies on this: it draws a seed's noise once
+and plays every config and horizon of that seed on a prefix of it, as a
+sweep's per-seed tasks and criterion 2's six policy pairs do.
 
 One block loop plays both modes: it asks a round function for a block of
 ``BLOCK`` rounds (fewer at the end), which only drives the policies and

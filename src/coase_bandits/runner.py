@@ -1,5 +1,10 @@
 """Run orchestration and CSV serialization.
 
+A ``play_seed`` task plays one seed's games, configs on one instance at
+several horizons, on one draw of the seed's noise. ``sweep`` fans out one
+task per seed and acceptance criterion 2 one per (instance, seed), through
+``fan_out``, which returns results in task order whatever the pool.
+
 All CSV output is schema-stable: '\\n' line endings, '.' decimal points,
 floats at 17 significant digits so every value parses back bit-identically.
 Except for the trajectory, each file holds one record dataclass per row, its
@@ -168,35 +173,15 @@ def simulate_run(
 
 
 def summarize(cfg: GameConfig, result: GameResult) -> RunSummary:
-    led, oracle = result.ledger, result.oracle
+    """One game's RunSummary. Each field is read by name from the first of
+    the result, its ledger, its oracle, its instance and the config that has
+    it; the config gives only the two policy names."""
+    sources = (result, result.ledger, result.oracle, result.instance, cfg)
     return RunSummary(
-        mode=result.mode,
-        seed=result.seed,
-        horizon=result.horizon,
-        n_arms=result.instance.n_arms,
-        reward_model=result.instance.reward_model,
-        upstream_policy=cfg.upstream_policy,
-        downstream_policy=cfg.downstream_policy,
-        r_sw=led.r_sw,
-        r_up_n=led.r_up_n,
-        r_down_n=led.r_down_n,
-        r_up_p=led.r_up_p,
-        r_down_p=led.r_down_p,
-        up_utility=led.up_utility,
-        down_utility=led.down_utility,
-        welfare=led.welfare,
-        decomposition_min_slack=led.decomposition_min_slack,
-        misaligned=result.misaligned,
-        phase1_rounds=result.phase1_rounds,
-        tau_hat=result.tau_hat,
-        a_sw=oracle.a_sw,
-        b_sw=oracle.b_sw,
-        welfare_star=oracle.welfare_star,
-        mu_star_up=oracle.mu_star_up,
-        mu_star_down=oracle.mu_star_down,
-        delta_up=oracle.delta_up,
-        delta_sw=oracle.delta_sw,
-        breakdown_bound=result.breakdown_bound,
+        **{
+            f.name: getattr(next(s for s in sources if hasattr(s, f.name)), f.name)
+            for f in fields(RunSummary)
+        }
     )
 
 
@@ -358,17 +343,18 @@ def fan_out(fn, tasks, max_workers: int | None = None) -> list:
     return [fn(t) for t in tasks]
 
 
-def _sweep_task(packed) -> list[RunSummary]:
-    """Play one seed of a sweep at each horizon given, in order. With more
-    than one horizon the seed's noise is drawn once, for the largest, and
-    each game reads a prefix of it, so the task holds 16 bytes (two float64)
-    per round of that horizon. A lone horizon draws block by block."""
-    cfg, horizons, seed = packed
-    instance = config_instance(cfg)
+def play_seed(packed) -> list[RunSummary]:
+    """One fan_out task, (cfgs, horizons, seed): the seed's game of every
+    config (all on the first one's instance) at every horizon, in that order.
+    With more than one game the seed's noise is drawn once, for the largest
+    horizon, and each game reads a prefix of it, so the task holds 16 bytes
+    (two float64) per round of that horizon. A lone game draws block by block."""
+    cfgs, horizons, seed = packed
+    instance = config_instance(cfgs[0])
     noise = None
-    if len(horizons) > 1:
+    if len(cfgs) * len(horizons) > 1:
         noise = draw_noise(instance, np.random.default_rng(seed), max(horizons))
-    return [summarize(cfg, simulate_run(cfg, instance, h, seed, noise=noise)) for h in horizons]
+    return [summarize(c, simulate_run(c, instance, h, seed, noise=noise)) for c in cfgs for h in horizons]
 
 
 @dataclass(frozen=True)
@@ -405,12 +391,12 @@ def sweep(
     """Run the config's seeds at each horizon; aggregate and fit the slope.
 
     Horizons are validated up front (each must pass the same checks as a
-    single run at that horizon). Each seed is one fan_out task that plays
-    every horizon on its noise, drawn once; when the seeds are fewer than
-    the pool's workers, each (horizon, seed) game is a task of its own so
-    every worker has work. Either way results never depend on scheduling
-    order and equal those of games played alone. ``results`` is keyed and
-    ordered by (horizon, seed).
+    single run at that horizon). Each seed is one ``play_seed`` task of the
+    config at every horizon, on the seed's noise drawn once; when the seeds
+    are fewer than the pool's workers, each (horizon, seed) game is a task
+    of its own so every worker has work. Either way results never depend on
+    scheduling order and equal those of games played alone. ``results`` is
+    keyed and ordered by (horizon, seed).
     """
     from .config import validate_config
     from dataclasses import replace
@@ -424,10 +410,10 @@ def sweep(
 
     horizons = sorted(horizons)
     groups = [horizons] if len(cfg.seeds) >= worker_cap(max_workers) else [[h] for h in horizons]
-    tasks = [(cfg, group, seed) for group in groups for seed in cfg.seeds]
+    tasks = [([cfg], group, seed) for group in groups for seed in cfg.seeds]
     played = {
         (horizon, seed): summary
-        for (_, group, seed), summaries in zip(tasks, fan_out(_sweep_task, tasks, max_workers))
+        for (_, group, seed), summaries in zip(tasks, fan_out(play_seed, tasks, max_workers))
         for horizon, summary in zip(group, summaries)
     }
     results: dict[tuple[int, int], RunSummary] = {

@@ -825,6 +825,40 @@ class TestKernelsMatchGenericLoop:
             assert _learned_state(mine) == _learned_state(theirs)
 
     @pytest.mark.parametrize("mode", ["property", "no-property"])
+    @settings(max_examples=10, deadline=None, phases=NO_EXPLAIN)
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_exact_ties_in_a_game(self, mode, k, seed):
+        # TestRuns' tie cases as whole games through run_property and
+        # run_no_property: zero means, the game's noise rows from
+        # _DYADIC_REWARDS, and every log_term at 0.0, so indices meet exactly
+        # in every game and the arm numbers decide who plays. The property
+        # game's horizon is 2^16 with beta 1/4 and no certificate pad, so the
+        # search offers and the estimates are dyadic; each game crosses block
+        # boundaries.
+        instance = _zero_means(k)
+        if mode == "property":
+            horizon, run = 2**16, run_property
+            params = BelgicParams(k, horizon, 0.6, 0.25, RegretCertificate(0.0))
+            players = IncentiveAwareUCB(k, horizon), Belgic(params)
+            generic_players = GenericUCB(k, horizon), Belgic(params)
+            for up, down in (players, generic_players):
+                _no_exploration_bonus(up, down.pair_ucb)
+        else:
+            horizon, run = 2 * BLOCK + 3, run_no_property
+            players = IncentiveAwareUCB(k, horizon), NaiveContextUCB(k, horizon)
+            generic_players = GenericUCB(k, horizon), NaiveContextUCB(k, horizon)
+            for up, down in (players, generic_players):
+                _no_exploration_bonus(up, *down.contexts)
+        noise = _dyadic_noise(seed, horizon)
+        result = run(instance, *players, horizon, seed, record_trajectory=True, noise=noise)
+        generic = run(instance, *generic_players, horizon, seed, record_trajectory=True, noise=noise)
+        _assert_same_game(result, generic)
+        for mine, theirs in zip(players, generic_players):
+            assert _learned_state(mine) == _learned_state(theirs)
+        if mode == "property":
+            assert all((tau * 2**10).is_integer() for tau in result.tau_hat)
+
+    @pytest.mark.parametrize("mode", ["property", "no-property"])
     def test_subclasses_are_played_by_the_generic_loop(self, mode):
         class CountingUCB(IncentiveAwareUCB):
             steps = 0

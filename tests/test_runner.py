@@ -20,11 +20,13 @@ from coase_bandits.config import (
 )
 from coase_bandits.downstream import Phase1Batch
 from coase_bandits.engine import BLOCK
+from coase_bandits.env import draw_noise
 from coase_bandits.runner import (
     RunSummary,
     SweepRow,
     fan_out,
     fit_loglog_slope,
+    play_seed,
     read_run_summaries,
     read_sweep_table,
     simulate_command,
@@ -511,6 +513,30 @@ class TestSharedNoiseSweep:
         assert [tuple(group) for _, group, _ in spy.call_args.args[1]] == tasks
 
 
+class TestPlaySeed:
+    CFGS = [PROPERTY_CFG, dataclasses.replace(PROPERTY_CFG, mode="no-property", downstream_policy="naive")]
+
+    @pytest.mark.parametrize("horizons", [[4096, 8192], [4096]])
+    def test_games_in_order_on_one_draw(self, horizons):
+        # Two configs on one instance, as criterion 2 plays them at one
+        # horizon and a paired sweep at several: the seed's noise is drawn
+        # once, for the largest horizon, and each summary equals its game
+        # played alone; configs in order, each at every horizon in order.
+        with mock.patch("coase_bandits.runner.draw_noise", wraps=draw_noise) as spy:
+            played = play_seed((self.CFGS, horizons, 7))
+        assert [call.args[2] for call in spy.call_args_list] == [max(horizons)]
+        instance = config_instance(PROPERTY_CFG)
+        alone = [summarize(cfg, simulate_run(cfg, instance, h, 7)) for cfg in self.CFGS for h in horizons]
+        assert [(s.mode, s.horizon) for s in played] == [(cfg.mode, h) for cfg in self.CFGS for h in horizons]
+        assert [s.to_row() for s in played] == [s.to_row() for s in alone]
+
+    def test_a_lone_game_draws_block_by_block(self):
+        with mock.patch("coase_bandits.runner.draw_noise", wraps=draw_noise) as spy:
+            (summary,) = play_seed(([PROPERTY_CFG], [4096], 7))
+        assert spy.call_count == 0
+        assert summary == summarize(PROPERTY_CFG, simulate_run(PROPERTY_CFG, config_instance(PROPERTY_CFG), 4096, 7))
+
+
 class TestSweepFiles:
     def test_write_read_round_trip(self, tmp_path):
         rows, _, _ = sweep(DYADIC_NO_PROPERTY, [64, 128], max_workers=1)
@@ -636,3 +662,17 @@ class TestSummarize:
         assert s.r_sw == result.ledger.r_sw
         assert s.breakdown_bound == result.breakdown_bound
         assert s.tau_hat is None
+
+    def test_fields_come_from_the_game_not_the_config(self):
+        # A sweep's games keep the config's own horizon; the summary takes the
+        # game's, and only the policy names from the config.
+        cfg = dataclasses.replace(PROPERTY_CFG, horizon=8192)
+        result = simulate_run(cfg, config_instance(cfg), 4096, 7)
+        s = summarize(cfg, result)
+        assert (s.mode, s.seed, s.horizon, s.n_arms, s.reward_model) == ("property", 7, 4096, 2, "gaussian")
+        assert (s.upstream_policy, s.downstream_policy) == ("ucb", "belgic")
+        assert (s.r_sw, s.welfare) == (result.ledger.r_sw, result.ledger.welfare)
+        assert s.decomposition_min_slack == result.ledger.decomposition_min_slack
+        assert s.tau_hat is not None and s.tau_hat == result.tau_hat
+        assert (s.phase1_rounds, s.breakdown_bound) == (result.phase1_rounds, None)
+        assert (s.a_sw, s.b_sw, s.delta_sw) == (result.oracle.a_sw, result.oracle.b_sw, result.oracle.delta_sw)
