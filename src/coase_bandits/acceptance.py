@@ -406,10 +406,11 @@ def _certificate_run(seed: int) -> list[float]:
     Each round draws one player's noise (``draw_noise`` with ``players=1``),
     and the instance's gaussian reward is the mean plus that noise, read by
     round index from ``RewardColumns``. Each 256-round batch is one
-    ``ucb_offer_stretch`` at that batch's offer. The regret is one
-    ``np.cumsum`` of the per-round gaps ``best - (v_up[played] + bonus)``;
-    a 1-D cumsum adds in round order, so each checkpoint is the float a
-    running ``+=`` gives.
+    ``ucb_offer_stretch`` at that batch's offer, and the stretches' (rounds,
+    arm) runs are repeated into the played arms with ``np.repeat``. The
+    regret is one ``np.cumsum`` of the per-round gaps ``best -
+    (v_up[played] + bonus)``; a 1-D cumsum adds in round order, so each
+    checkpoint is the float a running ``+=`` gives.
     """
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
@@ -417,16 +418,17 @@ def _certificate_run(seed: int) -> list[float]:
     noise = draw_noise(inst, np.random.default_rng(seed), rounds, players=1)
     rewards = RewardColumns(inst, noise).up
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
-    played: list[int] = []
+    runs = []
     for start in range(0, rounds, CERT_BATCH):
         arm = (start // CERT_BATCH) % k
         stop = min(start + CERT_BATCH, rounds)
-        ucb_offer_stretch(ucb, arm, CERT_TAU[arm], rewards, start, stop, played)
+        runs += ucb_offer_stretch(ucb, arm, CERT_TAU[arm], rewards, start, stop)
 
     offers = [IncentiveOffer(arm, CERT_TAU[arm]) for arm in range(k)]
     bests = np.array([max(inst.v_up[a] + offer.bonus(a) for a in range(k)) for offer in offers])
     offered = np.arange(rounds) // CERT_BATCH % k
-    played_arms = np.array(played)
+    lengths, arms = zip(*runs)
+    played_arms = np.repeat(arms, lengths)
     bonus = np.where(played_arms == offered, np.array(CERT_TAU)[offered], 0.0)
     regret = np.cumsum(bests[offered] - (np.array(inst.v_up)[played_arms] + bonus))
     return [float(regret[t - 1]) for t in CERT_CHECKPOINTS]

@@ -35,29 +35,31 @@ table's included. Belgic's counters and search log are its own: the Belgic
 kernel hands them over through ``Belgic.reserve`` and ``Belgic.searched``
 and assigns no Belgic attribute. Every other pair, subclasses and test
 doubles included, runs on the generic loops (``_property_rounds``,
-``_no_property_rounds``), which call the policies' methods. A kernel
-returns the same columns and leaves the policies in the same state as the
-generic loop.
+``_no_property_rounds``), which call the policies' methods one round at a
+time. A kernel returns the same columns and leaves the policies in the same
+state as the generic loop.
 
-``ucb_offer_stretch`` plays IncentiveAwareUCB under one fixed offer for a
-stretch of rounds and counts the refusals. Belgic's search batches are such
-stretches, and so are criterion 6's (``acceptance._certificate_run``), so
-both play through it.
+A run is a stretch of rounds in a row with the same played arms. Every UCB
+table's ``log_term`` is fixed when it is built and a round changes only the
+played arm's entries, so while an arm keeps playing, every other index of
+its table is frozen, and the arm stays the first maximum exactly while its
+own new index stays above one threshold read from the table when the run
+starts (``_run_start``). Two helpers play a run, and they are the only
+copies of ``UCBIndex.record``'s arithmetic outside it: ``_run`` moves one
+table (the stretch, and Belgic's refused offers), and ``_joint_run`` moves
+two tables together (Belgic's upstream and pair table on a taken offer, the
+naive pair's upstream and context row). Each round of a run is one update
+per table on locals and one comparison per table; the round that fails it
+ends the run, the entries are written back once, and the next run reads the
+tables afresh, so the runs play the arms the policies' ``step`` would.
 
-The kernels and the stretch play their rounds in runs: rounds in a row with
-the same played arms. Every UCB table's ``log_term`` is fixed when it is
-built and a round changes only the played arm's entries, so while an arm
-keeps playing, every other index of its table is frozen, and the arm stays
-the first maximum exactly while its own new index stays above one threshold
-read from the table when the run starts (``_run_start``). Two helpers play
-a run, and they are the only copies of ``UCBIndex.record``'s arithmetic
-outside it: ``_run`` moves one table (the stretch, and Belgic's refused
-offers), and ``_joint_run`` moves two tables together (Belgic's upstream and
-pair table on a taken offer, the naive pair's upstream and context row).
-Each round of a run is one update per table on locals and one comparison
-per table; the round that fails it ends the run, the entries are written
-back once, and the next run reads the tables afresh. The runs therefore
-play the arms the policies' ``step`` would, round by round.
+The kernels keep runs, not rounds: one tuple per run, its rounds and arms
+(and offer), and ``_columns`` repeats every field by the run lengths into
+the block's columns, the only place the kernels' columns are built.
+``ucb_offer_stretch`` plays IncentiveAwareUCB under one fixed offer and
+returns its (rounds, played arm) runs: Belgic's search batches are such
+stretches, their refusals summed from the runs, and so are criterion 6's
+(``acceptance._certificate_run``).
 
 Every UCB explores by one rule, which the kernels share: an arm or pair with
 no sample has index +inf, and the lowest-numbered maximum is played, so the
@@ -411,27 +413,32 @@ def ucb_offer_stretch(
     rewards: list[list[float]],
     start: int,
     stop: int,
-    played: list[int],
-) -> int:
+) -> list[tuple[int, int]]:
     """Play ``ucb`` under the fixed offer (arm, amount) on rounds start,
-    ..., stop - 1 of a block, appending each played arm to ``played``, and
-    return how many rounds refused the offer (played another arm).
+    ..., stop - 1 of a block; return its (rounds, played arm) runs in order.
 
     Round i's reward for arm a is ``rewards[a][i]`` (``RewardColumns.up``).
     Each round plays what ``ucb.step(IncentiveOffer(arm, amount))`` would,
     in runs of one arm (``_run``), so a run that ``stop`` cuts resumes
     exactly where it was cut.
     """
-    refusals = 0
+    runs = []
     i = start
     while i < stop:
         a, bar = _run_start(ucb.index, arm, amount)
         m = _run(ucb, a, bar, amount if a == arm else 0.0, rewards[a], i, stop)
-        played.extend([a] * m)
-        if a != arm:
-            refusals += m
+        runs.append((m, a))
         i += m
-    return refusals
+    return runs
+
+
+def _columns(runs: list[tuple], offers: bool) -> tuple[np.ndarray, ...]:
+    """Repeat each run's fields by its rounds into round columns: runs
+    (rounds, up_arm, down_arm[, offer_arm, amount]), the last two if offers."""
+    fields = list(zip(*runs)) or [()] * (5 if offers else 3)
+    rounds = np.array(fields[0], dtype=np.intp)
+    dtypes = (np.intp, np.intp, np.intp, float)
+    return tuple(np.repeat(np.array(f, dtype=d), rounds) for f, d in zip(fields[1:], dtypes))
 
 
 def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, rewards: RewardColumns):
@@ -451,18 +458,16 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, rewards:
     downstream.reserve(n)
     batch_length = downstream.params.batch_length
     up = rewards.up
-    ups, downs, arms, amounts = [], [], [], []
+    runs = []
     done = 0
 
     while done < n and downstream.tau_hat is None:
         offer = downstream.search_offer
         m = min(n - done, batch_length - downstream.batch_round)
-        refusals = ucb_offer_stretch(upstream, offer.arm, offer.amount, up, done, done + m, ups)
-        downs += [0] * m
-        arms += [offer.arm] * m
-        amounts += [offer.amount] * m
+        stretch = ucb_offer_stretch(upstream, offer.arm, offer.amount, up, done, done + m)
+        runs += [(r, a, 0, offer.arm, offer.amount) for r, a in stretch]
         done += m
-        downstream.searched(m, refusals)
+        downstream.searched(m, sum(r for r, a in stretch if a != offer.arm))
 
     if done < n:
         bandit = downstream.pair_ucb
@@ -481,18 +486,10 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, rewards:
                 )
             else:
                 m = _run(upstream, a, bar, 0.0, up[a], i, n)
-            ups += [a] * m
-            downs += [own] * m
-            arms += [arm] * m
-            amounts += [amount] * m
+            runs.append((m, a, own, arm, amount))
             i += m
 
-    return (
-        np.array(ups, dtype=np.intp),
-        np.array(downs, dtype=np.intp),
-        np.array(arms, dtype=np.intp),
-        np.array(amounts, dtype=float),
-    )
+    return _columns(runs, True)
 
 
 def _ucb_naive_rounds(
@@ -509,17 +506,16 @@ def _ucb_naive_rounds(
     k = upstream.n_arms
     contexts = downstream.contexts
     n = len(rewards)
-    ups, downs = [], []
+    runs = []
     i = 0
     while i < n:
         a, up_bar = _run_start(upstream.index)
         row = contexts[a]
         b, row_bar = _run_start(row.index)
         m = _joint_run(upstream, a, up_bar, 0.0, up[a], row, b, row_bar, 0.0, down(a * k + b), i, n)
-        ups += [a] * m
-        downs += [b] * m
+        runs.append((m, a, b))
         i += m
-    return np.array(ups, dtype=np.intp), np.array(downs, dtype=np.intp)
+    return _columns(runs, False)
 
 
 def _round_function(offers: bool, upstream, downstream):

@@ -4,10 +4,15 @@ Each criterion test invokes the corresponding check from
 coase_bandits.acceptance, prints its single PASS/FAIL line, and fails with
 the recorded detail if the criterion does not hold.  Run with -s to see the
 lines as they land.  The contrast test plays criterion 3's games with and
-without property rights on the same seeds and compares them seed by seed.
+without property rights on the same seeds and compares them seed by seed,
+and the K = 3, 4, 5 test runs criterion 5's rate and slope checks beyond two
+arms.
 """
 
 import dataclasses
+
+import numpy as np
+import pytest
 
 import coase_bandits.acceptance as acceptance
 import coase_bandits.engine as engine
@@ -18,6 +23,7 @@ from coase_bandits.acceptance import (
     EFFICIENCY_ALPHA,
     EFFICIENCY_BETA,
     EFFICIENCY_SCALE,
+    SLOPE_CAP,
     breakdown_config,
     criterion_1_oracle_identity,
     criterion_2_pathwise_decomposition,
@@ -27,8 +33,10 @@ from coase_bandits.acceptance import (
     criterion_6_certificate,
     criterion_7_firm_demo,
     criterion_8_determinism,
+    efficiency_config,
 )
-from coase_bandits.runner import fan_out, play_seed
+from coase_bandits.env import random_instance
+from coase_bandits.runner import fan_out, play_seed, sweep
 
 
 # Every criterion's detail line as the pinned games report it; a change to
@@ -144,3 +152,22 @@ def test_property_rights_lower_welfare_regret_on_every_seed():
         without, with_rights = played[: len(horizons)], played[len(horizons) :]
         worse += [(a.seed, a.horizon, b.r_sw, a.r_sw) for a, b in zip(without, with_rights) if not b.r_sw < a.r_sw]
     assert worse == []
+
+
+@pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_welfare_efficiency_beyond_two_arms(k, model):
+    # Criterion 5's rate and slope checks on K = 3, 4, 5: the misaligned
+    # instance random_instance(default_rng(1000 + K)), criterion 5's Belgic
+    # schedule and 30 seeds, T = 2^10 .. 2^14. Mean r_sw/T must strictly
+    # decrease and the log-log slope stay under criterion 5's cap. The
+    # instances, seeds, horizons and a budget of 15 s for all six sweeps on
+    # 2 vCPUs were fixed before the outcome was looked at.
+    inst = random_instance(np.random.default_rng(1000 + k), k, model, require_misaligned=True)
+    cfg = dataclasses.replace(
+        efficiency_config(), n_arms=k, v_up=inst.v_up, v_down=inst.v_down, reward_model=model
+    )
+    rows, slope, _ = sweep(cfg, [2**e for e in range(10, 15)])
+    rates = [row.mean_r_sw_per_round for row in rows]
+    assert all(b < a for a, b in zip(rates, rates[1:])), rates
+    assert slope <= SLOPE_CAP, (slope, rates)

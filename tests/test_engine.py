@@ -27,7 +27,7 @@ from coase_bandits.engine import (
     run_no_property,
     run_property,
 )
-from coase_bandits.env import build_instance, compute_oracle
+from coase_bandits.env import build_instance, compute_oracle, random_instance
 from coase_bandits.upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
@@ -191,14 +191,40 @@ class TestNoPropertyMode:
                 DYADIC, BestResponseUpstream(DYADIC), BestResponseDownstream(DYADIC), 256, 4
             )
 
-    def test_utilities_sum_to_welfare(self):
-        inst = build_instance((0.8, 0.2), ((0.1, 0.6), (0.3, 0.4)))
-        res = run_no_property(
-            inst, IncentiveAwareUCB(2, 1024), NaiveContextUCB(2, 1024), 1024, 5
-        )
-        assert res.ledger.up_utility + res.ledger.down_utility == pytest.approx(
-            res.ledger.welfare, rel=1e-12
-        )
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mode=st.sampled_from(("property", "no-property")),
+        k=st.integers(1, 5),
+        model=st.sampled_from(("gaussian", "bernoulli")),
+        horizon=st.integers(256, 2 * BLOCK + 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_utilities_sum_to_welfare(self, mode, k, model, horizon, seed):
+        """up_utility + down_utility is welfare up to a bound from the horizon.
+
+        Every per-round term is at most M = max v_up + max v_down + the
+        largest offer in magnitude, so every partial sum of a ledger total is
+        at most T * M, and each of a total's T additions rounds by at most
+        half an ulp of T * M. The per-round terms cancel exactly before
+        rounding: (up + paid) + (down - paid) = up + down, and rounding
+        each of the three moves it by at most half an ulp of M. With the
+        final addition, |up_utility + down_utility - welfare| <= 3 * (T / 2)
+        ulp(T * M) + 3 * (T / 2) ulp(M) + ulp(T * M) <= (3T + 1) ulp(T * M).
+        """
+        inst = random_instance(np.random.default_rng(seed), k, model)
+        if mode == "property":
+            params = BelgicParams(k, horizon, 0.5, 0.2, RegretCertificate(0.5))
+            res = run_property(
+                inst, IncentiveAwareUCB(k, horizon), Belgic(params), horizon, seed, record_trajectory=True
+            )
+            largest_offer = float(np.max(np.abs(res.records.tau)))
+        else:
+            res = run_no_property(inst, IncentiveAwareUCB(k, horizon), NaiveContextUCB(k, horizon), horizon, seed)
+            largest_offer = 0.0
+        m = max(inst.v_up) + max(map(max, inst.v_down)) + largest_offer
+        bound = (3 * horizon + 1) * math.ulp(horizon * m)
+        ledger = res.ledger
+        assert abs(ledger.up_utility + ledger.down_utility - ledger.welfare) <= bound
 
     def test_trajectory_records(self):
         res = run_no_property(

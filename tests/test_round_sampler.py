@@ -772,6 +772,40 @@ def _schedule(k, batch_length, n_batches, extra):
     return horizon, params
 
 
+def _edge_schedules():
+    """(K, batch length, batches per arm) whose full search, K * length *
+    batches rounds, ends one round before, on, or one round after a BLOCK
+    boundary, for every K and batch count where some boundary up to
+    4 * BLOCK allows it."""
+    schedules = []
+    for k in range(1, 6):
+        for n_batches in (1, 2, 3):
+            for delta in (-1, 0, 1):
+                ends = [m * BLOCK + delta for m in range(1, 5) if (m * BLOCK + delta) % (k * n_batches) == 0]
+                if ends:
+                    schedules.append((k, ends[0] // (k * n_batches), n_batches))
+    return schedules
+
+
+def _edge_params(k, batch_length, n_batches):
+    """(horizon, BelgicParams) at three of ``validate_params``' limits at once:
+    phase 1 fills all but the last round of the horizon, beta/alpha is the
+    largest float under 1 - exponent (the exponent is stepped down from
+    1 - beta/alpha), and the mismatch threshold the largest under half a batch
+    (the certificate scale is stepped down from where it meets it)."""
+    horizon, params = _schedule(k, batch_length, n_batches, 1)
+    ratio = params.beta / params.alpha
+    exponent = 1.0 - ratio
+    while not ratio < 1.0 - exponent:
+        exponent = math.nextafter(exponent, -math.inf)
+    scale = batch_length / 2.0 / batch_length ** (exponent + ratio)
+    while True:
+        params = dataclasses.replace(params, certificate=RegretCertificate(scale, exponent))
+        if params.threshold < batch_length / 2.0:
+            return horizon, params
+        scale = math.nextafter(scale, -math.inf)
+
+
 def _assert_same_game(result, generic):
     for column in ("up_arm", "down_arm", "gap_sw", "gap_up", "gap_down", "offered_arm", "tau"):
         mine, theirs = getattr(result.records, column), getattr(generic.records, column)
@@ -805,6 +839,27 @@ class TestKernelsMatchGenericLoop:
             assert _learned_state(mine) == _learned_state(theirs)
         if batch_length == BLOCK:
             assert result.phase1_rounds == k * BLOCK
+
+    @settings(max_examples=20, deadline=None, phases=NO_EXPLAIN)
+    @given(schedule=st.sampled_from(_edge_schedules()), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_ucb_belgic_at_the_validation_edges(self, schedule, data, seed):
+        # The schedules the validation only just admits: a search of all
+        # but the last round that ends at a block boundary, give or take
+        # one round, a mismatch threshold that leaves a batch with exactly
+        # half its rounds refused as the only early return, and beta/alpha
+        # against its cap.
+        k, batch_length, n_batches = schedule
+        instance = data.draw(_instances(k))
+        horizon, params = _edge_params(*schedule)
+        assert params.phase1_max_rounds == horizon - 1
+        assert (horizon - 1) % BLOCK in (BLOCK - 1, 0, 1)
+        players = IncentiveAwareUCB(k, horizon), Belgic(params)
+        generic_players = GenericUCB(k, horizon), Belgic(params)
+        result = run_property(instance, *players, horizon, seed, record_trajectory=True)
+        generic = run_property(instance, *generic_players, horizon, seed, record_trajectory=True)
+        _assert_same_game(result, generic)
+        for mine, theirs in zip(players, generic_players):
+            assert _learned_state(mine) == _learned_state(theirs)
 
     @settings(max_examples=30, deadline=None, phases=NO_EXPLAIN)
     @given(
@@ -908,6 +963,16 @@ def _trained_ucb(k, data):
     return ucb
 
 
+def _stretch(ucb, arm, amount, rewards, start, stop):
+    """(played arms, refusals) of one ``ucb_offer_stretch``: its runs
+    expanded round by round, and the rounds of the runs that refused, as
+    the Belgic kernel counts them. Every run plays at least one round."""
+    runs = ucb_offer_stretch(ucb, arm, amount, rewards, start, stop)
+    assert all(m >= 1 for m, _ in runs)
+    played = [a for m, a in runs for _ in range(m)]
+    return played, sum(m for m, a in runs if a != arm)
+
+
 class TestOfferStretch:
     """``ucb_offer_stretch`` against IncentiveAwareUCB's own step/update."""
 
@@ -922,8 +987,7 @@ class TestOfferStretch:
         ucb.index = data.draw(st.lists(_dyadic_indices, min_size=k, max_size=k))
         arm = data.draw(st.integers(-1, k))
         want = ucb.step(IncentiveOffer(arm, amount))
-        played = []
-        refusals = ucb_offer_stretch(copy.deepcopy(ucb), arm, amount, [[0.0]] * k, 0, 1, played)
+        played, refusals = _stretch(copy.deepcopy(ucb), arm, amount, [[0.0]] * k, 0, 1)
         assert played == [want]
         assert refusals == (want != arm)
 
@@ -944,8 +1008,7 @@ class TestOfferStretch:
             ucb = IncentiveAwareUCB(len(index), 4096)
             ucb.index = list(index)
             assert ucb.step(IncentiveOffer(arm, amount)) == want
-            played = []
-            ucb_offer_stretch(ucb, arm, amount, [[0.0]] * len(index), 0, 1, played)
+            played, _ = _stretch(ucb, arm, amount, [[0.0]] * len(index), 0, 1)
             assert played == [want]
 
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
@@ -965,9 +1028,8 @@ class TestOfferStretch:
         ucb = _trained_ucb(k, data)
         ref = copy.deepcopy(ucb)
         noise = draw_noise(instance, np.random.default_rng(seed), start + m)
-        played = []
-        refusals = ucb_offer_stretch(
-            ucb, arm, amount, RewardColumns(instance, noise).up, start, start + m, played
+        played, refusals = _stretch(
+            ucb, arm, amount, RewardColumns(instance, noise).up, start, start + m
         )
         slow = np.random.default_rng(seed)
         scalar_noise(instance, slow, start)
@@ -1058,8 +1120,7 @@ class TestRuns:
             ucb.update(a, reward)
         ref = copy.deepcopy(ucb)
         rewards = _dyadic_rewards(seed, k, m)
-        played = []
-        refusals = ucb_offer_stretch(ucb, arm, amount, rewards, 0, m, played)
+        played, refusals = _stretch(ucb, arm, amount, rewards, 0, m)
         offer = IncentiveOffer(arm, amount)
         ref_played = []
         for i in range(m):
@@ -1129,10 +1190,10 @@ class TestRuns:
         whole = copy.deepcopy(ucb)
         cut, stop = start + lengths[0], start + sum(lengths)
         rewards = _dyadic_rewards(seed, k, stop)
-        played, whole_played = [], []
-        refusals = ucb_offer_stretch(ucb, arm, amount, rewards, start, cut, played)
-        refusals += ucb_offer_stretch(ucb, arm, amount, rewards, cut, stop, played)
-        whole_refusals = ucb_offer_stretch(whole, arm, amount, rewards, start, stop, whole_played)
+        played, refusals = _stretch(ucb, arm, amount, rewards, start, cut)
+        rest, rest_refusals = _stretch(ucb, arm, amount, rewards, cut, stop)
+        played, refusals = played + rest, refusals + rest_refusals
+        whole_played, whole_refusals = _stretch(whole, arm, amount, rewards, start, stop)
         assert played == whole_played
         assert refusals == whole_refusals
         assert _learned_state(ucb) == _learned_state(whole)
