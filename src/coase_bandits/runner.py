@@ -33,7 +33,7 @@ from .downstream import (
     Phase1Batch,
     ZeroTransferDownstream,
 )
-from .engine import GameResult, Trajectory, run_no_property, run_property
+from .engine import BLOCK, GameResult, Trajectory, run_no_property, run_property
 from .env import BanditInstance, compute_oracle, draw_noise
 from .upstream import BestResponseUpstream, IncentiveAwareUCB
 
@@ -219,40 +219,60 @@ TRAJECTORY_HEADER = [
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
-    """The cell of every value, formatting each distinct bit pattern once."""
+    """The cell of every value of an 8-byte column, formatting each distinct
+    bit pattern once, so 0.0 and -0.0 keep their own cells."""
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    text = [_cell(x) for x in bits.view(np.float64).tolist()]
-    return [text[i] for i in where.tolist()]
+    text = [_cell(x) for x in bits.view(values.dtype).tolist()]
+    return np.array(text, dtype=object)[where].tolist()
+
+
+def _stretch_starts(columns: list[np.ndarray], cut: int) -> np.ndarray:
+    """Rows that open a stretch: the first row, row ``cut`` and every row with
+    a value in ``columns`` unlike the row before's. Values compare by bit
+    pattern, because _cell writes 0.0 and -0.0 apart."""
+    n = len(columns[0])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    new[cut : cut + 1] = True
+    for column in columns:
+        bits = column.view(np.int64)
+        new[1:] |= bits[1:] != bits[:-1]
+    return np.flatnonzero(new)
 
 
 def write_trajectory(path: str, records: Trajectory) -> None:
-    """One row per round, one %-format per row; offer fields are empty in
-    the no-property mode."""
+    """One row per round, formatted one stretch at a time.
+
+    A stretch is a maximal run of rows whose cells after ``t`` are identical
+    (arms equal, floats equal bit for bit) and which does not cross the end
+    of the search phase. Each stretch's tail is formatted once, from its
+    first row, and repeated down its rows; the rows are then joined ``BLOCK``
+    at a time. The bytes are those of one format per row. Offer fields are
+    empty in the no-property mode.
+    """
     n = len(records)
-    columns = [
-        records.up_arm.tolist(),
-        records.down_arm.tolist(),
-        _fmt_column(records.gap_sw),
-        _fmt_column(records.gap_up),
-        _fmt_column(records.gap_down),
-    ]
+    columns = [records.up_arm, records.down_arm, records.gap_sw, records.gap_up, records.gap_down]
+    if records.offered_arm is not None:
+        columns = [records.offered_arm, records.tau, *columns]
+    starts = _stretch_starts(columns, records.search_rounds)
     if records.offered_arm is None:
-        row = "%d,-,,,%d,%d,%s,%s,%s\n"
-        values = zip(range(1, n + 1), *columns)
+        lead = [repeat("-"), repeat(""), repeat("")]  # phase, offered_arm, tau
     else:
-        row = "%d,%s,%d,%s,%d,%d,%s,%s,%s\n"
-        search = records.search_rounds
-        phases = chain(repeat("search", search), repeat("play", n - search))
-        values = zip(
-            range(1, n + 1),
-            phases,
-            records.offered_arm.tolist(),
-            _fmt_column(records.tau),
-            *columns,
-        )
+        searching = int(np.searchsorted(starts, records.search_rounds))
+        lead = [chain(repeat("search", searching), repeat("play", len(starts) - searching))]
+    cells = [_fmt_column(column[starts]) for column in columns]
+    # A stretch's tail is ",phase,...,gap_down"; row t is then str(t), its
+    # stretch's tail and "\n".
+    tails = np.array(list(map(",".join, zip(repeat(""), *lead, *cells))), dtype=object)
+    rows = np.repeat(tails, np.diff(starts, append=n))
+    text = np.full((min(n, BLOCK), 3), "\n", dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRAJECTORY_HEADER) + "\n")
-        fh.writelines(map(row.__mod__, values))
+        for i in range(0, n, BLOCK):
+            k = min(BLOCK, n - i)
+            text[:k, 0] = list(map(str, range(i + 1, i + k + 1)))
+            text[:k, 1] = rows[i : i + k]
+            fh.write("".join(text[:k].ravel().tolist()))
 
 
 def write_phase1_batches(path: str, batches: list[Phase1Batch]) -> None:

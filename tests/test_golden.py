@@ -1,5 +1,6 @@
-"""Golden outputs: `simulate configs/belgic.cfg` and `scripts/trace_phase1.py`
-reproduce the committed files byte for byte."""
+"""Golden outputs: `simulate configs/belgic.cfg`, criterion 8's no-property
+config and `scripts/trace_phase1.py` reproduce the committed files byte for
+byte, and each written trajectory reads back to its run summary."""
 
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 
 import pytest
 
+from coase_bandits.acceptance import DETERMINISM_CONFIGS
 from coase_bandits.config import parse_config_file
-from coase_bandits.runner import simulate_command
+from coase_bandits.runner import TRAJECTORY_HEADER, simulate_command
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden", "belgic")
@@ -20,6 +22,10 @@ GOLDEN_FILES = (
     "phase1_7.csv",
     "phase1_11.csv",
 )
+# Criterion 8's no-property config (UCB against the naive downstream on the
+# breakdown instance); its trajectories have no offer or phase cells.
+BREAKDOWN_GOLDEN = os.path.join(ROOT, "tests", "golden", "breakdown")
+BREAKDOWN_FILES = ("config_echo.cfg", "run_summary.csv", "trajectory_7.csv", "trajectory_11.csv")
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +36,21 @@ def belgic_run(tmp_path_factory):
     return out, manifest
 
 
+@pytest.fixture(scope="module")
+def breakdown_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("breakdown")
+    manifest = simulate_command(DETERMINISM_CONFIGS[1], out_dir=str(out))
+    return out, manifest
+
+
+def assert_same_bytes(out, golden, name):
+    with open(os.path.join(out, name), "rb") as fh:
+        produced = fh.read()
+    with open(os.path.join(golden, name), "rb") as fh:
+        expected = fh.read()
+    assert produced == expected, f"{name} differs from {os.path.relpath(golden, ROOT)}/{name}"
+
+
 def test_writes_exactly_the_golden_files(belgic_run):
     _, manifest = belgic_run
     assert sorted(os.path.basename(p) for p in manifest["files"]) == sorted(GOLDEN_FILES)
@@ -37,12 +58,35 @@ def test_writes_exactly_the_golden_files(belgic_run):
 
 @pytest.mark.parametrize("name", GOLDEN_FILES)
 def test_file_is_byte_identical(belgic_run, name):
-    out, _ = belgic_run
-    with open(os.path.join(out, name), "rb") as fh:
-        produced = fh.read()
-    with open(os.path.join(GOLDEN, name), "rb") as fh:
-        expected = fh.read()
-    assert produced == expected, f"{name} differs from tests/golden/belgic/{name}"
+    assert_same_bytes(belgic_run[0], GOLDEN, name)
+
+
+def test_breakdown_writes_exactly_the_golden_files(breakdown_run):
+    _, manifest = breakdown_run
+    assert sorted(os.path.basename(p) for p in manifest["files"]) == sorted(BREAKDOWN_FILES)
+
+
+@pytest.mark.parametrize("name", BREAKDOWN_FILES)
+def test_breakdown_file_is_byte_identical(breakdown_run, name):
+    assert_same_bytes(breakdown_run[0], BREAKDOWN_GOLDEN, name)
+
+
+@pytest.mark.parametrize("run", ["belgic_run", "breakdown_run"])
+def test_trajectory_reads_back_to_its_summary(run, request):
+    """t runs 1..T, the search rows are the summary's phase1_rounds, and the
+    in-order float sum of gap_sw is the summary's r_sw bit for bit."""
+    out, manifest = request.getfixturevalue(run)
+    for summary in manifest["summaries"]:
+        with open(os.path.join(out, f"trajectory_{summary.seed}.csv"), encoding="utf-8", newline="") as fh:
+            header, *rows = (line.split(",") for line in fh.read().split("\n")[:-1])
+        assert header == TRAJECTORY_HEADER
+        t, phase, gap_sw = (header.index(c) for c in ("t", "phase", "gap_sw"))
+        assert [int(row[t]) for row in rows] == list(range(1, summary.horizon + 1))
+        assert sum(row[phase] == "search" for row in rows) == summary.phase1_rounds
+        r_sw = 0.0
+        for row in rows:  # one addition per round, in order (not sum()'s)
+            r_sw += float(row[gap_sw])
+        assert r_sw.hex() == summary.r_sw.hex(), f"seed {summary.seed}"
 
 
 def test_trace_phase1_script_output():

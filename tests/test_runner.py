@@ -5,10 +5,12 @@ import math
 import multiprocessing
 import os
 import tempfile
+from itertools import chain, repeat
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coase_bandits.config import (
@@ -19,11 +21,13 @@ from coase_bandits.config import (
     validate_config,
 )
 from coase_bandits.downstream import Phase1Batch
-from coase_bandits.engine import BLOCK
+from coase_bandits.engine import BLOCK, Trajectory
 from coase_bandits.env import draw_noise
 from coase_bandits.runner import (
+    TRAJECTORY_HEADER,
     RunSummary,
     SweepRow,
+    _cell,
     fan_out,
     fit_loglog_slope,
     play_seed,
@@ -176,6 +180,92 @@ class TestSummaryFiles:
             read_run_summaries(str(path))
 
 
+def written(write, records) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        write(path, records)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+
+
+def _reference_column(values: np.ndarray) -> list[str]:
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = [_cell(x) for x in bits.view(np.float64).tolist()]
+    return [text[i] for i in where.tolist()]
+
+
+def reference_write_trajectory(path: str, records: Trajectory) -> None:
+    """The per-row writer: one %-format per row. write_trajectory formats one
+    stretch at a time and must write these bytes."""
+    n = len(records)
+    columns = [
+        records.up_arm.tolist(),
+        records.down_arm.tolist(),
+        _reference_column(records.gap_sw),
+        _reference_column(records.gap_up),
+        _reference_column(records.gap_down),
+    ]
+    if records.offered_arm is None:
+        row = "%d,-,,,%d,%d,%s,%s,%s\n"
+        values = zip(range(1, n + 1), *columns)
+    else:
+        row = "%d,%s,%d,%s,%d,%d,%s,%s,%s\n"
+        search = records.search_rounds
+        phases = chain(repeat("search", search), repeat("play", n - search))
+        values = zip(
+            range(1, n + 1),
+            phases,
+            records.offered_arm.tolist(),
+            _reference_column(records.tau),
+            *columns,
+        )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
+        fh.writelines(map(row.__mod__, values))
+
+
+# Arms and gaps from small sets, played in runs, so that stretches form and
+# neighbouring runs can share cells; 0.0 and -0.0 are two different cells.
+ARM_CELLS = (0, 1, 2)
+GAP_CELLS = (0.0, -0.0, 0.2, 0.1 + 0.2, -0.4, 5e-324)
+# Trajectory's fields in order: up_arm, down_arm, three gaps, offered_arm, tau.
+FIELD_CELLS = (ARM_CELLS, ARM_CELLS, GAP_CELLS, GAP_CELLS, GAP_CELLS, ARM_CELLS, GAP_CELLS)
+
+
+def trajectory_of(runs, lengths, width) -> Trajectory:
+    """Row j of ``runs`` (the first ``width`` of Trajectory's fields)
+    repeated lengths[j] times."""
+    columns = list(zip(*runs)) or [()] * width
+    dtypes = [np.intp if cells is ARM_CELLS else np.float64 for cells in FIELD_CELLS]
+    return Trajectory(
+        *(np.repeat(np.array(c, dtype=d), lengths) for c, d in zip(columns, dtypes))
+    )
+
+
+def assert_writes_the_reference(records):
+    """write_trajectory's bytes are the reference writer's; a failure names
+    the first line that differs instead of diffing whole files."""
+    produced = written(write_trajectory, records).split("\n")
+    expected = written(reference_write_trajectory, records).split("\n")
+    line = next((i for i, (a, b) in enumerate(zip(produced, expected)) if a != b), None)
+    assert line is None, f"line {line}: {produced[line]!r}, reference {expected[line]!r}"
+    assert len(produced) == len(expected)
+
+
+@st.composite
+def trajectories(draw):
+    width = draw(st.sampled_from((5, 7)))
+    row = st.tuples(*(st.sampled_from(cells) for cells in FIELD_CELLS[:width]))
+    runs = draw(st.lists(st.tuples(st.integers(1, 40), row), max_size=20))
+    records = trajectory_of([r for _, r in runs], [m for m, _ in runs], width)
+    if records.offered_arm is not None:
+        # At 0, at n, or anywhere, so the search phase often ends inside a
+        # stretch of equal offers.
+        n = len(records)
+        records.search_rounds = draw(st.sampled_from((0, n)) | st.integers(0, n))
+    return records
+
+
 class TestTrajectoryFiles:
     def test_trajectory_schema_and_values(self, tmp_path):
         from coase_bandits.config import config_instance
@@ -193,6 +283,30 @@ class TestTrajectoryFiles:
         assert first[1] == "-"
         assert first[2] == "" and first[3] == ""  # no offer in this mode
         assert float(first[6]) == 0.25
+
+    def test_stretches_cross_block_boundaries(self):
+        """Stretches longer than BLOCK, and stretches that open or close on a
+        BLOCK boundary, in both modes."""
+        rng = np.random.default_rng(5)
+        lengths = [BLOCK - 1, 1, 2 * BLOCK + 3, 5, BLOCK, 7]
+        for width in (5, 7):
+            runs = [tuple(rng.choice(cells) for cells in FIELD_CELLS[:width]) for _ in lengths]
+            records = trajectory_of(runs, lengths, width)
+            records.search_rounds = BLOCK + 1 if width == 7 else 0
+            assert_writes_the_reference(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trajectories())
+    @example(
+        # Two runs apart only in the sign of a zero gap, under one offer
+        # whose stretch the search phase ends inside.
+        dataclasses.replace(
+            trajectory_of([(0, 1, 0.0, 0.2, 0.0, 1, 0.5), (0, 1, -0.0, 0.2, 0.0, 1, 0.5)], [3, 4], 7),
+            search_rounds=2,
+        )
+    )
+    def test_matches_the_per_row_writer(self, records):
+        assert_writes_the_reference(records)
 
 
 class TestSimulateCommand:
@@ -575,14 +689,6 @@ def record_strategy(cls, **overrides):
     kinds = {"int": cell_ints, "float": cell_floats, "str": cell_words, "bool": st.booleans()}
     drawn = {f.name: kinds[f.type] for f in dataclasses.fields(cls) if f.type in kinds}
     return st.builds(cls, **{**drawn, **overrides})
-
-
-def written(write, records) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "records.csv")
-        write(path, records)
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
 
 
 class TestRecordCodec:
