@@ -296,14 +296,13 @@ class OracleTransferDownstream:
 
 class ZeroTransferDownstream:
     """Property-mode double that never pays: the game collapses to the
-    no-property dynamics for the upstream player."""
+    no-property dynamics for the upstream player. Plays own arm 0."""
 
-    def __init__(self, own_arm: int = 0):
+    def __init__(self):
         self.offer = IncentiveOffer(0, 0.0)
-        self.own_arm = own_arm
 
     def step(self) -> tuple[IncentiveOffer, int]:
-        return self.offer, self.own_arm
+        return self.offer, 0
 
     def observe(self, upstream_arm: int, reward: float) -> None:
         pass

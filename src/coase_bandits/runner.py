@@ -19,12 +19,12 @@ import math
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
 
 import numpy as np
 
-from .config import GameConfig, belgic_params, config_instance
+from .config import GameConfig, belgic_params, config_instance, serialize_config, validate_config
 from .downstream import (
     Belgic,
     BestResponseDownstream,
@@ -305,8 +305,6 @@ def simulate_command(cfg: GameConfig, out_dir: str | None = None) -> dict:
     each seed's files are written by the process that played it. Returns a
     manifest of paths, in config seed order.
     """
-    from .config import serialize_config
-
     out = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out, exist_ok=True)
     config_instance(cfg)  # an invalid instance fails here, before any output
@@ -366,14 +364,12 @@ def fan_out(fn, tasks, max_workers: int | None = None) -> list:
 def play_seed(packed) -> list[RunSummary]:
     """One fan_out task, (cfgs, horizons, seed): the seed's game of every
     config (all on the first one's instance) at every horizon, in that order.
-    With more than one game the seed's noise is drawn once, for the largest
-    horizon, and each game reads a prefix of it, so the task holds 16 bytes
-    (two float64) per round of that horizon. A lone game draws block by block."""
+    The seed's noise is drawn once, for the largest horizon, and each game
+    reads a prefix of it, so the task holds 16 bytes (two float64) per round
+    of that horizon, a lone game's task included."""
     cfgs, horizons, seed = packed
     instance = config_instance(cfgs[0])
-    noise = None
-    if len(cfgs) * len(horizons) > 1:
-        noise = draw_noise(instance, np.random.default_rng(seed), max(horizons))
+    noise = draw_noise(instance, np.random.default_rng(seed), max(horizons))
     return [summarize(c, simulate_run(c, instance, h, seed, noise=noise)) for c in cfgs for h in horizons]
 
 
@@ -412,15 +408,11 @@ def sweep(
 
     Horizons are validated up front (each must pass the same checks as a
     single run at that horizon). Each seed is one ``play_seed`` task of the
-    config at every horizon, on the seed's noise drawn once; when the seeds
-    are fewer than the pool's workers, each (horizon, seed) game is a task
-    of its own so every worker has work. Either way results never depend on
-    scheduling order and equal those of games played alone. ``results`` is
-    keyed and ordered by (horizon, seed).
+    config at every horizon, on the seed's noise drawn once, whatever the
+    worker cap; with fewer seeds than CPUs the pool holds one worker per seed.
+    Results never depend on scheduling order and equal those of games played
+    alone. ``results`` is keyed and ordered by (horizon, seed).
     """
-    from .config import validate_config
-    from dataclasses import replace
-
     if not horizons:
         raise ValueError("need at least one horizon")
     if len(set(horizons)) != len(horizons):
@@ -429,15 +421,11 @@ def sweep(
         validate_config(replace(cfg, horizon=horizon))
 
     horizons = sorted(horizons)
-    groups = [horizons] if len(cfg.seeds) >= worker_cap(max_workers) else [[h] for h in horizons]
-    tasks = [([cfg], group, seed) for group in groups for seed in cfg.seeds]
-    played = {
-        (horizon, seed): summary
-        for (_, group, seed), summaries in zip(tasks, fan_out(play_seed, tasks, max_workers))
-        for horizon, summary in zip(group, summaries)
-    }
+    played = fan_out(play_seed, [([cfg], horizons, seed) for seed in cfg.seeds], max_workers)
     results: dict[tuple[int, int], RunSummary] = {
-        (horizon, seed): played[(horizon, seed)] for horizon in horizons for seed in cfg.seeds
+        (horizon, seed): summaries[i]
+        for i, horizon in enumerate(horizons)
+        for seed, summaries in zip(cfg.seeds, played)
     }
 
     rows = []

@@ -595,8 +595,8 @@ class TestSharedNoiseSweep:
     def test_sweep_equals_games_played_alone(self, case):
         # A sweep draws each seed's noise once and plays every horizon on a
         # prefix of it; each game must equal the same game played on its own.
-        # Under a cap of 3 the two seeds are fewer than the workers, so each
-        # (horizon, seed) game is a task of its own and draws its own noise.
+        # Under a cap of 3 the two seeds are fewer than the cap, and each
+        # seed is still one task; a single-horizon case draws ahead too.
         cfg, horizons = case
         assume(horizons)
         instance = config_instance(cfg)
@@ -613,42 +613,40 @@ class TestSharedNoiseSweep:
                 assert summary == alone[key], key
                 assert summary.to_row() == alone[key].to_row(), key
 
-    @pytest.mark.parametrize(
-        "workers, tasks",
-        [("1", [(64, 128), (64, 128)]), ("2", [(64, 128), (64, 128)]), ("3", [(64,), (64,), (128,), (128,)])],
-    )
-    def test_few_seeds_split_into_games(self, workers, tasks):
-        # Two seeds keep one or two workers busy with a task per seed; a third
-        # worker would sit idle, so each game becomes a task of its own.
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_one_task_per_seed_under_every_cap(self, workers):
+        # The task list depends on the config alone: one task per seed with
+        # every horizon, sorted, even when the cap of 3 exceeds the two seeds.
         with mock.patch.dict(os.environ, {"COASE_BANDITS_WORKERS": workers}), mock.patch(
             "coase_bandits.runner.fan_out", wraps=fan_out
         ) as spy:
             sweep(DYADIC_NO_PROPERTY, [128, 64])
-        assert [tuple(group) for _, group, _ in spy.call_args.args[1]] == tasks
+        assert spy.call_count == 1
+        assert spy.call_args.args[1] == [([DYADIC_NO_PROPERTY], [64, 128], seed) for seed in (0, 1)]
 
 
 class TestPlaySeed:
     CFGS = [PROPERTY_CFG, dataclasses.replace(PROPERTY_CFG, mode="no-property", downstream_policy="naive")]
 
-    @pytest.mark.parametrize("horizons", [[4096, 8192], [4096]])
-    def test_games_in_order_on_one_draw(self, horizons):
+    @pytest.mark.parametrize(
+        "cfgs, horizons",
+        [(CFGS, [4096, 8192]), (CFGS, [4096]), ([PROPERTY_CFG], [4096])],
+        ids=["paired-sweep", "criterion-2", "lone-game"],
+    )
+    def test_games_in_order_on_one_draw(self, cfgs, horizons):
         # Two configs on one instance, as criterion 2 plays them at one
-        # horizon and a paired sweep at several: the seed's noise is drawn
-        # once, for the largest horizon, and each summary equals its game
-        # played alone; configs in order, each at every horizon in order.
+        # horizon and a paired sweep at several, or a lone game: the seed's
+        # noise is drawn once, for the largest horizon, and each summary
+        # equals its game played alone; configs in order, each at every
+        # horizon in order.
         with mock.patch("coase_bandits.runner.draw_noise", wraps=draw_noise) as spy:
-            played = play_seed((self.CFGS, horizons, 7))
+            played = play_seed((cfgs, horizons, 7))
         assert [call.args[2] for call in spy.call_args_list] == [max(horizons)]
         instance = config_instance(PROPERTY_CFG)
-        alone = [summarize(cfg, simulate_run(cfg, instance, h, 7)) for cfg in self.CFGS for h in horizons]
-        assert [(s.mode, s.horizon) for s in played] == [(cfg.mode, h) for cfg in self.CFGS for h in horizons]
+        alone = [summarize(cfg, simulate_run(cfg, instance, h, 7)) for cfg in cfgs for h in horizons]
+        assert [(s.mode, s.horizon) for s in played] == [(cfg.mode, h) for cfg in cfgs for h in horizons]
+        assert played == alone
         assert [s.to_row() for s in played] == [s.to_row() for s in alone]
-
-    def test_a_lone_game_draws_block_by_block(self):
-        with mock.patch("coase_bandits.runner.draw_noise", wraps=draw_noise) as spy:
-            (summary,) = play_seed(([PROPERTY_CFG], [4096], 7))
-        assert spy.call_count == 0
-        assert summary == summarize(PROPERTY_CFG, simulate_run(PROPERTY_CFG, config_instance(PROPERTY_CFG), 4096, 7))
 
 
 class TestSweepFiles:
