@@ -514,26 +514,24 @@ DETERMINISM_CONFIGS = (
 )
 
 
-def criterion_8_determinism(base_dir: str | None = None) -> CriterionResult:
+def criterion_8_determinism() -> CriterionResult:
     """Simulate each pinned config twice and compare every CSV byte for byte,
-    under ``base_dir`` or else in a temporary directory removed afterwards."""
-    if not base_dir:
-        with tempfile.TemporaryDirectory(prefix="coase-accept-") as root:
-            return criterion_8_determinism(root)
+    in a temporary directory removed afterwards."""
     t0 = time.perf_counter()
     compared = 0
     identical = True
-    for i, cfg in enumerate(DETERMINISM_CONFIGS):
-        dirs = [os.path.join(base_dir, f"cfg{i}_run{j}") for j in (0, 1)]
-        manifests = [simulate_command(cfg, out_dir=d) for d in dirs]
-        names = [sorted(os.path.basename(p) for p in m["files"]) for m in manifests]
-        if names[0] != names[1]:
-            identical = False
-            break
-        for name in names[0]:
-            compared += 1
-            if not filecmp.cmp(os.path.join(dirs[0], name), os.path.join(dirs[1], name), shallow=False):
+    with tempfile.TemporaryDirectory(prefix="coase-accept-") as root:
+        for i, cfg in enumerate(DETERMINISM_CONFIGS):
+            dirs = [os.path.join(root, f"cfg{i}_run{j}") for j in (0, 1)]
+            manifests = [simulate_command(cfg, out_dir=d) for d in dirs]
+            names = [sorted(os.path.basename(p) for p in m["files"]) for m in manifests]
+            if names[0] != names[1]:
                 identical = False
+                break
+            for name in names[0]:
+                compared += 1
+                if not filecmp.cmp(os.path.join(dirs[0], name), os.path.join(dirs[1], name), shallow=False):
+                    identical = False
     detail = (
         f"{len(DETERMINISM_CONFIGS)} configs simulated twice; "
         f"{compared} output files compared, byte-identical: {identical}"

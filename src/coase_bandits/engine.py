@@ -30,13 +30,12 @@ search batch in ``run_phase1``): round i's upstream reward for arm a is
 NaiveContextUCB) in the no-property mode, run on a kernel each
 (``_ucb_belgic_rounds``, ``_ucb_naive_rounds``) that plays the policies'
 ``step`` and ``UCBIndex.record`` in runs (below), working on the UCB tables'
-lists in place; ``_round_function`` picks one by exact type, the pair
-table's included. Belgic's counters and search log are its own: the Belgic
-kernel hands them over through ``Belgic.reserve`` and ``Belgic.searched``
-and assigns no Belgic attribute. Every other pair, subclasses and test
-doubles included, runs on the generic loops (``_property_rounds``,
-``_no_property_rounds``), which call the policies' methods one round at a
-time. A kernel returns the same columns and leaves the policies in the same
+lists in place; ``_round_function`` picks one by the two policies' exact
+types. Belgic's counters and search log are its own: the Belgic kernel hands
+them over through ``Belgic.reserve`` and ``Belgic.searched`` and assigns no
+Belgic attribute. Every other pair, subclasses and test doubles included,
+runs on the generic loops (``_property_rounds``, ``_no_property_rounds``),
+which call the policies' methods one round at a time. A kernel returns the same columns and leaves the policies in the same
 state as the generic loop.
 
 A run is a stretch of rounds in a row with the same played arms. Every UCB
@@ -432,10 +431,10 @@ def ucb_offer_stretch(
     return runs
 
 
-def _columns(runs: list[tuple], offers: bool) -> tuple[np.ndarray, ...]:
-    """Repeat each run's fields by its rounds into round columns: runs
-    (rounds, up_arm, down_arm[, offer_arm, amount]), the last two if offers."""
-    fields = list(zip(*runs)) or [()] * (5 if offers else 3)
+def _columns(runs: list[tuple]) -> tuple[np.ndarray, ...]:
+    """Repeat each run's fields by its rounds into round columns: runs, at
+    least one, of (rounds, up_arm, down_arm[, offer_arm, amount])."""
+    fields = list(zip(*runs))
     rounds = np.array(fields[0], dtype=np.intp)
     dtypes = (np.intp, np.intp, np.intp, float)
     return tuple(np.repeat(np.array(f, dtype=d), rounds) for f, d in zip(fields[1:], dtypes))
@@ -489,7 +488,7 @@ def _ucb_belgic_rounds(upstream: IncentiveAwareUCB, downstream: Belgic, rewards:
             runs.append((m, a, own, arm, amount))
             i += m
 
-    return _columns(runs, True)
+    return _columns(runs)
 
 
 def _ucb_naive_rounds(
@@ -515,7 +514,7 @@ def _ucb_naive_rounds(
         m = _joint_run(upstream, a, up_bar, 0.0, up[a], row, b, row_bar, 0.0, down(a * k + b), i, n)
         runs.append((m, a, b))
         i += m
-    return _columns(runs, False)
+    return _columns(runs)
 
 
 def _round_function(offers: bool, upstream, downstream):
@@ -523,7 +522,7 @@ def _round_function(offers: bool, upstream, downstream):
     two learning pairs (subclasses may override what a kernel inlines), the
     generic loop for every other pair."""
     if type(upstream) is IncentiveAwareUCB:
-        if offers and type(downstream) is Belgic and type(downstream.pair_ucb) is UCBIndex:
+        if offers and type(downstream) is Belgic:
             return _ucb_belgic_rounds
         if not offers and type(downstream) is NaiveContextUCB:
             return _ucb_naive_rounds

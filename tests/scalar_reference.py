@@ -1,0 +1,331 @@
+"""The scalar reference every game is checked against, round by round.
+
+The reference is the round loop written the long way: every round draws the
+two uniform slots with scalar calls, then the rewards through
+``sample_upstream`` and ``sample_downstream``; every UCB step recomputes its
+indices from the counts and means and tries the unsampled arms or pairs first
+by an explicit sweep, not through +inf indices; and every ledger is
+``per_round_gaps`` summed with ``+=``. ``env.draw_noise``,
+``env.RewardColumns``, the cached indices, the engine's kernels and
+``fold_block`` must reproduce it bit for bit.
+
+The policy pairs are built as ``GameConfig``s through
+``runner.build_upstream`` and ``runner.build_downstream``, the factories the
+CLI uses; ``reference_players`` swaps each learning policy for its reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import Phase
+from hypothesis import strategies as st
+
+from coase_bandits.acceptance import CERT_BATCH, CERT_CHECKPOINTS, CERT_HORIZON, CERT_TAU, CERT_V_UP
+from coase_bandits.config import DOWNSTREAM_POLICIES, MODES, UPSTREAM_POLICIES, GameConfig
+from coase_bandits.downstream import Belgic, NaiveContextUCB
+from coase_bandits.engine import RegretLedger, per_round_gaps
+from coase_bandits.env import build_instance, sample_downstream, sample_upstream
+from coase_bandits.runner import build_downstream, build_upstream
+from coase_bandits.upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex
+
+#: Hypothesis's phases without "explain", which replays a failing example
+#: under line tracing: on a game of thousands of rounds that takes minutes.
+#: The tests that play games use these; generation and shrinking are as
+#: before.
+NO_EXPLAIN = tuple(phase for phase in Phase if phase.name != "explain")
+
+means = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def instances(draw, k=None):
+    """An instance with K arms (1 to 5 when not given) and either reward model."""
+    if k is None:
+        k = draw(st.integers(1, 5))
+    return build_instance(
+        draw(st.lists(means, min_size=k, max_size=k)),
+        draw(st.lists(st.lists(means, min_size=k, max_size=k), min_size=k, max_size=k)),
+        draw(st.sampled_from(("gaussian", "bernoulli"))),
+    )
+
+
+# ---------------------------------------------------------------- the draws
+
+
+def scalar_round(instance, rng, up_arm, down_arm):
+    """One round's draws as four scalar calls: two unread uniforms, then the
+    upstream and the downstream reward."""
+    rng.random()
+    rng.random()
+    return sample_upstream(instance, up_arm, rng), sample_downstream(instance, up_arm, down_arm, rng)
+
+
+def scalar_noise(instance, rng, n, players=2):
+    """n rounds of noise with scalar calls: one uniform slot per player, then
+    one standard normal (gaussian) or uniform (bernoulli) per player."""
+    draw = rng.standard_normal if instance.reward_model == "gaussian" else rng.random
+    rows = []
+    for _ in range(n):
+        for _ in range(players):
+            rng.random()
+        rows.append([draw() for _ in range(players)])
+    return rows
+
+
+# ---------------------------------------------------------------- the policies
+
+
+def ucb_index(mean, pulls, log_term):
+    return mean + 2.0 * math.sqrt(log_term / pulls)
+
+
+class RefUCB(IncentiveAwareUCB):
+    """IncentiveAwareUCB with a step counter forcing the first K arms and
+    every index recomputed from counts and means (the stored indices are only
+    kept for comparison)."""
+
+    def __init__(self, n_arms, horizon):
+        super().__init__(n_arms, horizon)
+        self.ref_steps = 0
+
+    def step(self, offer):
+        self.ref_steps += 1
+        if self.ref_steps <= self.n_arms:
+            return self.ref_steps - 1
+        best_arm, best_index = 0, -math.inf
+        for a in range(self.n_arms):
+            idx = ucb_index(self.means[a], self.counts[a], self.log_term) + offer.bonus(a)
+            if idx > best_index:
+                best_arm, best_index = a, idx
+        return best_arm
+
+    def update(self, arm, reward):
+        self.counts[arm] += 1
+        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
+        self.index[arm] = ucb_index(self.means[arm], self.counts[arm], self.log_term)
+
+
+def pair_table(n_arms, horizon):
+    """Belgic's pair bandit: a UCBIndex over the K^2 pairs."""
+    return UCBIndex(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
+
+
+class RefPairUCB(UCBIndex):
+    """Belgic's pair table with a pointer to the first pair without a sample
+    and every index recomputed from counts and means."""
+
+    def __init__(self, n_arms, horizon):
+        super().__init__(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
+        self.ref_next_pair = 0
+
+    def best(self):
+        n_pairs = len(self.counts)
+        if self.ref_next_pair < n_pairs:
+            return self.ref_next_pair
+        best_pair, best_index = 0, -math.inf
+        for p in range(n_pairs):
+            idx = ucb_index(self.means[p], self.counts[p], self.log_term)
+            if idx > best_index:
+                best_pair, best_index = p, idx
+        return best_pair
+
+    def record(self, pair, shifted_reward):
+        self.counts[pair] += 1
+        self.means[pair] += (shifted_reward - self.means[pair]) / self.counts[pair]
+        self.index[pair] = ucb_index(self.means[pair], self.counts[pair], self.log_term)
+        if pair == self.ref_next_pair:
+            self.ref_next_pair += 1
+
+
+class RefBelgic(Belgic):
+    """Belgic on a RefPairUCB. As a subclass, the engine plays it through
+    its generic loop."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.pair_ucb = RefPairUCB(params.n_arms, params.horizon)
+
+
+class RefNaiveContextUCB(NaiveContextUCB):
+    """NaiveContextUCB with an explicit forced sweep and from-scratch indices."""
+
+    def step(self, context):
+        ucb = self.contexts[context]
+        counts, means = ucb.counts, ucb.means
+        for b in range(len(counts)):
+            if counts[b] == 0:
+                return b
+        best_arm, best_index = 0, -math.inf
+        for b in range(len(counts)):
+            idx = ucb_index(means[b], counts[b], ucb.log_term)
+            if idx > best_index:
+                best_arm, best_index = b, idx
+        return best_arm
+
+    def update(self, context, arm, reward):
+        ucb = self.contexts[context]
+        ucb.counts[arm] += 1
+        n = ucb.counts[arm]
+        ucb.means[arm] += (reward - ucb.means[arm]) / n
+        ucb.index[arm] = ucb_index(ucb.means[arm], n, ucb.log_term)
+
+
+#: The ten policy pairs of the two modes: (mode, upstream, downstream).
+POLICY_PAIRS = [
+    (mode, up, down) for mode in MODES for up in UPSTREAM_POLICIES for down in DOWNSTREAM_POLICIES[mode]
+]
+
+
+def game_config(kind, n_arms, horizon):
+    """One of POLICY_PAIRS as a GameConfig; Belgic plays alpha 0.5, beta 0.2
+    and certificate scale 0.5, whose search fits short horizons."""
+    mode, up, down = kind
+    return GameConfig(
+        mode=mode,
+        n_arms=n_arms,
+        horizon=horizon,
+        seeds=(0,),
+        alpha=0.5,
+        beta=0.2,
+        c_mode="fixed:0.5",
+        upstream_policy=up,
+        downstream_policy=down,
+    )
+
+
+def build_players(cfg, instance):
+    """The config's (upstream, downstream), built as the CLI builds them."""
+    return build_upstream(cfg, instance, cfg.horizon), build_downstream(cfg, instance, cfg.horizon)
+
+
+def reference_players(cfg, instance):
+    """build_players() with each learning policy replaced by its reference."""
+    upstream, downstream = build_players(cfg, instance)
+    if type(upstream) is IncentiveAwareUCB:
+        upstream = RefUCB(instance.n_arms, cfg.horizon)
+    if type(downstream) is Belgic:
+        downstream = RefBelgic(downstream.params)
+    elif type(downstream) is NaiveContextUCB:
+        downstream = RefNaiveContextUCB(instance.n_arms, cfg.horizon)
+    return upstream, downstream
+
+
+#: The reference policies' own sweep state, which the package's keep no copy of.
+REFERENCE_ONLY = {"ref_steps", "ref_next_pair"}
+
+
+def learned_state(policy):
+    """Every attribute of a policy by value, its pair bandit's and its
+    contexts' included: counts, means, indices and Belgic's round counters
+    and search log; the reference-only sweep state is left out."""
+    state = {name: value for name, value in vars(policy).items() if name not in REFERENCE_ONLY}
+    if "pair_ucb" in state:
+        state["pair_ucb"] = learned_state(state["pair_ucb"])
+    if "contexts" in state:
+        state["contexts"] = [learned_state(context) for context in state["contexts"]]
+    return state
+
+
+# ---------------------------------------------------------------- the games
+
+
+def ref_play(instance, upstream, downstream, horizon, seed, property_mode):
+    """The round loop with scalar draws; returns the played columns, as
+    fold_block takes them: up arms and down arms, then in the property mode
+    offered arms and amounts."""
+    rng = np.random.default_rng(seed)
+    ups, downs, arms, amounts = [], [], [], []
+    for _ in range(horizon):
+        if property_mode:
+            offer, down_arm = downstream.step()
+            up_arm = upstream.step(offer)
+        else:
+            up_arm = upstream.step(NO_OFFER)
+            down_arm = downstream.step(up_arm)
+        z, x = scalar_round(instance, rng, up_arm, down_arm)
+        upstream.update(up_arm, z)
+        if property_mode:
+            downstream.observe(up_arm, x)
+            arms.append(offer.arm)
+            amounts.append(offer.amount)
+        else:
+            downstream.update(up_arm, down_arm, x)
+        ups.append(up_arm)
+        downs.append(down_arm)
+    return (ups, downs, arms, amounts) if property_mode else (ups, downs)
+
+
+def scalar_fold(instance, oracle, up_arms, down_arms, offered_arms=None, amounts=None):
+    """The played columns folded one round at a time: per_round_gaps and
+    Python += from a fresh ledger. Returns the ledger and the (gap_sw,
+    gap_up, gap_down) columns, as fold_block does."""
+    v_up, v_down = instance.v_up, instance.v_down
+    led = RegretLedger()
+    gaps = ([], [], [])
+    offers = [None] * len(up_arms) if offered_arms is None else map(IncentiveOffer, offered_arms, amounts)
+    for up_arm, down_arm, offer in zip(up_arms, down_arms, offers):
+        gap_sw, gap_up, gap_down = per_round_gaps(instance, oracle, offer, up_arm, down_arm)
+        for column, gap in zip(gaps, (gap_sw, gap_up, gap_down)):
+            column.append(gap)
+        led.rounds += 1
+        led.r_sw += gap_sw
+        led.welfare += v_up[up_arm] + v_down[up_arm][down_arm]
+        if offer is None:
+            led.r_up_n += gap_up
+            led.r_down_n += gap_down
+            led.up_utility += v_up[up_arm]
+            led.down_utility += v_down[up_arm][down_arm]
+        else:
+            paid = offer.bonus(up_arm)
+            slack = gap_up + gap_down - gap_sw
+            if slack < led.decomposition_min_slack:
+                led.decomposition_min_slack = slack
+            led.r_up_p += gap_up
+            led.r_down_p += gap_down
+            led.up_utility += v_up[up_arm] + paid
+            led.down_utility += v_down[up_arm][down_arm] - paid
+    return (led, *gaps)
+
+
+def ref_phase1(instance, upstream, params, rng):
+    belgic = RefBelgic(params)
+    while belgic.in_search_phase:
+        offer, own_arm = belgic.step()
+        upstream_arm = upstream.step(offer)
+        z, x = scalar_round(instance, rng, upstream_arm, own_arm)
+        upstream.update(upstream_arm, z)
+        belgic.observe(upstream_arm, x)
+    return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds
+
+
+def ref_certificate_run(seed):
+    inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
+    k = inst.n_arms
+    rng = np.random.default_rng(seed)
+    ucb = RefUCB(k, CERT_HORIZON)
+    regret, out = 0.0, []
+    for t in range(1, max(CERT_CHECKPOINTS) + 1):
+        arm = ((t - 1) // CERT_BATCH) % k
+        offer = IncentiveOffer(arm, CERT_TAU[arm])
+        rng.random()
+        played = ucb.step(offer)
+        ucb.update(played, sample_upstream(inst, played, rng))
+        best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
+        regret += best - (inst.v_up[played] + offer.bonus(played))
+        if t in CERT_CHECKPOINTS:
+            out.append(regret)
+    return out
+
+
+def assert_same_column(name, mine, theirs):
+    """Assert two columns of rounds are equal. A failure names the column and
+    its first differing row, rather than handing pytest thousands of rounds
+    to diff."""
+    mine, theirs = np.asarray(mine), np.asarray(theirs)
+    if np.array_equal(mine, theirs):
+        return
+    if mine.shape != theirs.shape:
+        pytest.fail(f"{name}: shape {mine.shape} against {theirs.shape}")
+    i = int(np.flatnonzero(mine != theirs)[0])
+    pytest.fail(f"{name}: row {i} is {mine[i].item()!r}, expected {theirs[i].item()!r}")

@@ -1,12 +1,12 @@
 """Downstream policies: the two-phase search-then-play policy and baselines."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import pair_table, scalar_round
 
 from coase_bandits.downstream import (
     Belgic,
@@ -19,18 +19,12 @@ from coase_bandits.downstream import (
     validate_params,
 )
 from coase_bandits.engine import run_phase1
-from coase_bandits.env import (
-    build_instance,
-    compute_oracle,
-    sample_downstream,
-    sample_upstream,
-)
+from coase_bandits.env import build_instance, compute_oracle, sample_downstream
 from coase_bandits.upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
     IncentiveOffer,
     RegretCertificate,
-    UCBIndex,
     ucb_certificate,
 )
 
@@ -59,15 +53,12 @@ def final_rows(diags):
 
 
 def drive(belgic, instance, upstream, rng, rounds):
-    """Engine-equivalent loop: draw order u, v, z, x each round."""
+    """The engine's rounds, one at a time on the scalar draws."""
     for _ in range(rounds):
-        rng.random()
         offer, own_arm = belgic.step()
-        rng.random()
         up_arm = upstream.step(offer)
-        z = sample_upstream(instance, up_arm, rng)
+        z, x = scalar_round(instance, rng, up_arm, own_arm)
         upstream.update(up_arm, z)
-        x = sample_downstream(instance, up_arm, own_arm, rng)
         belgic.observe(up_arm, x)
 
 
@@ -274,11 +265,6 @@ class TestPhase1:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
         assert runs[0][2] == runs[1][2]
-
-
-def pair_table(n_arms, horizon):
-    """Belgic's pair bandit: a UCBIndex over the K^2 pairs."""
-    return UCBIndex(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
 
 
 class TestPairUCB:

@@ -7,6 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scalar_reference import (
+    NO_EXPLAIN,
+    POLICY_PAIRS,
+    assert_same_column,
+    build_players,
+    game_config,
+    instances,
+    learned_state,
+    ref_play,
+    reference_players,
+    scalar_fold,
+)
 
 from coase_bandits.downstream import (
     Belgic,
@@ -19,7 +31,6 @@ from coase_bandits.downstream import (
 from coase_bandits.engine import (
     BLOCK,
     DECOMPOSITION_TOL,
-    GameResult,
     RegretLedger,
     breakdown_lower_bound,
     fold_block,
@@ -401,103 +412,45 @@ class TestDeterminism:
         assert a.ledger != b.ledger
 
 
-GAME_KINDS = [
-    ("property", up, down) for up in ("ucb", "best_response") for down in ("belgic", "oracle", "zero")
-] + [("no-property", up, down) for up in ("ucb", "best_response") for down in ("naive", "best_response")]
 FOLD_HORIZONS = (5, 17, 300, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
-
-
-def _players(up_kind, down_kind, instance, horizon):
-    k = instance.n_arms
-    upstream = IncentiveAwareUCB(k, horizon) if up_kind == "ucb" else BestResponseUpstream(instance)
-    if down_kind == "belgic":
-        downstream = Belgic(BelgicParams(k, horizon, 0.5, 0.2, RegretCertificate(0.5)))
-    elif down_kind == "oracle":
-        downstream = OracleTransferDownstream(compute_oracle(instance))
-    elif down_kind == "zero":
-        downstream = ZeroTransferDownstream()
-    elif down_kind == "naive":
-        downstream = NaiveContextUCB(k, horizon)
-    else:
-        downstream = BestResponseDownstream(instance)
-    return upstream, downstream
-
-
-def _scalar_fold(instance, oracle, records, property_mode):
-    """The per-round reference: per_round_gaps and Python += over the columns."""
-    v_up, v_down = instance.v_up, instance.v_down
-    led = RegretLedger()
-    gaps = ([], [], [])
-    n = len(records)
-    offered = records.offered_arm.tolist() if property_mode else [None] * n
-    taus = records.tau.tolist() if property_mode else [None] * n
-    for up_arm, down_arm, arm, tau in zip(
-        records.up_arm.tolist(), records.down_arm.tolist(), offered, taus
-    ):
-        offer = IncentiveOffer(arm, tau) if property_mode else None
-        gap_sw, gap_up, gap_down = per_round_gaps(instance, oracle, offer, up_arm, down_arm)
-        for column, gap in zip(gaps, (gap_sw, gap_up, gap_down)):
-            column.append(gap)
-        led.rounds += 1
-        led.r_sw += gap_sw
-        led.welfare += v_up[up_arm] + v_down[up_arm][down_arm]
-        if offer is None:
-            led.r_up_n += gap_up
-            led.r_down_n += gap_down
-            led.up_utility += v_up[up_arm]
-            led.down_utility += v_down[up_arm][down_arm]
-        else:
-            paid = offer.bonus(up_arm)
-            slack = gap_up + gap_down - gap_sw
-            if slack < led.decomposition_min_slack:
-                led.decomposition_min_slack = slack
-            led.r_up_p += gap_up
-            led.r_down_p += gap_down
-            led.up_utility += v_up[up_arm] + paid
-            led.down_utility += v_down[up_arm][down_arm] - paid
-    return led, gaps
-
-
-_means = st.floats(0.0, 1.0, allow_nan=False)
-
-
-@st.composite
-def _instances(draw):
-    k = draw(st.integers(1, 5))
-    return build_instance(
-        draw(st.lists(_means, min_size=k, max_size=k)),
-        draw(st.lists(st.lists(_means, min_size=k, max_size=k), min_size=k, max_size=k)),
-        draw(st.sampled_from(("gaussian", "bernoulli"))),
-    )
 
 
 class TestBlockFold:
     """Block-folded runs against the one-round-at-a-time reference, bit for bit."""
 
     @pytest.mark.parametrize("horizon", FOLD_HORIZONS)
-    @pytest.mark.parametrize("kind", GAME_KINDS, ids="-".join)
-    @settings(max_examples=2, deadline=None)
-    @given(instance=_instances(), seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("kind", POLICY_PAIRS, ids="-".join)
+    @settings(max_examples=2, deadline=None, phases=NO_EXPLAIN)
+    @given(instance=instances(), seed=st.integers(0, 2**32 - 1))
     def test_matches_scalar_reference(self, kind, horizon, instance, seed):
-        mode, up_kind, down_kind = kind
+        # Each game is played with a trajectory, without one, and on the
+        # scalar reference: its policies, its draws, per_round_gaps and +=.
+        cfg = game_config(kind, instance.n_arms, horizon)
         try:
-            players = _players(up_kind, down_kind, instance, horizon)
+            players = build_players(cfg, instance)
         except ValueError:
             assume(False)  # phase 1 cannot fit K arms into this horizon
-        run = run_property if mode == "property" else run_no_property
+        property_mode = cfg.mode == "property"
+        run = run_property if property_mode else run_no_property
         traced = run(instance, *players, horizon, seed, record_trajectory=True)
-        plain = run(instance, *_players(up_kind, down_kind, instance, horizon), horizon, seed)
+        plain = run(instance, *build_players(cfg, instance), horizon, seed)
+        ref_players = reference_players(cfg, instance)
+        columns = ref_play(instance, *ref_players, horizon, seed, property_mode)
+        ledger, *gaps = scalar_fold(instance, traced.oracle, *columns)
+
         records = traced.records
-        assert len(records) == horizon  # the last row is round T
-        led, (gap_sw, gap_up, gap_down) = _scalar_fold(
-            instance, traced.oracle, records, mode == "property"
-        )
+        for name, column in zip(("up_arm", "down_arm", "offered_arm", "tau"), columns):
+            assert_same_column(name, getattr(records, name), column)
+        for name, column in zip(("gap_sw", "gap_up", "gap_down"), gaps):
+            assert_same_column(name, getattr(records, name), column)
         for field in dataclasses.fields(RegretLedger):
-            assert getattr(traced.ledger, field.name) == getattr(led, field.name), field.name
+            assert getattr(traced.ledger, field.name) == getattr(ledger, field.name), field.name
         assert plain.ledger == traced.ledger
-        assert records.gap_sw.tolist() == gap_sw
-        assert records.gap_up.tolist() == gap_up
-        assert records.gap_down.tolist() == gap_down
+        for mine, theirs in zip(players, ref_players):
+            assert learned_state(mine) == learned_state(theirs)
+        if cfg.downstream_policy == "belgic":
+            assert traced.phase1_batches == (ref_players[1].diagnostics or None)
+            assert traced.tau_hat == ref_players[1].tau_hat
 
     def test_first_violation_named_across_block_boundary(self):
         # Lowering mu_star_down by 1 lowers every round's slack by 1. Rounds

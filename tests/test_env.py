@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from scalar_reference import instances
 
 from coase_bandits.env import (
     BanditInstance,
@@ -27,19 +27,6 @@ V_DOWN = ((0.0, 0.0), (0.9, 0.85))
 
 def reference() -> BanditInstance:
     return build_instance(V_UP, V_DOWN)
-
-
-means = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=64)
-
-
-@st.composite
-def instances(draw, max_arms=4):
-    k = draw(st.integers(min_value=1, max_value=max_arms))
-    v_up = draw(st.lists(means, min_size=k, max_size=k))
-    v_down = draw(
-        st.lists(st.lists(means, min_size=k, max_size=k), min_size=k, max_size=k)
-    )
-    return build_instance(v_up, v_down)
 
 
 class TestBuildInstance:

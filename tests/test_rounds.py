@@ -1,14 +1,10 @@
-"""The noise stream, the reward columns and the cached UCB indices against a
-scalar reference.
+"""The noise stream, the reward columns, the kernels and the cached UCB
+indices against the scalar reference of ``scalar_reference``.
 
-The reference is the round loop written the long way: every round draws the
-two uniform slots with scalar calls, then the rewards through
-``sample_upstream`` and ``sample_downstream``, and every UCB step recomputes
-its indices from the counts and means and tries the unsampled arms or pairs
-first by an explicit sweep, not through +inf indices. ``env.draw_noise``,
-``env.RewardColumns`` (the one reward view every round function reads) and
-the cached indices must reproduce it bit for bit, in the engine, in
-``run_phase1`` and in criterion 6's certificate run.
+``env.draw_noise``, ``env.RewardColumns`` (the one reward view every round
+function reads) and the cached indices must reproduce the reference bit for
+bit, in ``run_phase1`` and in criterion 6's certificate run; whole games are
+checked against it in ``test_engine``.
 
 The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state. The
@@ -28,26 +24,29 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scalar_reference import (
+    NO_EXPLAIN,
+    RefUCB,
+    assert_same_column,
+    build_players,
+    game_config,
+    instances,
+    learned_state,
+    means,
+    pair_table,
+    ref_certificate_run,
+    ref_phase1,
+    reference_players,
+    scalar_noise,
+    scalar_round,
+    ucb_index,
+)
 
-from coase_bandits.acceptance import (
-    CERT_BATCH,
-    CERT_CHECKPOINTS,
-    CERT_HORIZON,
-    CERT_RUNS,
-    CERT_TAU,
-    CERT_V_UP,
-    _certificate_run,
-)
-from coase_bandits.downstream import (
-    Belgic,
-    BelgicParams,
-    BestResponseDownstream,
-    NaiveContextUCB,
-    OracleTransferDownstream,
-    ZeroTransferDownstream,
-)
+from coase_bandits.acceptance import CERT_RUNS, _certificate_run
+from coase_bandits.config import belgic_params
+from coase_bandits.downstream import Belgic, BelgicParams, NaiveContextUCB
 from coase_bandits.engine import (
     BLOCK,
     RegretLedger,
@@ -56,7 +55,6 @@ from coase_bandits.engine import (
     _round_function,
     _ucb_belgic_rounds,
     _ucb_naive_rounds,
-    fold_block,
     run_no_property,
     run_phase1,
     run_property,
@@ -69,41 +67,12 @@ from coase_bandits.env import (
     _slow,
     _ziggurat,
     build_instance,
-    compute_oracle,
     draw_noise,
-    sample_downstream,
     sample_upstream,
 )
-from coase_bandits.upstream import (
-    NO_OFFER,
-    BestResponseUpstream,
-    IncentiveAwareUCB,
-    IncentiveOffer,
-    RegretCertificate,
-    UCBIndex,
-)
+from coase_bandits.upstream import IncentiveAwareUCB, IncentiveOffer, RegretCertificate
 
-# ---------------------------------------------------------------- reference
-
-
-def scalar_round(instance, rng, up_arm, down_arm):
-    """One round's draws as four scalar calls: two unread uniforms, then the
-    upstream and the downstream reward."""
-    rng.random()
-    rng.random()
-    return sample_upstream(instance, up_arm, rng), sample_downstream(instance, up_arm, down_arm, rng)
-
-
-def scalar_noise(instance, rng, n, players=2):
-    """n rounds of noise with scalar calls: one uniform slot per player, then
-    one standard normal (gaussian) or uniform (bernoulli) per player."""
-    draw = rng.standard_normal if instance.reward_model == "gaussian" else rng.random
-    rows = []
-    for _ in range(n):
-        for _ in range(players):
-            rng.random()
-        rows.append([draw() for _ in range(players)])
-    return rows
+# ---------------------------------------------------------------- the gaussian replay's words
 
 
 def words_between(before, after):
@@ -143,166 +112,6 @@ def traced_scalar_round(rng, players=2):
     return slots
 
 
-def ucb_index(mean, pulls, log_term):
-    return mean + 2.0 * math.sqrt(log_term / pulls)
-
-
-class RefUCB(IncentiveAwareUCB):
-    """IncentiveAwareUCB with a step counter forcing the first K arms and
-    every index recomputed from counts and means (the stored indices are only
-    kept for comparison)."""
-
-    def __init__(self, n_arms, horizon):
-        super().__init__(n_arms, horizon)
-        self.ref_steps = 0
-
-    def step(self, offer):
-        self.ref_steps += 1
-        if self.ref_steps <= self.n_arms:
-            return self.ref_steps - 1
-        best_arm, best_index = 0, -math.inf
-        for a in range(self.n_arms):
-            idx = ucb_index(self.means[a], self.counts[a], self.log_term) + offer.bonus(a)
-            if idx > best_index:
-                best_arm, best_index = a, idx
-        return best_arm
-
-    def update(self, arm, reward):
-        self.counts[arm] += 1
-        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
-        self.index[arm] = ucb_index(self.means[arm], self.counts[arm], self.log_term)
-
-
-def pair_table(n_arms, horizon):
-    """Belgic's pair bandit: a UCBIndex over the K^2 pairs."""
-    return UCBIndex(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
-
-
-class RefPairUCB(UCBIndex):
-    """Belgic's pair table with a pointer to the first pair without a sample
-    and every index recomputed from counts and means."""
-
-    def __init__(self, n_arms, horizon):
-        super().__init__(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
-        self.ref_next_pair = 0
-
-    def best(self):
-        n_pairs = len(self.counts)
-        if self.ref_next_pair < n_pairs:
-            return self.ref_next_pair
-        best_pair, best_index = 0, -math.inf
-        for p in range(n_pairs):
-            idx = ucb_index(self.means[p], self.counts[p], self.log_term)
-            if idx > best_index:
-                best_pair, best_index = p, idx
-        return best_pair
-
-    def record(self, pair, shifted_reward):
-        self.counts[pair] += 1
-        self.means[pair] += (shifted_reward - self.means[pair]) / self.counts[pair]
-        self.index[pair] = ucb_index(self.means[pair], self.counts[pair], self.log_term)
-        if pair == self.ref_next_pair:
-            self.ref_next_pair += 1
-
-
-class RefNaiveContextUCB(NaiveContextUCB):
-    """NaiveContextUCB with an explicit forced sweep and from-scratch indices."""
-
-    def step(self, context):
-        ucb = self.contexts[context]
-        counts, means = ucb.counts, ucb.means
-        for b in range(len(counts)):
-            if counts[b] == 0:
-                return b
-        best_arm, best_index = 0, -math.inf
-        for b in range(len(counts)):
-            idx = ucb_index(means[b], counts[b], ucb.log_term)
-            if idx > best_index:
-                best_arm, best_index = b, idx
-        return best_arm
-
-    def update(self, context, arm, reward):
-        ucb = self.contexts[context]
-        ucb.counts[arm] += 1
-        n = ucb.counts[arm]
-        ucb.means[arm] += (reward - ucb.means[arm]) / n
-        ucb.index[arm] = ucb_index(ucb.means[arm], n, ucb.log_term)
-
-
-def ref_belgic(params):
-    belgic = Belgic(params)
-    belgic.pair_ucb = RefPairUCB(params.n_arms, params.horizon)
-    return belgic
-
-
-def ref_play(instance, upstream, downstream, horizon, seed, property_mode):
-    """The round loop with scalar draws; returns the played columns
-    (up arms, down arms, offered arms, amounts)."""
-    rng = np.random.default_rng(seed)
-    ups, downs, arms, amounts = [], [], [], []
-    for _ in range(horizon):
-        if property_mode:
-            offer, down_arm = downstream.step()
-            up_arm = upstream.step(offer)
-        else:
-            up_arm = upstream.step(NO_OFFER)
-            down_arm = downstream.step(up_arm)
-        z, x = scalar_round(instance, rng, up_arm, down_arm)
-        upstream.update(up_arm, z)
-        if property_mode:
-            downstream.observe(up_arm, x)
-            arms.append(offer.arm)
-            amounts.append(offer.amount)
-        else:
-            downstream.update(up_arm, down_arm, x)
-        ups.append(up_arm)
-        downs.append(down_arm)
-    return ups, downs, arms, amounts
-
-
-def ref_phase1(instance, upstream, params, rng):
-    belgic = ref_belgic(params)
-    while belgic.in_search_phase:
-        offer, own_arm = belgic.step()
-        upstream_arm = upstream.step(offer)
-        z, x = scalar_round(instance, rng, upstream_arm, own_arm)
-        upstream.update(upstream_arm, z)
-        belgic.observe(upstream_arm, x)
-    return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds
-
-
-def ref_certificate_run(seed):
-    inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
-    k = inst.n_arms
-    rng = np.random.default_rng(seed)
-    ucb = RefUCB(k, CERT_HORIZON)
-    regret, out = 0.0, []
-    for t in range(1, max(CERT_CHECKPOINTS) + 1):
-        arm = ((t - 1) // CERT_BATCH) % k
-        offer = IncentiveOffer(arm, CERT_TAU[arm])
-        rng.random()
-        played = ucb.step(offer)
-        ucb.update(played, sample_upstream(inst, played, rng))
-        best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
-        regret += best - (inst.v_up[played] + offer.bonus(played))
-        if t in CERT_CHECKPOINTS:
-            out.append(regret)
-    return out
-
-
-def assert_same_column(name, mine, theirs):
-    """Assert two columns of rounds are equal. A failure names the column and
-    its first differing row, rather than handing pytest thousands of rounds
-    to diff."""
-    mine, theirs = np.asarray(mine), np.asarray(theirs)
-    if np.array_equal(mine, theirs):
-        return
-    if mine.shape != theirs.shape:
-        pytest.fail(f"{name}: shape {mine.shape} against {theirs.shape}")
-    i = int(np.flatnonzero(mine != theirs)[0])
-    pytest.fail(f"{name}: row {i} is {mine[i].item()!r}, expected {theirs[i].item()!r}")
-
-
 def normal_took_slow_path(rng):
     """Draw one standard normal; True when it used more than one 64-bit word
     (the ziggurat's rejection path)."""
@@ -311,14 +120,14 @@ def normal_took_slow_path(rng):
     return words_between(before, rng.bit_generator.state) > 1
 
 
-# ---------------------------------------------------------------- the sampler
+# ---------------------------------------------------------------- the reward columns
 
 
 def _sampler_instance(model):
     return build_instance((0.2, 0.7, 0.5), ((0.1, 0.9, 0.4), (0.3, 0.3, 0.8), (0.6, 0.0, 1.0)), model)
 
 
-class TestRoundSampler:
+class TestRewardColumns:
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
     def test_matches_four_scalar_draws(self, model):
         inst = _sampler_instance(model)
@@ -609,125 +418,32 @@ class TestGaussianReplay:
 
 # ---------------------------------------------------------------- the games
 
-#: Hypothesis's phases without "explain", which replays a failing example
-#: under line tracing: on a game of thousands of rounds that takes minutes.
-#: The tests that play games use these; generation and shrinking are as
-#: before.
-NO_EXPLAIN = tuple(phase for phase in Phase if phase.name != "explain")
-
-GAME_KINDS = [
-    ("property", up, down) for up in ("ucb", "best_response") for down in ("belgic", "oracle", "zero")
-] + [("no-property", up, down) for up in ("ucb", "best_response") for down in ("naive", "best_response")]
-HORIZONS = (5, 17, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
 SMALL_SCHEDULE = (0.5, 0.2, RegretCertificate(0.5))
-
-_means = st.floats(0.0, 1.0, allow_nan=False)
-
-
-@st.composite
-def _instances(draw, k=None):
-    if k is None:
-        k = draw(st.integers(1, 5))
-    return build_instance(
-        draw(st.lists(_means, min_size=k, max_size=k)),
-        draw(st.lists(st.lists(_means, min_size=k, max_size=k), min_size=k, max_size=k)),
-        draw(st.sampled_from(("gaussian", "bernoulli"))),
-    )
-
-
-def _players(up_kind, down_kind, instance, horizon, reference):
-    k = instance.n_arms
-    if up_kind == "ucb":
-        upstream = (RefUCB if reference else IncentiveAwareUCB)(k, horizon)
-    else:
-        upstream = BestResponseUpstream(instance)
-    if down_kind == "belgic":
-        params = BelgicParams(k, horizon, *SMALL_SCHEDULE)
-        downstream = ref_belgic(params) if reference else Belgic(params)
-    elif down_kind == "oracle":
-        downstream = OracleTransferDownstream(compute_oracle(instance))
-    elif down_kind == "zero":
-        downstream = ZeroTransferDownstream()
-    elif down_kind == "naive":
-        downstream = (RefNaiveContextUCB if reference else NaiveContextUCB)(k, horizon)
-    else:
-        downstream = BestResponseDownstream(instance)
-    return upstream, downstream
-
-
-#: The reference policies' own sweep state, which the package's keep no copy of.
-REFERENCE_ONLY = {"ref_steps", "ref_next_pair"}
-
-
-def _learned_state(policy):
-    """Every attribute of a policy by value, its pair bandit's and its
-    contexts' included: counts, means, indices and Belgic's round counters
-    and search log; the reference-only sweep state is left out."""
-    state = {name: value for name, value in vars(policy).items() if name not in REFERENCE_ONLY}
-    if "pair_ucb" in state:
-        state["pair_ucb"] = _learned_state(state["pair_ucb"])
-    if "contexts" in state:
-        state["contexts"] = [_learned_state(context) for context in state["contexts"]]
-    return state
 
 
 class TestGamesMatchScalarReference:
-    @pytest.mark.parametrize("horizon", HORIZONS)
-    @pytest.mark.parametrize("kind", GAME_KINDS, ids="-".join)
-    @settings(max_examples=2, deadline=None, phases=NO_EXPLAIN)
-    @given(instance=_instances(), seed=st.integers(0, 2**32 - 1))
-    def test_engine(self, kind, horizon, instance, seed):
-        mode, up_kind, down_kind = kind
-        property_mode = mode == "property"
-        try:
-            players = _players(up_kind, down_kind, instance, horizon, reference=False)
-        except ValueError:
-            assume(False)  # phase 1 cannot fit K arms into this horizon
-        ref_players = _players(up_kind, down_kind, instance, horizon, reference=True)
-        run = run_property if property_mode else run_no_property
-        result = run(instance, *players, horizon, seed, record_trajectory=True)
-        columns = ref_play(instance, *ref_players, horizon, seed, property_mode)
-
-        records = result.records
-        assert_same_column("up_arm", records.up_arm, columns[0])
-        assert_same_column("down_arm", records.down_arm, columns[1])
-        if property_mode:
-            assert_same_column("offered_arm", records.offered_arm, columns[2])
-            assert_same_column("tau", records.tau, columns[3])
-            ledger, *gaps = fold_block(instance, result.oracle, RegretLedger(), 1, *columns)
-        else:
-            ledger, *gaps = fold_block(instance, result.oracle, RegretLedger(), 1, *columns[:2])
-        for field in dataclasses.fields(RegretLedger):
-            assert getattr(result.ledger, field.name) == getattr(ledger, field.name), field.name
-        assert_same_column("gap_sw", records.gap_sw, gaps[0])
-        assert_same_column("gap_up", records.gap_up, gaps[1])
-        assert_same_column("gap_down", records.gap_down, gaps[2])
-        for mine, theirs in zip(players, ref_players):
-            assert _learned_state(mine) == _learned_state(theirs)
-        if down_kind == "belgic":
-            assert result.phase1_batches == (ref_players[1].diagnostics or None)
-            assert result.tau_hat == ref_players[1].tau_hat
+    """Belgic's search and criterion 6's certificate run against the scalar
+    reference; whole games are ``test_engine``'s TestBlockFold."""
 
     @pytest.mark.parametrize("up_kind", ["ucb", "best_response"])
     @settings(max_examples=15, deadline=None, phases=NO_EXPLAIN)
     @given(
-        instance=_instances(),
+        instance=instances(),
         horizon=st.sampled_from((256, 1024, BLOCK, 2 * BLOCK + 3)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_run_phase1(self, up_kind, instance, horizon, seed):
-        params = BelgicParams(instance.n_arms, horizon, *SMALL_SCHEDULE)
+        cfg = game_config(("property", up_kind, "belgic"), instance.n_arms, horizon)
         try:
-            Belgic(params)
+            up = build_players(cfg, instance)[0]
         except ValueError:
-            assume(False)
-        up, ref_up = (
-            _players(up_kind, "zero", instance, horizon, reference=r)[0] for r in (False, True)
-        )
+            assume(False)  # phase 1 cannot fit K arms into this horizon
+        ref_up = reference_players(cfg, instance)[0]
+        params = belgic_params(cfg, horizon)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         assert run_phase1(instance, up, params, rng) == ref_phase1(instance, ref_up, params, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert _learned_state(up) == _learned_state(ref_up)
+        assert learned_state(up) == learned_state(ref_up)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -806,7 +522,14 @@ def _edge_params(k, batch_length, n_batches):
         scale = math.nextafter(scale, -math.inf)
 
 
-def _assert_same_game(result, generic):
+def _assert_same_game(run, instance, players, generic_players, horizon, seed, noise=None):
+    """Play one game on each pair of players and assert they are the same
+    game: its columns, ledger, search outcome and final policy state. Returns
+    the first pair's result."""
+    result, generic = (
+        run(instance, *pair, horizon, seed, record_trajectory=True, noise=noise)
+        for pair in (players, generic_players)
+    )
     for column in ("up_arm", "down_arm", "gap_sw", "gap_up", "gap_down", "offered_arm", "tau"):
         mine, theirs = getattr(result.records, column), getattr(generic.records, column)
         assert (mine is None) == (theirs is None)
@@ -816,6 +539,9 @@ def _assert_same_game(result, generic):
         assert getattr(result.ledger, field.name) == getattr(generic.ledger, field.name), field.name
     for field in ("tau_hat", "phase1_rounds", "phase1_batches", "breakdown_bound"):
         assert getattr(result, field) == getattr(generic, field), field
+    for mine, theirs in zip(players, generic_players):
+        assert learned_state(mine) == learned_state(theirs)
+    return result
 
 
 class TestKernelsMatchGenericLoop:
@@ -826,17 +552,13 @@ class TestKernelsMatchGenericLoop:
     @settings(max_examples=8, deadline=None, phases=NO_EXPLAIN)
     @given(data=st.data(), extra=st.sampled_from((1, 100, BLOCK + 7)), seed=st.integers(0, 2**32 - 1))
     def test_ucb_belgic(self, k, batch_length, n_batches, data, extra, seed):
-        instance = data.draw(_instances(k))
+        instance = data.draw(instances(k))
         horizon, params = _schedule(k, batch_length, n_batches, extra)
         players = IncentiveAwareUCB(k, horizon), Belgic(params)
         generic_players = GenericUCB(k, horizon), Belgic(params)
         assert _round_function(True, *players) is _ucb_belgic_rounds
         assert _round_function(True, *generic_players) is _property_rounds
-        result = run_property(instance, *players, horizon, seed, record_trajectory=True)
-        generic = run_property(instance, *generic_players, horizon, seed, record_trajectory=True)
-        _assert_same_game(result, generic)
-        for mine, theirs in zip(players, generic_players):
-            assert _learned_state(mine) == _learned_state(theirs)
+        result = _assert_same_game(run_property, instance, players, generic_players, horizon, seed)
         if batch_length == BLOCK:
             assert result.phase1_rounds == k * BLOCK
 
@@ -849,21 +571,17 @@ class TestKernelsMatchGenericLoop:
         # half its rounds refused as the only early return, and beta/alpha
         # against its cap.
         k, batch_length, n_batches = schedule
-        instance = data.draw(_instances(k))
+        instance = data.draw(instances(k))
         horizon, params = _edge_params(*schedule)
         assert params.phase1_max_rounds == horizon - 1
         assert (horizon - 1) % BLOCK in (BLOCK - 1, 0, 1)
         players = IncentiveAwareUCB(k, horizon), Belgic(params)
         generic_players = GenericUCB(k, horizon), Belgic(params)
-        result = run_property(instance, *players, horizon, seed, record_trajectory=True)
-        generic = run_property(instance, *generic_players, horizon, seed, record_trajectory=True)
-        _assert_same_game(result, generic)
-        for mine, theirs in zip(players, generic_players):
-            assert _learned_state(mine) == _learned_state(theirs)
+        _assert_same_game(run_property, instance, players, generic_players, horizon, seed)
 
     @settings(max_examples=30, deadline=None, phases=NO_EXPLAIN)
     @given(
-        instance=_instances(),
+        instance=instances(),
         horizon=st.sampled_from((5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -873,11 +591,7 @@ class TestKernelsMatchGenericLoop:
         generic_players = GenericUCB(k, horizon), NaiveContextUCB(k, horizon)
         assert _round_function(False, *players) is _ucb_naive_rounds
         assert _round_function(False, *generic_players) is _no_property_rounds
-        result = run_no_property(instance, *players, horizon, seed, record_trajectory=True)
-        generic = run_no_property(instance, *generic_players, horizon, seed, record_trajectory=True)
-        _assert_same_game(result, generic)
-        for mine, theirs in zip(players, generic_players):
-            assert _learned_state(mine) == _learned_state(theirs)
+        _assert_same_game(run_no_property, instance, players, generic_players, horizon, seed)
 
     @pytest.mark.parametrize("mode", ["property", "no-property"])
     @settings(max_examples=10, deadline=None, phases=NO_EXPLAIN)
@@ -905,16 +619,14 @@ class TestKernelsMatchGenericLoop:
             for up, down in (players, generic_players):
                 _no_exploration_bonus(up, *down.contexts)
         noise = _dyadic_noise(seed, horizon)
-        result = run(instance, *players, horizon, seed, record_trajectory=True, noise=noise)
-        generic = run(instance, *generic_players, horizon, seed, record_trajectory=True, noise=noise)
-        _assert_same_game(result, generic)
-        for mine, theirs in zip(players, generic_players):
-            assert _learned_state(mine) == _learned_state(theirs)
+        result = _assert_same_game(run, instance, players, generic_players, horizon, seed, noise)
         if mode == "property":
             assert all((tau * 2**10).is_integer() for tau in result.tau_hat)
 
-    @pytest.mark.parametrize("mode", ["property", "no-property"])
+    @pytest.mark.parametrize("mode", ["property", "no-property", "belgic-subclass"])
     def test_subclasses_are_played_by_the_generic_loop(self, mode):
+        # A subclass of either policy of a learning pair, the upstream's or
+        # Belgic's, is played one step() per round.
         class CountingUCB(IncentiveAwareUCB):
             steps = 0
 
@@ -922,15 +634,25 @@ class TestKernelsMatchGenericLoop:
                 self.steps += 1
                 return super().step(offer)
 
+        class CountingBelgic(Belgic):
+            steps = 0
+
+            def step(self):
+                self.steps += 1
+                return super().step()
+
         instance = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
         horizon = BLOCK + 1
+        params = BelgicParams(2, horizon, *SMALL_SCHEDULE)
         if mode == "property":
-            run, downstream = run_property, Belgic(BelgicParams(2, horizon, *SMALL_SCHEDULE))
+            run, upstream, downstream = run_property, CountingUCB(2, horizon), Belgic(params)
+        elif mode == "no-property":
+            run, upstream, downstream = run_no_property, CountingUCB(2, horizon), NaiveContextUCB(2, horizon)
         else:
-            run, downstream = run_no_property, NaiveContextUCB(2, horizon)
-        upstream = CountingUCB(2, horizon)
+            run, upstream, downstream = run_property, IncentiveAwareUCB(2, horizon), CountingBelgic(params)
         run(instance, upstream, downstream, horizon, 0)
-        assert upstream.steps == horizon
+        counted = downstream if mode == "belgic-subclass" else upstream
+        assert counted.steps == horizon
 
     @pytest.mark.parametrize("upstream_class", [IncentiveAwareUCB, GenericUCB])
     def test_spent_or_stepped_belgic_is_refused(self, upstream_class):
@@ -1022,7 +744,7 @@ class TestOfferStretch:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stretch_is_steps_and_updates(self, model, k, data, amount, start, m, seed):
-        v_up = data.draw(st.lists(_means, min_size=k, max_size=k))
+        v_up = data.draw(st.lists(means, min_size=k, max_size=k))
         instance = build_instance(v_up, [[0.0] * k] * k, model)
         arm = data.draw(st.integers(-1, k))
         ucb = _trained_ucb(k, data)
@@ -1041,7 +763,7 @@ class TestOfferStretch:
             ref_played.append(a)
         assert played == ref_played
         assert refusals == sum(a != arm for a in ref_played)
-        assert _learned_state(ucb) == _learned_state(ref)
+        assert learned_state(ucb) == learned_state(ref)
 
 
 # ---------------------------------------------------------------- runs
@@ -1075,8 +797,10 @@ def _no_exploration_bonus(*tables):
 
 def _play_in_pieces(play, players, instance, noise, cuts):
     """Play noise's rows in pieces split at cuts, each piece's rewards one
-    RewardColumns; the columns joined."""
-    bounds = [0, *sorted(cuts), len(noise)]
+    RewardColumns; the columns joined. A cut past the last row cuts nothing,
+    and no piece is empty: the engine hands a round function at least one
+    row."""
+    bounds = [0, *sorted(min(cut, len(noise)) for cut in cuts), len(noise)]
     pieces = [
         play(*players, RewardColumns(instance, noise[a:b]))
         for a, b in zip(bounds, bounds[1:])
@@ -1085,14 +809,18 @@ def _play_in_pieces(play, players, instance, noise, cuts):
     return [np.concatenate(column) for column in zip(*pieces)]
 
 
-def _assert_same_columns(columns, generic):
-    """A kernel's columns against the generic loop's, named as they are
-    returned: (up_arm, down_arm), then (offered_arm, amount) in the property
-    mode."""
+def _assert_same_pieces(kernel, loop, players, generic_players, instance, noise, cuts):
+    """Play the same pieces with the kernel on players and with the generic
+    loop on generic_players, and assert the same columns, named as they are
+    returned ((up_arm, down_arm), then (offered_arm, amount) in the property
+    mode), and the same final policy state."""
+    columns = _play_in_pieces(kernel, players, instance, noise, cuts)
+    generic = _play_in_pieces(loop, generic_players, instance, noise, cuts)
     assert len(columns) == len(generic)
-    names = ("up_arm", "down_arm", "offered_arm", "amount")
-    for name, mine, theirs in zip(names, columns, generic):
+    for name, mine, theirs in zip(("up_arm", "down_arm", "offered_arm", "amount"), columns, generic):
         assert_same_column(name, mine, theirs)
+    for mine, theirs in zip(players, generic_players):
+        assert learned_state(mine) == learned_state(theirs)
 
 
 class TestRuns:
@@ -1129,7 +857,7 @@ class TestRuns:
             ref_played.append(a)
         assert played == ref_played
         assert refusals == sum(a != arm for a in ref_played)
-        assert _learned_state(ucb) == _learned_state(ref)
+        assert learned_state(ucb) == learned_state(ref)
 
     @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
     @given(
@@ -1144,11 +872,7 @@ class TestRuns:
         generic_players = GenericUCB(k, 4096), NaiveContextUCB(k, 4096)
         for up, down in (players, generic_players):
             _no_exploration_bonus(up, *down.contexts)
-        columns = _play_in_pieces(_ucb_naive_rounds, players, instance, noise, cuts)
-        generic = _play_in_pieces(_no_property_rounds, generic_players, instance, noise, cuts)
-        _assert_same_columns(columns, generic)
-        for mine, theirs in zip(players, generic_players):
-            assert _learned_state(mine) == _learned_state(theirs)
+        _assert_same_pieces(_ucb_naive_rounds, _no_property_rounds, players, generic_players, instance, noise, cuts)
 
     @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
     @given(
@@ -1167,11 +891,7 @@ class TestRuns:
         generic_players = GenericUCB(k, horizon), Belgic(params)
         for up, down in (players, generic_players):
             _no_exploration_bonus(up, down.pair_ucb)
-        columns = _play_in_pieces(_ucb_belgic_rounds, players, instance, noise, cuts)
-        generic = _play_in_pieces(_property_rounds, generic_players, instance, noise, cuts)
-        _assert_same_columns(columns, generic)
-        for mine, theirs in zip(players, generic_players):
-            assert _learned_state(mine) == _learned_state(theirs)
+        _assert_same_pieces(_ucb_belgic_rounds, _property_rounds, players, generic_players, instance, noise, cuts)
         assert all((tau * 2**10).is_integer() for tau in players[1].tau_hat)
 
     @settings(max_examples=60, deadline=None)
@@ -1196,7 +916,7 @@ class TestRuns:
         whole_played, whole_refusals = _stretch(whole, arm, amount, rewards, start, stop)
         assert played == whole_played
         assert refusals == whole_refusals
-        assert _learned_state(ucb) == _learned_state(whole)
+        assert learned_state(ucb) == learned_state(whole)
 
 
 # ---------------------------------------------------------------- cached indices
@@ -1204,40 +924,33 @@ class TestRuns:
 _rewards = st.floats(-4.0, 4.0, allow_nan=False)
 
 
+#: Each UCB table kind: (the largest K drawn, its UCBIndex tables for K arms
+#: and a horizon).
+INDEX_TABLES = {
+    "upstream": (5, lambda k, horizon: [IncentiveAwareUCB(k, horizon)]),
+    "pair": (3, lambda k, horizon: [pair_table(k, horizon)]),
+    "context": (4, lambda k, horizon: NaiveContextUCB(k, horizon).contexts),
+}
+
+
 class TestCachedIndices:
+    @pytest.mark.parametrize("kind", list(INDEX_TABLES))
     @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 5), horizon=st.integers(5, 10**6), data=st.data())
-    def test_upstream_index_is_the_formula(self, k, horizon, data):
-        ucb = IncentiveAwareUCB(k, horizon)
-        for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=40)):
-            ucb.update(arm, reward)
-            for a in range(k):
-                want = math.inf if ucb.counts[a] == 0 else ucb_index(ucb.means[a], ucb.counts[a], ucb.log_term)
-                assert ucb.index[a] == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 3), horizon=st.integers(5, 10**6), data=st.data())
-    def test_pair_index_is_the_formula(self, k, horizon, data):
-        ucb = pair_table(k, horizon)
-        n = k * k
-        for pair, reward in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _rewards), max_size=40)):
-            ucb.record(pair, reward)
-            for p in range(n):
-                want = math.inf if ucb.counts[p] == 0 else ucb_index(ucb.means[p], ucb.counts[p], ucb.log_term)
-                assert ucb.index[p] == want
-
-    @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 4), horizon=st.integers(5, 10**6), data=st.data())
-    def test_context_index_is_the_formula(self, k, horizon, data):
-        ucb = NaiveContextUCB(k, horizon)
-        arms = st.integers(0, k - 1)
-        for context, arm, reward in data.draw(st.lists(st.tuples(arms, arms, _rewards), max_size=40)):
-            ucb.update(context, arm, reward)
-            for table in ucb.contexts:
-                for b in range(k):
-                    n = table.counts[b]
-                    want = math.inf if n == 0 else ucb_index(table.means[b], n, table.log_term)
-                    assert table.index[b] == want
+    @given(horizon=st.integers(5, 10**6), data=st.data())
+    def test_index_is_the_formula(self, kind, horizon, data):
+        # After every record(), each entry of each table is +inf until
+        # sampled and the UCB formula on its count and mean after.
+        largest_k, build = INDEX_TABLES[kind]
+        tables = build(data.draw(st.integers(1, largest_k)), horizon)
+        n = len(tables[0].counts)
+        moves = st.tuples(st.integers(0, len(tables) - 1), st.integers(0, n - 1), _rewards)
+        for t, entry, reward in data.draw(st.lists(moves, max_size=40)):
+            tables[t].record(entry, reward)
+            for table in tables:
+                for e in range(n):
+                    c = table.counts[e]
+                    want = math.inf if c == 0 else ucb_index(table.means[e], c, table.log_term)
+                    assert table.index[e] == want
 
     @settings(max_examples=100, deadline=None)
     @given(k=st.integers(1, 5), data=st.data())
@@ -1316,9 +1029,9 @@ class TestExplorationRule:
     def test_step_is_the_pure_first_maximum(self, probes, k, data):
         ucb, pick, cases = probes(k, data)
         for args, scratch in cases:
-            before = copy.deepcopy(_learned_state(ucb))
+            before = copy.deepcopy(learned_state(ucb))
             arm = pick(*args)
-            assert _learned_state(ucb) == before
+            assert learned_state(ucb) == before
             assert pick(*args) == arm
-            assert _learned_state(ucb) == before
+            assert learned_state(ucb) == before
             assert arm == _first_max(scratch)

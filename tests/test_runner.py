@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scalar_reference import game_config, instances
 
 from coase_bandits.config import (
     ConfigError,
@@ -551,30 +552,18 @@ class TestSweep:
         assert slope <= 0.9
 
 
-_means = st.floats(0.0, 1.0, allow_nan=False)
-
-
 @st.composite
 def learning_configs(draw):
     """A (ucb, belgic) or (ucb, naive) config with K in 1..5, either reward
     model and two seeds, and the horizons around BLOCK it is valid at."""
-    k = draw(st.integers(1, 5))
-    mode, downstream = draw(st.sampled_from((("property", "belgic"), ("no-property", "naive"))))
-    cfg = GameConfig(
-        mode=mode,
-        n_arms=k,
-        horizon=BLOCK,
+    instance = draw(instances())
+    kind = draw(st.sampled_from((("property", "ucb", "belgic"), ("no-property", "ucb", "naive"))))
+    cfg = dataclasses.replace(
+        game_config(kind, instance.n_arms, BLOCK),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True))),
-        v_up=tuple(draw(st.lists(_means, min_size=k, max_size=k))),
-        v_down=tuple(
-            tuple(row)
-            for row in draw(st.lists(st.lists(_means, min_size=k, max_size=k), min_size=k, max_size=k))
-        ),
-        reward_model=draw(st.sampled_from(("gaussian", "bernoulli"))),
-        alpha=0.5,
-        beta=0.2,
-        c_mode="fixed:0.5",
-        downstream_policy=downstream,
+        v_up=instance.v_up,
+        v_down=instance.v_down,
+        reward_model=instance.reward_model,
     )
     horizons = draw(
         st.lists(st.sampled_from((5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)), min_size=1, unique=True)
@@ -594,9 +583,9 @@ class TestSharedNoiseSweep:
     @given(case=learning_configs())
     def test_sweep_equals_games_played_alone(self, case):
         # A sweep draws each seed's noise once and plays every horizon on a
-        # prefix of it; each game must equal the same game played on its own.
-        # Under a cap of 3 the two seeds are fewer than the cap, and each
-        # seed is still one task; a single-horizon case draws ahead too.
+        # prefix of it; each game must equal the same game played on its own,
+        # in-process and in the two-worker pool that fan_out starts for the
+        # two seeds' tasks. A single-horizon case draws ahead too.
         cfg, horizons = case
         assume(horizons)
         instance = config_instance(cfg)
@@ -605,7 +594,7 @@ class TestSharedNoiseSweep:
             for h in sorted(horizons)
             for s in cfg.seeds
         }
-        for workers in ("1", "2", "3"):
+        for workers in ("1", "2"):
             with mock.patch.dict(os.environ, {"COASE_BANDITS_WORKERS": workers}):
                 _, _, results = sweep(cfg, horizons)
             assert list(results) == list(alone)
