@@ -3,8 +3,8 @@ indices against the scalar reference of ``scalar_reference``.
 
 ``env.draw_noise``, ``env.RewardColumns`` (the one reward view every round
 function reads) and the cached indices must reproduce the reference bit for
-bit, in ``run_phase1`` and in criterion 6's certificate run; whole games are
-checked against it in ``test_engine``.
+bit, in whole games, in ``run_phase1`` and in criterion 6's certificate run;
+``test_engine`` checks the games' ledgers against its per-round fold.
 
 The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state. The
@@ -28,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scalar_reference import (
     NO_EXPLAIN,
+    POLICY_PAIRS,
     RefUCB,
     assert_same_column,
     build_players,
@@ -38,6 +39,7 @@ from scalar_reference import (
     pair_table,
     ref_certificate_run,
     ref_phase1,
+    ref_play,
     reference_players,
     scalar_noise,
     scalar_round,
@@ -421,9 +423,40 @@ class TestGaussianReplay:
 SMALL_SCHEDULE = (0.5, 0.2, RegretCertificate(0.5))
 
 
+HORIZONS = (5, 17, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+
+
 class TestGamesMatchScalarReference:
-    """Belgic's search and criterion 6's certificate run against the scalar
-    reference; whole games are ``test_engine``'s TestBlockFold."""
+    """Whole games, Belgic's search and criterion 6's certificate run against
+    the scalar reference; the ledger and gaps of a game's columns are
+    ``test_engine``'s TestBlockFold."""
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    @pytest.mark.parametrize("kind", POLICY_PAIRS, ids="-".join)
+    @settings(max_examples=2, deadline=None, phases=NO_EXPLAIN)
+    @given(instance=instances(), seed=st.integers(0, 2**32 - 1))
+    def test_engine(self, kind, horizon, instance, seed):
+        # The engine's game and the reference policies' game on scalar draws
+        # play the same rounds and end with the same learned state.
+        cfg = game_config(kind, instance.n_arms, horizon)
+        try:
+            players = build_players(cfg, instance)
+        except ValueError:
+            assume(False)  # phase 1 cannot fit K arms into this horizon
+        property_mode = cfg.mode == "property"
+        run = run_property if property_mode else run_no_property
+        result = run(instance, *players, horizon, seed, record_trajectory=True)
+        ref_players = reference_players(cfg, instance)
+        columns = ref_play(instance, *ref_players, horizon, seed, property_mode)
+
+        records = result.records
+        for name, column in zip(("up_arm", "down_arm", "offered_arm", "tau"), columns):
+            assert_same_column(name, getattr(records, name), column)
+        for mine, theirs in zip(players, ref_players):
+            assert learned_state(mine) == learned_state(theirs)
+        if cfg.downstream_policy == "belgic":
+            assert result.phase1_batches == (ref_players[1].diagnostics or None)
+            assert result.tau_hat == ref_players[1].tau_hat
 
     @pytest.mark.parametrize("up_kind", ["ucb", "best_response"])
     @settings(max_examples=15, deadline=None, phases=NO_EXPLAIN)
