@@ -6,10 +6,15 @@ stand-in upstream (isolates the bracketing logic) and once against the live
 learning upstream. Prints every batch's midpoint, mismatch count, branch
 taken, and the bracket after the update, then compares the final estimates
 to the true minimal transfers.
+
+The config must play mode = property with the belgic downstream and a
+schedule that validates; any other is refused with one ``error:`` line and
+exit status 1.
 """
 
 import argparse
 import os
+import sys
 
 import numpy as np
 
@@ -45,7 +50,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    cfg = parse_config_file(args.config)
+    try:
+        cfg = parse_config_file(args.config)  # validates a Belgic config's schedule
+    except (OSError, ValueError) as exc:
+        sys.exit(f"error: {exc}")
+    if (cfg.mode, cfg.downstream_policy) != ("property", "belgic"):
+        sys.exit(
+            f"error: {args.config} plays mode = {cfg.mode} with the {cfg.downstream_policy} "
+            "downstream; the search needs mode = property with the belgic downstream"
+        )
     instance = config_instance(cfg)
     oracle = compute_oracle(instance)
     params = belgic_params(cfg, cfg.horizon)

@@ -74,8 +74,8 @@ def validate_params(params: BelgicParams) -> None:
     if params.beta <= 0.0:
         raise ValueError(f"beta must be positive, got {params.beta}")
     c = params.certificate
-    if c.scale < 0.0:
-        raise ValueError(f"certificate scale must be >= 0, got {c.scale}")
+    if not 0.0 <= c.scale < math.inf:
+        raise ValueError(f"certificate scale must be finite and >= 0, got {c.scale}")
     slack_cap = 1.0 - c.exponent
     if not params.beta / params.alpha < slack_cap:
         raise ValueError(

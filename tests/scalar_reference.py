@@ -3,11 +3,14 @@
 The reference is the round loop written the long way: every round draws the
 two uniform slots with scalar calls, then the rewards through
 ``sample_upstream`` and ``sample_downstream``; every UCB step recomputes its
-indices from the counts and means and tries the unsampled arms or pairs first
-by an explicit sweep, not through +inf indices; and every ledger is
-``per_round_gaps`` summed with ``+=``. ``env.draw_noise``,
-``env.RewardColumns``, the cached indices, the engine's kernels and
-``fold_block`` must reproduce it bit for bit.
+indices from the counts and means (``ucb_index``), tries the unsampled arms or
+pairs first by an explicit sweep, not through +inf indices, and then plays
+``first_max``; and every ledger is ``per_round_gaps`` summed with ``+=``.
+``env.draw_noise``, ``env.RewardColumns``, the cached indices, the engine's
+kernels and ``fold_block`` must reproduce it bit for bit. This module is the
+one place the reference is written: the other tests take the scalar draws
+(the package's ``sample_upstream`` and ``sample_downstream``, re-exported
+here), the index and the first maximum from it.
 
 The policy pairs are built as ``GameConfig``s through
 ``runner.build_upstream`` and ``runner.build_downstream``, the factories the
@@ -61,6 +64,13 @@ def scalar_round(instance, rng, up_arm, down_arm):
     return sample_upstream(instance, up_arm, rng), sample_downstream(instance, up_arm, down_arm, rng)
 
 
+def scalar_upstream_round(instance, rng, arm):
+    """One round of criterion 6's one-player layout as scalar calls: an
+    unread uniform, then the upstream reward."""
+    rng.random()
+    return sample_upstream(instance, arm, rng)
+
+
 def scalar_noise(instance, rng, n, players=2):
     """n rounds of noise with scalar calls: one uniform slot per player, then
     one standard normal (gaussian) or uniform (bernoulli) per player."""
@@ -77,7 +87,31 @@ def scalar_noise(instance, rng, n, players=2):
 
 
 def ucb_index(mean, pulls, log_term):
-    return mean + 2.0 * math.sqrt(log_term / pulls)
+    """The UCB index of one arm or pair from its count and mean; +inf before
+    its first sample."""
+    return math.inf if pulls == 0 else mean + 2.0 * math.sqrt(log_term / pulls)
+
+
+def scratch_indices(table):
+    """Every index of a UCB table recomputed from its counts and means."""
+    return [ucb_index(mean, pulls, table.log_term) for mean, pulls in zip(table.means, table.counts)]
+
+
+def first_max(values):
+    """The lowest-numbered maximum, by a strict > scan."""
+    best, best_value = 0, -math.inf
+    for i, value in enumerate(values):
+        if value > best_value:
+            best, best_value = i, value
+    return best
+
+
+def ref_record(table, entry, reward):
+    """One sample into a UCB table: count, running mean and the entry's index
+    from scratch."""
+    table.counts[entry] += 1
+    table.means[entry] += (reward - table.means[entry]) / table.counts[entry]
+    table.index[entry] = ucb_index(table.means[entry], table.counts[entry], table.log_term)
 
 
 class RefUCB(IncentiveAwareUCB):
@@ -93,17 +127,10 @@ class RefUCB(IncentiveAwareUCB):
         self.ref_steps += 1
         if self.ref_steps <= self.n_arms:
             return self.ref_steps - 1
-        best_arm, best_index = 0, -math.inf
-        for a in range(self.n_arms):
-            idx = ucb_index(self.means[a], self.counts[a], self.log_term) + offer.bonus(a)
-            if idx > best_index:
-                best_arm, best_index = a, idx
-        return best_arm
+        return first_max([x + offer.bonus(a) for a, x in enumerate(scratch_indices(self))])
 
     def update(self, arm, reward):
-        self.counts[arm] += 1
-        self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
-        self.index[arm] = ucb_index(self.means[arm], self.counts[arm], self.log_term)
+        ref_record(self, arm, reward)
 
 
 def pair_table(n_arms, horizon):
@@ -120,27 +147,20 @@ class RefPairUCB(UCBIndex):
         self.ref_next_pair = 0
 
     def best(self):
-        n_pairs = len(self.counts)
-        if self.ref_next_pair < n_pairs:
+        if self.ref_next_pair < len(self.counts):
             return self.ref_next_pair
-        best_pair, best_index = 0, -math.inf
-        for p in range(n_pairs):
-            idx = ucb_index(self.means[p], self.counts[p], self.log_term)
-            if idx > best_index:
-                best_pair, best_index = p, idx
-        return best_pair
+        return first_max(scratch_indices(self))
 
     def record(self, pair, shifted_reward):
-        self.counts[pair] += 1
-        self.means[pair] += (shifted_reward - self.means[pair]) / self.counts[pair]
-        self.index[pair] = ucb_index(self.means[pair], self.counts[pair], self.log_term)
+        ref_record(self, pair, shifted_reward)
         if pair == self.ref_next_pair:
             self.ref_next_pair += 1
 
 
 class RefBelgic(Belgic):
-    """Belgic on a RefPairUCB. As a subclass, the engine plays it through
-    its generic loop."""
+    """Belgic on a RefPairUCB. Only the reference games play it
+    (``ref_rounds`` through ``ref_play`` and ``ref_phase1``), one step() and
+    observe() per round."""
 
     def __init__(self, params):
         super().__init__(params)
@@ -152,23 +172,13 @@ class RefNaiveContextUCB(NaiveContextUCB):
 
     def step(self, context):
         ucb = self.contexts[context]
-        counts, means = ucb.counts, ucb.means
-        for b in range(len(counts)):
-            if counts[b] == 0:
+        for b, pulls in enumerate(ucb.counts):
+            if pulls == 0:
                 return b
-        best_arm, best_index = 0, -math.inf
-        for b in range(len(counts)):
-            idx = ucb_index(means[b], counts[b], ucb.log_term)
-            if idx > best_index:
-                best_arm, best_index = b, idx
-        return best_arm
+        return first_max(scratch_indices(ucb))
 
     def update(self, context, arm, reward):
-        ucb = self.contexts[context]
-        ucb.counts[arm] += 1
-        n = ucb.counts[arm]
-        ucb.means[arm] += (reward - ucb.means[arm]) / n
-        ucb.index[arm] = ucb_index(ucb.means[arm], n, ucb.log_term)
+        ref_record(self.contexts[context], arm, reward)
 
 
 #: The ten policy pairs of the two modes: (mode, upstream, downstream).
@@ -230,13 +240,12 @@ def learned_state(policy):
 # ---------------------------------------------------------------- the games
 
 
-def ref_play(instance, upstream, downstream, horizon, seed, property_mode):
-    """The round loop with scalar draws; returns the played columns, as
-    fold_block takes them: up arms and down arms, then in the property mode
-    offered arms and amounts."""
-    rng = np.random.default_rng(seed)
+def ref_rounds(instance, upstream, downstream, rng, rounds, property_mode=True):
+    """``rounds`` rounds of the round loop on rng's scalar draws; returns the
+    played columns, as fold_block takes them: up arms and down arms, then in
+    the property mode offered arms and amounts."""
     ups, downs, arms, amounts = [], [], [], []
-    for _ in range(horizon):
+    for _ in range(rounds):
         if property_mode:
             offer, down_arm = downstream.step()
             up_arm = upstream.step(offer)
@@ -254,6 +263,11 @@ def ref_play(instance, upstream, downstream, horizon, seed, property_mode):
         ups.append(up_arm)
         downs.append(down_arm)
     return (ups, downs, arms, amounts) if property_mode else (ups, downs)
+
+
+def ref_play(instance, upstream, downstream, horizon, seed, property_mode):
+    """A whole game of ref_rounds from the seed's generator."""
+    return ref_rounds(instance, upstream, downstream, np.random.default_rng(seed), horizon, property_mode)
 
 
 def scalar_fold(instance, oracle, up_arms, down_arms, offered_arms=None, amounts=None):
@@ -291,11 +305,7 @@ def scalar_fold(instance, oracle, up_arms, down_arms, offered_arms=None, amounts
 def ref_phase1(instance, upstream, params, rng):
     belgic = RefBelgic(params)
     while belgic.in_search_phase:
-        offer, own_arm = belgic.step()
-        upstream_arm = upstream.step(offer)
-        z, x = scalar_round(instance, rng, upstream_arm, own_arm)
-        upstream.update(upstream_arm, z)
-        belgic.observe(upstream_arm, x)
+        ref_rounds(instance, upstream, belgic, rng, 1)
     return belgic.tau_hat, belgic.diagnostics, belgic.phase1_rounds
 
 
@@ -308,9 +318,8 @@ def ref_certificate_run(seed):
     for t in range(1, max(CERT_CHECKPOINTS) + 1):
         arm = ((t - 1) // CERT_BATCH) % k
         offer = IncentiveOffer(arm, CERT_TAU[arm])
-        rng.random()
         played = ucb.step(offer)
-        ucb.update(played, sample_upstream(inst, played, rng))
+        ucb.update(played, scalar_upstream_round(inst, rng, played))
         best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
         regret += best - (inst.v_up[played] + offer.bonus(played))
         if t in CERT_CHECKPOINTS:

@@ -261,6 +261,13 @@ class TestCMode:
         with pytest.raises(ConfigError, match=">= 0"):
             parse_config(BASE_PROPERTY.replace("fixed:1.0", "fixed:-2"))
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_nonfinite_fixed_scale_rejected_for_belgic(self, scale):
+        # Configs without Belgic keep any fixed scale: it is never read.
+        with pytest.raises(ConfigError, match=f"^invalid search parameters: certificate scale .* got {scale}$"):
+            parse_config(BASE_PROPERTY.replace("fixed:1.0", f"fixed:{scale}"))
+        parse_config(BASE_NO_PROPERTY + f"\n[upstream]\nc_mode = fixed:{scale}\n")
+
     def test_malformed_fixed_scale_rejected(self):
         with pytest.raises(ConfigError, match="bad fixed scale"):
             parse_config(BASE_PROPERTY.replace("fixed:1.0", "fixed:abc"))

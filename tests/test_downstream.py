@@ -1,12 +1,13 @@
 """Downstream policies: the two-phase search-then-play policy and baselines."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import pair_table, scalar_round
+from scalar_reference import pair_table, ref_rounds, sample_downstream
 
 from coase_bandits.downstream import (
     Belgic,
@@ -19,7 +20,7 @@ from coase_bandits.downstream import (
     validate_params,
 )
 from coase_bandits.engine import run_phase1
-from coase_bandits.env import build_instance, compute_oracle, sample_downstream
+from coase_bandits.env import build_instance, compute_oracle
 from coase_bandits.upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
@@ -50,16 +51,6 @@ def three_batch_params():
 def final_rows(diags):
     """Each arm's last Phase1Batch row, in arm order: its final bracket."""
     return list({row.arm: row for row in diags}.values())
-
-
-def drive(belgic, instance, upstream, rng, rounds):
-    """The engine's rounds, one at a time on the scalar draws."""
-    for _ in range(rounds):
-        offer, own_arm = belgic.step()
-        up_arm = upstream.step(offer)
-        z, x = scalar_round(instance, rng, up_arm, own_arm)
-        upstream.update(up_arm, z)
-        belgic.observe(up_arm, x)
 
 
 class TestParams:
@@ -125,6 +116,12 @@ class TestValidation:
     def test_negative_scale(self):
         p = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(-1.0))
         with pytest.raises(ValueError, match="scale"):
+            validate_params(p)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_nonfinite_scale(self, scale):
+        p = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(scale))
+        with pytest.raises(ValueError, match=f"^certificate scale must be finite and >= 0, got {scale}$"):
             validate_params(p)
 
     def test_horizon_one_cannot_fit_phase1(self):
@@ -382,9 +379,9 @@ class TestBelgic:
         inst = reference()
         belgic = Belgic(default_params())
         rng = np.random.default_rng(0)
-        drive(belgic, inst, BestResponseUpstream(inst), rng, 3071)
+        ref_rounds(inst, BestResponseUpstream(inst), belgic, rng, 3071)
         assert belgic.in_search_phase
-        drive(belgic, inst, BestResponseUpstream(inst), rng, 1)
+        ref_rounds(inst, BestResponseUpstream(inst), belgic, rng, 1)
         assert not belgic.in_search_phase
         offer, own_arm = belgic.step()
         assert offer.arm == 0 and own_arm == 0  # pair 0 opens the init sweep
@@ -393,7 +390,7 @@ class TestBelgic:
     def test_play_phase_records_shifted_reward_only_on_compliance(self):
         inst = reference()
         belgic = Belgic(default_params())
-        drive(belgic, inst, BestResponseUpstream(inst), np.random.default_rng(0), 3072)
+        ref_rounds(inst, BestResponseUpstream(inst), belgic, np.random.default_rng(0), 3072)
 
         ucb = belgic.pair_ucb
         offer, _ = belgic.step()
@@ -421,7 +418,7 @@ class TestBelgic:
         inst = reference()
         params = small_params()
         belgic = Belgic(params)
-        drive(belgic, inst, BestResponseUpstream(inst), np.random.default_rng(1), 256)
+        ref_rounds(inst, BestResponseUpstream(inst), belgic, np.random.default_rng(1), 256)
         with pytest.raises(ValueError, match="horizon"):
             belgic.step()
 

@@ -89,12 +89,31 @@ def test_trajectory_reads_back_to_its_summary(run, request):
         assert r_sw.hex() == summary.r_sw.hex(), f"seed {summary.seed}"
 
 
-def test_trace_phase1_script_output():
+def run_trace_phase1(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     script = os.path.join(ROOT, "scripts", "trace_phase1.py")
-    produced = subprocess.run(
-        [sys.executable, script], env=env, capture_output=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, script, *args], env=env, capture_output=True)
+
+
+def test_trace_phase1_script_output():
+    produced = run_trace_phase1().stdout
     with open(os.path.join(ROOT, "tests", "golden", "trace_phase1.txt"), "rb") as fh:
         expected = fh.read()
     assert produced == expected, "scripts/trace_phase1.py differs from tests/golden/trace_phase1.txt"
+
+
+def test_trace_phase1_refuses_configs_without_a_search(tmp_path):
+    # The no-property breakdown config, and belgic.cfg on the theoretical
+    # certificate scale, whose mismatch threshold does not validate.
+    theoretical = tmp_path / "theoretical.cfg"
+    with open(os.path.join(ROOT, "configs", "belgic.cfg"), encoding="utf-8") as fh:
+        theoretical.write_text(fh.read().replace("c_mode = fixed:1.0", "c_mode = theoretical"), encoding="utf-8")
+    cases = [
+        (os.path.join(ROOT, "configs", "breakdown.cfg"), "the search needs mode = property with the belgic downstream"),
+        (str(theoretical), "invalid search parameters: mismatch threshold"),
+    ]
+    for path, message in cases:
+        done = run_trace_phase1("--config", path)
+        err = done.stderr.decode()
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err

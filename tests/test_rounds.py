@@ -29,9 +29,9 @@ from hypothesis import strategies as st
 from scalar_reference import (
     NO_EXPLAIN,
     POLICY_PAIRS,
-    RefUCB,
     assert_same_column,
     build_players,
+    first_max,
     game_config,
     instances,
     learned_state,
@@ -43,7 +43,8 @@ from scalar_reference import (
     reference_players,
     scalar_noise,
     scalar_round,
-    ucb_index,
+    scalar_upstream_round,
+    scratch_indices,
 )
 
 from coase_bandits.acceptance import CERT_RUNS, _certificate_run
@@ -70,7 +71,6 @@ from coase_bandits.env import (
     _ziggurat,
     build_instance,
     draw_noise,
-    sample_upstream,
 )
 from coase_bandits.upstream import IncentiveAwareUCB, IncentiveOffer, RegretCertificate
 
@@ -172,15 +172,8 @@ class TestRewardColumns:
         fast, slow = np.random.default_rng(3), np.random.default_rng(3)
         noise = draw_noise(inst, fast, len(arms), players=1)
         assert noise.shape == (len(arms), 1)
-        if model == "gaussian":
-            rewards = [inst.v_up[a] + u for a, (u,) in zip(arms, noise.tolist())]
-        else:
-            rewards = [1.0 if u < inst.v_up[a] else 0.0 for a, (u,) in zip(arms, noise.tolist())]
-        expected = []
-        for a in arms:
-            slow.random()
-            expected.append(sample_upstream(inst, a, slow))
-        assert rewards == expected
+        up = RewardColumns(inst, noise).up
+        assert [up[a][i] for i, a in enumerate(arms)] == [scalar_upstream_round(inst, slow, a) for a in arms]
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -707,13 +700,16 @@ class TestKernelsMatchGenericLoop:
 #: lands exactly on another entry: the ties are exact, not rounded.
 _dyadic_indices = st.sampled_from((-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, math.inf))
 _dyadic_amounts = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.5))
+_rewards = st.floats(-4.0, 4.0, allow_nan=False)
 
 
-def _trained_ucb(k, data):
-    """An IncentiveAwareUCB after random updates: arms never updated keep
-    their +inf index."""
+def _trained_ucb(k, data, rewards=_rewards, log_term=None):
+    """An IncentiveAwareUCB after random updates, its log_term replaced
+    first when one is given: arms never updated keep their +inf index."""
     ucb = IncentiveAwareUCB(k, 4096)
-    for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=12)):
+    if log_term is not None:
+        ucb.log_term = log_term
+    for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), rewards), max_size=30)):
         ucb.update(arm, reward)
     return ucb
 
@@ -766,33 +762,34 @@ class TestOfferStretch:
             played, _ = _stretch(ucb, arm, amount, [[0.0]] * len(index), 0, 1)
             assert played == [want]
 
-    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
-    @settings(max_examples=60, deadline=None)
-    @given(
-        k=st.integers(1, 5),
-        data=st.data(),
-        amount=st.one_of(_dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)),
-        start=st.integers(0, 3),
-        m=st.integers(0, 60),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_stretch_is_steps_and_updates(self, model, k, data, amount, start, m, seed):
-        v_up = data.draw(st.lists(means, min_size=k, max_size=k))
-        instance = build_instance(v_up, [[0.0] * k] * k, model)
+    @pytest.mark.parametrize("source", ["gaussian", "bernoulli", "dyadic"])
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 5), data=st.data(), m=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    def test_stretch_is_steps_and_updates(self, source, k, data, m, seed):
+        # The gaussian and bernoulli sources read a game's reward columns
+        # (the noise stream on random means) after random updates; the
+        # dyadic one reads rewards from _DYADIC_REWARDS with log_term 0.0, so
+        # the indices meet exactly in mid-run (TestRuns).
         arm = data.draw(st.integers(-1, k))
-        ucb = _trained_ucb(k, data)
+        if source == "dyadic":
+            amount, start = data.draw(st.sampled_from((0.0, 0.5, 1.0))), 0
+            ucb = _trained_ucb(k, data, st.sampled_from(_DYADIC_REWARDS), log_term=0.0)
+            rewards = _dyadic_rewards(seed, k, m)
+        else:
+            amount = data.draw(st.one_of(_dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)))
+            start = data.draw(st.integers(0, 3))
+            v_up = data.draw(st.lists(means, min_size=k, max_size=k))
+            instance = build_instance(v_up, [[0.0] * k] * k, source)
+            ucb = _trained_ucb(k, data)
+            noise = draw_noise(instance, np.random.default_rng(seed), start + m)
+            rewards = RewardColumns(instance, noise).up
         ref = copy.deepcopy(ucb)
-        noise = draw_noise(instance, np.random.default_rng(seed), start + m)
-        played, refusals = _stretch(
-            ucb, arm, amount, RewardColumns(instance, noise).up, start, start + m
-        )
-        slow = np.random.default_rng(seed)
-        scalar_noise(instance, slow, start)
+        played, refusals = _stretch(ucb, arm, amount, rewards, start, start + m)
         offer = IncentiveOffer(arm, amount)
         ref_played = []
-        for _ in range(m):
+        for i in range(start, start + m):
             a = ref.step(offer)
-            ref.update(a, scalar_round(instance, slow, a, 0)[0])
+            ref.update(a, rewards[a][i])
             ref_played.append(a)
         assert played == ref_played
         assert refusals == sum(a != arm for a in ref_played)
@@ -860,37 +857,10 @@ class TestRuns:
     """The kernels and the stretch play runs of one arm. On tables whose
     indices tie exactly in mid-run they must match the policies' own
     step/update/observe: a run ends where a tie goes to a lower-numbered
-    arm, and goes on where the played arm wins it. Fresh tables open with
-    their arms at +inf. A run that a stretch's stop cuts must resume exactly.
+    arm, and goes on where the played arm wins it (the stretch's own cases
+    are TestOfferStretch's dyadic source). Fresh tables open with their arms
+    at +inf. A run that a stretch's stop cuts must resume exactly.
     """
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        k=st.integers(1, 5),
-        data=st.data(),
-        amount=st.sampled_from((0.0, 0.5, 1.0)),
-        m=st.integers(1, 60),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_offer_stretch(self, k, data, amount, m, seed):
-        arm = data.draw(st.integers(-1, k))
-        ucb = IncentiveAwareUCB(k, 4096)
-        _no_exploration_bonus(ucb)
-        updates = st.tuples(st.integers(0, k - 1), st.sampled_from(_DYADIC_REWARDS))
-        for a, reward in data.draw(st.lists(updates, max_size=2 * k)):
-            ucb.update(a, reward)
-        ref = copy.deepcopy(ucb)
-        rewards = _dyadic_rewards(seed, k, m)
-        played, refusals = _stretch(ucb, arm, amount, rewards, 0, m)
-        offer = IncentiveOffer(arm, amount)
-        ref_played = []
-        for i in range(m):
-            a = ref.step(offer)
-            ref.update(a, rewards[a][i])
-            ref_played.append(a)
-        assert played == ref_played
-        assert refusals == sum(a != arm for a in ref_played)
-        assert learned_state(ucb) == learned_state(ref)
 
     @settings(max_examples=150, deadline=None, phases=NO_EXPLAIN)
     @given(
@@ -954,8 +924,6 @@ class TestRuns:
 
 # ---------------------------------------------------------------- cached indices
 
-_rewards = st.floats(-4.0, 4.0, allow_nan=False)
-
 
 #: Each UCB table kind: (the largest K drawn, its UCBIndex tables for K arms
 #: and a horizon).
@@ -980,51 +948,20 @@ class TestCachedIndices:
         for t, entry, reward in data.draw(st.lists(moves, max_size=40)):
             tables[t].record(entry, reward)
             for table in tables:
-                for e in range(n):
-                    c = table.counts[e]
-                    want = math.inf if c == 0 else ucb_index(table.means[e], c, table.log_term)
-                    assert table.index[e] == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 5), data=st.data())
-    def test_step_matches_from_scratch_argmax(self, k, data):
-        # Offers on any arm, including ones outside range(K), which change nothing.
-        ucb, ref = IncentiveAwareUCB(k, 4096), RefUCB(k, 4096)
-        moves = st.tuples(st.integers(-1, k), st.floats(0.0, 3.0, allow_nan=False), _rewards)
-        for offer_arm, amount, reward in data.draw(st.lists(moves, min_size=1, max_size=30)):
-            offer = IncentiveOffer(offer_arm, amount)
-            arm = ucb.step(offer)
-            assert arm == ref.step(offer)
-            ucb.update(arm, reward)
-            ref.update(arm, reward)
+                assert table.index == scratch_indices(table)
 
 
 # ---------------------------------------------------------------- the exploration rule
 
 
-def _scratch_index(mean, n, log_term):
-    return math.inf if n == 0 else ucb_index(mean, n, log_term)
-
-
-def _first_max(values):
-    best, best_value = 0, -math.inf
-    for i, value in enumerate(values):
-        if value > best_value:
-            best, best_value = i, value
-    return best
-
-
 def _upstream_probes(k, data):
     """An IncentiveAwareUCB after random updates, probed under random offers
     (arms outside range(K) included) with their from-scratch indices."""
-    ucb = IncentiveAwareUCB(k, 4096)
-    for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), _rewards), max_size=30)):
-        ucb.update(arm, reward)
+    ucb = _trained_ucb(k, data)
     offers = st.builds(IncentiveOffer, st.integers(-2, k + 1), st.floats(0.0, 3.0, allow_nan=False))
     probes = []
-    for offer in data.draw(st.lists(offers, min_size=1, max_size=4)):
-        scratch = [_scratch_index(ucb.means[a], ucb.counts[a], ucb.log_term) for a in range(k)]
-        probes.append(((offer,), [x + offer.bonus(a) for a, x in enumerate(scratch)]))
+    for offer in data.draw(st.lists(offers, min_size=1, max_size=30)):
+        probes.append(((offer,), [x + offer.bonus(a) for a, x in enumerate(scratch_indices(ucb))]))
     return ucb, ucb.step, probes
 
 
@@ -1033,8 +970,7 @@ def _pair_probes(k, data):
     n = k * k
     for pair, reward in data.draw(st.lists(st.tuples(st.integers(0, n - 1), _rewards), max_size=30)):
         ucb.record(pair, reward)
-    scratch = [_scratch_index(ucb.means[p], ucb.counts[p], ucb.log_term) for p in range(n)]
-    return ucb, ucb.best, [((), scratch)]
+    return ucb, ucb.best, [((), scratch_indices(ucb))]
 
 
 def _context_probes(k, data):
@@ -1042,11 +978,7 @@ def _context_probes(k, data):
     arms = st.integers(0, k - 1)
     for context, arm, reward in data.draw(st.lists(st.tuples(arms, arms, _rewards), max_size=30)):
         ucb.update(context, arm, reward)
-    probes = []
-    for c, table in enumerate(ucb.contexts):
-        scratch = [_scratch_index(table.means[b], table.counts[b], table.log_term) for b in range(k)]
-        probes.append(((c,), scratch))
-    return ucb, ucb.step, probes
+    return ucb, ucb.step, [((c,), scratch_indices(table)) for c, table in enumerate(ucb.contexts)]
 
 
 class TestExplorationRule:
@@ -1067,4 +999,4 @@ class TestExplorationRule:
             assert learned_state(ucb) == before
             assert pick(*args) == arm
             assert learned_state(ucb) == before
-            assert arm == _first_max(scratch)
+            assert arm == first_max(scratch)
