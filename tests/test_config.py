@@ -263,10 +263,14 @@ class TestCMode:
 
     @pytest.mark.parametrize("scale", ["nan", "inf"])
     def test_nonfinite_fixed_scale_rejected_for_belgic(self, scale):
-        # Configs without Belgic keep any fixed scale: it is never read.
         with pytest.raises(ConfigError, match=f"^invalid search parameters: certificate scale .* got {scale}$"):
             parse_config(BASE_PROPERTY.replace("fixed:1.0", f"fixed:{scale}"))
-        parse_config(BASE_NO_PROPERTY + f"\n[upstream]\nc_mode = fixed:{scale}\n")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_nonfinite_fixed_scale_kept_without_belgic(self, scale):
+        # Configs without Belgic keep any fixed scale: it is never read.
+        cfg = parse_config(BASE_NO_PROPERTY + f"\n[upstream]\nc_mode = fixed:{scale}\n")
+        assert cfg.c_mode == f"fixed:{scale}"
 
     def test_malformed_fixed_scale_rejected(self):
         with pytest.raises(ConfigError, match="bad fixed scale"):

@@ -102,18 +102,33 @@ def test_trace_phase1_script_output():
     assert produced == expected, "scripts/trace_phase1.py differs from tests/golden/trace_phase1.txt"
 
 
-def test_trace_phase1_refuses_configs_without_a_search(tmp_path):
-    # The no-property breakdown config, and belgic.cfg on the theoretical
-    # certificate scale, whose mismatch threshold does not validate.
-    theoretical = tmp_path / "theoretical.cfg"
+def derived_belgic_cfg(tmp_path, old, new):
+    derived = tmp_path / "derived.cfg"
     with open(os.path.join(ROOT, "configs", "belgic.cfg"), encoding="utf-8") as fh:
-        theoretical.write_text(fh.read().replace("c_mode = fixed:1.0", "c_mode = theoretical"), encoding="utf-8")
-    cases = [
-        (os.path.join(ROOT, "configs", "breakdown.cfg"), "the search needs mode = property with the belgic downstream"),
-        (str(theoretical), "invalid search parameters: mismatch threshold"),
-    ]
-    for path, message in cases:
-        done = run_trace_phase1("--config", path)
-        err = done.stderr.decode()
-        assert (done.returncode, done.stdout) == (1, b"")
-        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        text = fh.read()
+    assert old in text
+    derived.write_text(text.replace(old, new), encoding="utf-8")
+    return str(derived)
+
+
+# The no-property breakdown config, belgic.cfg with the oracle downstream, and
+# belgic.cfg on the theoretical certificate scale, whose mismatch threshold
+# does not validate.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (None, "the search needs mode = property with the belgic downstream"),
+        (("policy = belgic", "policy = oracle"), "the search needs mode = property with the belgic downstream"),
+        (("c_mode = fixed:1.0", "c_mode = theoretical"), "invalid search parameters: mismatch threshold"),
+    ],
+    ids=["no-property", "oracle-downstream", "theoretical-scale"],
+)
+def test_trace_phase1_refuses_configs_without_a_search(tmp_path, edit, message):
+    if edit is None:
+        path = os.path.join(ROOT, "configs", "breakdown.cfg")
+    else:
+        path = derived_belgic_cfg(tmp_path, *edit)
+    done = run_trace_phase1("--config", path)
+    err = done.stderr.decode()
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
