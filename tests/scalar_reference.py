@@ -115,12 +115,13 @@ def ref_record(table, entry, reward):
 
 
 class RefUCB(IncentiveAwareUCB):
-    """IncentiveAwareUCB with a step counter forcing the first K arms and
-    every index recomputed from counts and means (the stored indices are only
-    kept for comparison)."""
+    """IncentiveAwareUCB with its own log(K T^3), a step counter forcing the
+    first K arms and every index recomputed from counts and means (the stored
+    indices are only kept for comparison)."""
 
     def __init__(self, n_arms, horizon):
         super().__init__(n_arms, horizon)
+        self.log_term = math.log(n_arms * horizon**3)
         self.ref_steps = 0
 
     def step(self, offer):

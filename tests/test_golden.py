@@ -96,7 +96,9 @@ def run_trace_phase1(*args):
 
 
 def test_trace_phase1_script_output():
-    produced = run_trace_phase1().stdout
+    done = run_trace_phase1()
+    assert done.returncode == 0, done.stderr
+    produced = done.stdout
     with open(os.path.join(ROOT, "tests", "golden", "trace_phase1.txt"), "rb") as fh:
         expected = fh.read()
     assert produced == expected, "scripts/trace_phase1.py differs from tests/golden/trace_phase1.txt"

@@ -703,13 +703,10 @@ _dyadic_amounts = st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.5))
 _rewards = st.floats(-4.0, 4.0, allow_nan=False)
 
 
-def _trained_ucb(k, data, rewards=_rewards, log_term=None):
-    """An IncentiveAwareUCB after random updates, its log_term replaced
-    first when one is given: arms never updated keep their +inf index."""
-    ucb = IncentiveAwareUCB(k, 4096)
-    if log_term is not None:
-        ucb.log_term = log_term
-    for arm, reward in data.draw(st.lists(st.tuples(st.integers(0, k - 1), rewards), max_size=30)):
+def _trained(ucb, data, rewards=_rewards):
+    """ucb after random updates: arms never updated keep their +inf index."""
+    updates = st.tuples(st.integers(0, ucb.n_arms - 1), rewards)
+    for arm, reward in data.draw(st.lists(updates, max_size=30)):
         ucb.update(arm, reward)
     return ucb
 
@@ -762,38 +759,48 @@ class TestOfferStretch:
             played, _ = _stretch(ucb, arm, amount, [[0.0]] * len(index), 0, 1)
             assert played == [want]
 
-    @pytest.mark.parametrize("source", ["gaussian", "bernoulli", "dyadic"])
-    @settings(max_examples=100, deadline=None)
-    @given(k=st.integers(1, 5), data=st.data(), m=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
-    def test_stretch_is_steps_and_updates(self, source, k, data, m, seed):
+    @pytest.mark.parametrize(
+        "source, examples",
+        [("gaussian", 100), ("bernoulli", 100), ("dyadic", 300)],
+        ids=["gaussian", "bernoulli", "dyadic"],
+    )
+    def test_stretch_is_steps_and_updates(self, source, examples):
         # The gaussian and bernoulli sources read a game's reward columns
         # (the noise stream on random means) after random updates; the
         # dyadic one reads rewards from _DYADIC_REWARDS with log_term 0.0, so
-        # the indices meet exactly in mid-run (TestRuns).
-        arm = data.draw(st.integers(-1, k))
-        if source == "dyadic":
-            amount, start = data.draw(st.sampled_from((0.0, 0.5, 1.0))), 0
-            ucb = _trained_ucb(k, data, st.sampled_from(_DYADIC_REWARDS), log_term=0.0)
-            rewards = _dyadic_rewards(seed, k, m)
-        else:
-            amount = data.draw(st.one_of(_dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)))
-            start = data.draw(st.integers(0, 3))
-            v_up = data.draw(st.lists(means, min_size=k, max_size=k))
-            instance = build_instance(v_up, [[0.0] * k] * k, source)
-            ucb = _trained_ucb(k, data)
-            noise = draw_noise(instance, np.random.default_rng(seed), start + m)
-            rewards = RewardColumns(instance, noise).up
-        ref = copy.deepcopy(ucb)
-        played, refusals = _stretch(ucb, arm, amount, rewards, start, start + m)
-        offer = IncentiveOffer(arm, amount)
-        ref_played = []
-        for i in range(start, start + m):
-            a = ref.step(offer)
-            ref.update(a, rewards[a][i])
-            ref_played.append(a)
-        assert played == ref_played
-        assert refusals == sum(a != arm for a in ref_played)
-        assert learned_state(ucb) == learned_state(ref)
+        # the indices meet exactly in mid-run (TestRuns), and takes more
+        # examples to reach the tie orders.
+        @settings(max_examples=examples, deadline=None)
+        @given(k=st.integers(1, 5), data=st.data(), m=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+        def check(k, data, m, seed):
+            arm = data.draw(st.integers(-1, k))
+            ucb = IncentiveAwareUCB(k, 4096)
+            if source == "dyadic":
+                amount, start = data.draw(st.sampled_from((0.0, 0.5, 1.0))), 0
+                _no_exploration_bonus(ucb)
+                _trained(ucb, data, st.sampled_from(_DYADIC_REWARDS))
+                rewards = _dyadic_rewards(seed, k, m)
+            else:
+                amount = data.draw(st.one_of(_dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)))
+                start = data.draw(st.integers(0, 3))
+                v_up = data.draw(st.lists(means, min_size=k, max_size=k))
+                instance = build_instance(v_up, [[0.0] * k] * k, source)
+                _trained(ucb, data)
+                noise = draw_noise(instance, np.random.default_rng(seed), start + m)
+                rewards = RewardColumns(instance, noise).up
+            ref = copy.deepcopy(ucb)
+            played, refusals = _stretch(ucb, arm, amount, rewards, start, start + m)
+            offer = IncentiveOffer(arm, amount)
+            ref_played = []
+            for i in range(start, start + m):
+                a = ref.step(offer)
+                ref.update(a, rewards[a][i])
+                ref_played.append(a)
+            assert played == ref_played
+            assert refusals == sum(a != arm for a in ref_played)
+            assert learned_state(ucb) == learned_state(ref)
+
+        check()
 
 
 # ---------------------------------------------------------------- runs
@@ -909,7 +916,7 @@ class TestRuns:
     def test_cut_stretch_resumes_exactly(self, k, data, amount, start, lengths, seed):
         # A run that stop cuts in two is picked up again from the tables.
         arm = data.draw(st.integers(-1, k))
-        ucb = _trained_ucb(k, data)
+        ucb = _trained(IncentiveAwareUCB(k, 4096), data)
         whole = copy.deepcopy(ucb)
         cut, stop = start + lengths[0], start + sum(lengths)
         rewards = _dyadic_rewards(seed, k, stop)
@@ -957,7 +964,7 @@ class TestCachedIndices:
 def _upstream_probes(k, data):
     """An IncentiveAwareUCB after random updates, probed under random offers
     (arms outside range(K) included) with their from-scratch indices."""
-    ucb = _trained_ucb(k, data)
+    ucb = _trained(IncentiveAwareUCB(k, 4096), data)
     offers = st.builds(IncentiveOffer, st.integers(-2, k + 1), st.floats(0.0, 3.0, allow_nan=False))
     probes = []
     for offer in data.draw(st.lists(offers, min_size=1, max_size=30)):
