@@ -8,8 +8,8 @@ taken, and the bracket after the update, then compares the final estimates
 to the true minimal transfers.
 
 The config must play mode = property with the belgic downstream and a
-schedule that validates; any other is refused with one ``error:`` line and
-exit status 1.
+schedule that validates, and the seed must be >= 0; anything else is refused
+with one ``error:`` line and exit status 1.
 """
 
 import argparse
@@ -49,6 +49,8 @@ def main() -> None:
     parser.add_argument("--config", default=DEFAULT_CONFIG)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seed < 0:
+        sys.exit(f"error: --seed must be >= 0, got {args.seed}")
 
     try:
         cfg = parse_config_file(args.config)  # validates a Belgic config's schedule

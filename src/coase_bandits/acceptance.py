@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GameConfig
-from .downstream import BelgicParams
+from .downstream import CERT_TAIL, BelgicParams
 from .engine import DECOMPOSITION_TOL, run_phase1, ucb_offer_stretch
 from .env import (
     BanditInstance,
@@ -40,7 +40,6 @@ from .upstream import (
     BestResponseUpstream,
     IncentiveAwareUCB,
     IncentiveOffer,
-    RegretCertificate,
     ucb_certificate,
 )
 
@@ -231,13 +230,7 @@ CONTAIN_ALPHA, CONTAIN_BETA, CONTAIN_SCALE = 0.5, 0.2, 0.5
 
 
 def _search_params(n_arms: int, alpha: float, beta: float, scale: float) -> BelgicParams:
-    return BelgicParams(
-        n_arms=n_arms,
-        horizon=SEARCH_HORIZON,
-        alpha=alpha,
-        beta=beta,
-        certificate=RegretCertificate(scale=scale),
-    )
+    return BelgicParams(n_arms, SEARCH_HORIZON, alpha, beta, scale)
 
 
 def _check_brackets(task) -> tuple[bool, float]:
@@ -309,14 +302,12 @@ def criterion_4_binary_search() -> CriterionResult:
     contained = sum(ok for ok, _ in brackets)
     worst_drift = max(drift for _, drift in brackets)
 
-    params = _search_params(SANDWICH_INSTANCE.n_arms, SEARCH_ALPHA, SEARCH_BETA, SEARCH_SCALE)
     failures = sum(fan_out(_sandwich_failed, SANDWICH_SEEDS))
     n_runs = len(SANDWICH_SEEDS)
-    zeta = params.certificate.tail
     budget = (
-        params.n_arms
+        SANDWICH_INSTANCE.n_arms
         * math.ceil(math.log2(SEARCH_HORIZON**SEARCH_BETA))
-        / SEARCH_HORIZON ** (SEARCH_ALPHA * zeta)
+        / SEARCH_HORIZON ** (SEARCH_ALPHA * CERT_TAIL)
         + 0.05
     )
     frac = failures / n_runs
@@ -439,7 +430,7 @@ def criterion_6_certificate() -> CriterionResult:
     constant per-arm transfers at every checkpoint."""
     t0 = time.perf_counter()
     k = len(CERT_V_UP)
-    scale = ucb_certificate(k, CERT_HORIZON).scale
+    scale = ucb_certificate(k, CERT_HORIZON)
     exceed = [0] * len(CERT_CHECKPOINTS)
     for prefix in fan_out(_certificate_run, range(CERT_RUNS)):
         for i, (t, r) in enumerate(zip(CERT_CHECKPOINTS, prefix)):

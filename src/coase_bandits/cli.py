@@ -13,7 +13,7 @@ import sys
 
 from .acceptance import SUITES, run_suite
 from .config import ConfigError, config_instance, parse_config_file
-from .env import compute_oracle, misalignment_holds
+from .env import compute_oracle
 from .firm import FirmExample, firm_demo, render_report
 from .runner import simulate_command, sweep, write_sweep_table
 
@@ -110,7 +110,7 @@ def cmd_oracle(args) -> int:
     print("tau*:   " + " ".join(_g(x) for x in oracle.tau_star))
     print(f"delta_up = {_g(oracle.delta_up)}  delta_sw = {_g(oracle.delta_sw)}")
     if oracle.up_argmax_unique:
-        print(f"misaligned: {'yes' if misalignment_holds(inst, oracle) else 'no'}")
+        print(f"misaligned: {'yes' if oracle.misaligned else 'no'}")
     else:
         print("misaligned: undefined (v_up argmax is not unique)")
     return 0

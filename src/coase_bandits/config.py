@@ -17,7 +17,7 @@ import numpy as np
 
 from .downstream import BelgicParams, validate_params
 from .env import BanditInstance, build_instance, random_instance, REWARD_MODELS
-from .upstream import RegretCertificate, ucb_certificate
+from .upstream import ucb_certificate
 
 MODES = ("property", "no-property")
 UPSTREAM_POLICIES = ("ucb", "best_response")
@@ -95,8 +95,9 @@ def _flag(label: str):
 
 
 def _parse_c_mode_text(raw: str, line: int) -> str:
-    _parse_c_mode(raw, line)
-    return raw
+    """The mode in canonical form, so every spelling of a scale is one config."""
+    scale = _parse_c_mode(raw, line)
+    return "theoretical" if scale is None else f"fixed:{scale!r}"
 
 
 def _text(raw: str, line: int) -> str:
@@ -253,11 +254,10 @@ def validate_config(cfg: GameConfig) -> None:
             raise ConfigError(f"invalid search parameters: {exc}") from None
 
 
-def resolve_certificate(cfg: GameConfig, horizon: int) -> RegretCertificate:
+def resolve_certificate(cfg: GameConfig, horizon: int) -> float:
+    """The certificate scale c_mode asks for at this horizon."""
     fixed = _parse_c_mode(cfg.c_mode, None)
-    if fixed is None:
-        return ucb_certificate(cfg.n_arms, horizon)
-    return RegretCertificate(scale=fixed)
+    return ucb_certificate(cfg.n_arms, horizon) if fixed is None else fixed
 
 
 def belgic_params(cfg: GameConfig, horizon: int) -> BelgicParams:
@@ -266,7 +266,7 @@ def belgic_params(cfg: GameConfig, horizon: int) -> BelgicParams:
         horizon=horizon,
         alpha=cfg.alpha,
         beta=cfg.beta,
-        certificate=resolve_certificate(cfg, horizon),
+        scale=resolve_certificate(cfg, horizon),
     )
 
 

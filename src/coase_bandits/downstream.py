@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .env import BanditInstance, Oracle
-from .upstream import IncentiveOffer, RegretCertificate, UCBIndex
+from .upstream import IncentiveOffer, UCBIndex
+
+#: The upstream's regret certificate, which the search assumes: over any t
+#: rounds under one offer, its regret stays below scale * t**CERT_EXPONENT
+#: except with probability decaying like t**(-CERT_TAIL). BelgicParams
+#: carries the scale; the exponent and the tail are the UCB's and fixed.
+CERT_EXPONENT = 0.5
+CERT_TAIL = 2.0
 
 
 @dataclass(frozen=True)
@@ -24,16 +31,15 @@ class BelgicParams:
     alpha: batch length exponent, each binary-search batch lasts ceil(T^alpha).
     beta:  precision exponent, the search slack per update is 1/T^beta and the
            final estimates resolve tau to that order.
-    certificate: the upstream policy's batched-regret promise; its scale also
-           sets the mismatch threshold separating decisive from ambiguous
-           batches.
+    scale: the upstream's regret certificate scale; it also sets the
+           mismatch threshold separating decisive from ambiguous batches.
     """
 
     n_arms: int
     horizon: int
     alpha: float
     beta: float
-    certificate: RegretCertificate
+    scale: float
 
     @property
     def batch_length(self) -> int:
@@ -50,13 +56,11 @@ class BelgicParams:
 
     @property
     def threshold(self) -> float:
-        c = self.certificate
-        return c.scale * self.batch_length ** (c.exponent + self.beta / self.alpha)
+        return self.scale * self.batch_length ** (CERT_EXPONENT + self.beta / self.alpha)
 
     @property
     def estimate_pad(self) -> float:
-        c = self.certificate
-        return c.scale * self.horizon ** ((c.exponent - 1.0) / 2.0)
+        return self.scale * self.horizon ** ((CERT_EXPONENT - 1.0) / 2.0)
 
     @property
     def phase1_max_rounds(self) -> int:
@@ -73,10 +77,9 @@ def validate_params(params: BelgicParams) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {params.alpha}")
     if params.beta <= 0.0:
         raise ValueError(f"beta must be positive, got {params.beta}")
-    c = params.certificate
-    if not 0.0 <= c.scale < math.inf:
-        raise ValueError(f"certificate scale must be finite and >= 0, got {c.scale}")
-    slack_cap = 1.0 - c.exponent
+    if not 0.0 <= params.scale < math.inf:
+        raise ValueError(f"certificate scale must be finite and >= 0, got {params.scale}")
+    slack_cap = 1.0 - CERT_EXPONENT
     if not params.beta / params.alpha < slack_cap:
         raise ValueError(
             "precision/batch tradeoff violated: beta/alpha = "
@@ -168,8 +171,7 @@ class Belgic:
         self.mismatches = 0
         self.diagnostics: list[Phase1Batch] = []
         self.tau_hat: tuple[float, ...] | None = None
-        n_pairs = params.n_arms * params.n_arms
-        self.pair_ucb = UCBIndex(n_pairs, math.log(n_pairs * params.horizon**3))
+        self.pair_ucb = UCBIndex(params.n_arms * params.n_arms, params.horizon)
         self._pending: tuple[IncentiveOffer, int] | None = None
         # Offers change only between batches and are fixed once the search
         # ends; each is built once, not per round. Arm 0's search opens at
@@ -268,8 +270,7 @@ class NaiveContextUCB:
     """
 
     def __init__(self, n_arms: int, horizon: int):
-        log_term = math.log(n_arms * horizon**3)
-        self.contexts = [UCBIndex(n_arms, log_term) for _ in range(n_arms)]
+        self.contexts = [UCBIndex(n_arms, horizon) for _ in range(n_arms)]
 
     def step(self, context: int) -> int:
         """Lowest arm with the highest index in this context; changes no state."""

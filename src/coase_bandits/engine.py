@@ -74,15 +74,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .downstream import Belgic, BelgicParams, NaiveContextUCB, Phase1Batch
-from .env import (
-    BLOCK,
-    BanditInstance,
-    Oracle,
-    RewardColumns,
-    compute_oracle,
-    draw_noise,
-    misalignment_holds,
-)
+from .env import BLOCK, BanditInstance, Oracle, RewardColumns, compute_oracle, draw_noise
 from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex
 
 #: Slack allowed to the per-round regret decomposition inequality; covers
@@ -160,7 +152,6 @@ class GameResult:
     instance: BanditInstance
     oracle: Oracle
     ledger: RegretLedger
-    misaligned: bool
     records: Trajectory | None = None
     tau_hat: tuple[float, ...] | None = None
     phase1_rounds: int = 0
@@ -553,7 +544,6 @@ def _play(
     first ``horizon`` rows instead.
     """
     oracle = compute_oracle(instance)
-    misaligned = oracle.up_argmax_unique and misalignment_holds(instance, oracle)
     rng = np.random.default_rng(seed) if noise is None else None
     offers = mode == "property"
     play = _round_function(offers, upstream, downstream)
@@ -578,7 +568,6 @@ def _play(
         instance=instance,
         oracle=oracle,
         ledger=ledger,
-        misaligned=misaligned,
         records=records,
     )
 
@@ -602,7 +591,7 @@ def run_no_property(
     result = _play(
         "no-property", instance, upstream, downstream, horizon, seed, record_trajectory, noise
     )
-    if result.misaligned:
+    if result.oracle.misaligned:
         ledger = result.ledger
         bound = breakdown_lower_bound(result.oracle, horizon, ledger.r_up_n)
         if ledger.r_sw < bound - 1e-9 * horizon:

@@ -342,8 +342,7 @@ class Oracle:
                    tau_star[a] = mu_star_up - v_up[a]; exactly 0.0 at a_star_up.
     a_star_up:     lowest-index argmax of v_up; up_argmax_unique says if it is strict.
     delta_up:      min gap of v_up to the best arm (+inf when K == 1).
-    delta_sw:      welfare_star minus the best welfare available through a_star_up;
-                   positive iff the players' incentives are misaligned.
+    delta_sw:      welfare_star minus the best welfare available through a_star_up.
     v_bar, v_under: max / min downstream mean, used by regret bound constants.
     """
 
@@ -359,6 +358,13 @@ class Oracle:
     delta_sw: float
     v_bar: float
     v_under: float
+
+    @property
+    def misaligned(self) -> bool:
+        """True iff the upstream favorite is unique and every downstream
+        response to it loses welfare, strictly, with no epsilon. Float
+        subtraction is monotone, so delta_sw > 0 is exactly that test."""
+        return self.up_argmax_unique and self.delta_sw > 0.0
 
 
 def compute_oracle(instance: BanditInstance) -> Oracle:
@@ -406,24 +412,6 @@ def compute_oracle(instance: BanditInstance) -> Oracle:
         delta_sw=delta_sw,
         v_bar=max(flat),
         v_under=min(flat),
-    )
-
-
-def misalignment_holds(instance: BanditInstance, oracle: Oracle | None = None) -> bool:
-    """True iff every downstream response to the upstream favorite loses welfare.
-
-    Strict comparison, no epsilon: welfare_star > v_up[a_star_up] + v_down[a_star_up][b]
-    for every b. Requires a unique upstream argmax; errors otherwise because the
-    condition is ill-posed when the upstream favorite is ambiguous.
-    """
-    if oracle is None:
-        oracle = compute_oracle(instance)
-    if not oracle.up_argmax_unique:
-        raise ValueError("misalignment is undefined: argmax of v_up is not unique")
-    a = oracle.a_star_up
-    return all(
-        oracle.welfare_star - (instance.v_up[a] + instance.v_down[a][b]) > 0.0
-        for b in range(instance.n_arms)
     )
 
 
@@ -487,7 +475,6 @@ def random_instance(
         )
         if not require_misaligned:
             return inst
-        oracle = compute_oracle(inst)
-        if oracle.up_argmax_unique and misalignment_holds(inst, oracle):
+        if compute_oracle(inst).misaligned:
             return inst
     raise RuntimeError(f"no misaligned instance found in {max_tries} draws")

@@ -34,36 +34,30 @@ class IncentiveOffer:
 NO_OFFER = IncentiveOffer(arm=0, amount=0.0)
 
 
-@dataclass(frozen=True)
-class RegretCertificate:
-    """Promise that batched pseudo-regret over any t offer rounds stays below
-    scale * t**exponent except with probability decaying like t**(-tail)."""
-
-    scale: float
-    exponent: float = 0.5
-    tail: float = 2.0
+def ucb_log_term(n: int, horizon: float) -> float:
+    """ln(n * T^3), the log term of every UCB table over n arms or pairs."""
+    return math.log(n * horizon**3)
 
 
-def ucb_certificate(n_arms: int, horizon: float) -> RegretCertificate:
-    """Certificate the incentive-aware UCB below actually earns.
-
-    scale = 8 * sqrt(K * ln(K * T^3)); the exponent is 1/2 and the failure
-    tail decays quadratically. ``horizon`` may be fractional so the log term
+def ucb_certificate(n_arms: int, horizon: float) -> float:
+    """Scale of the regret certificate the incentive-aware UCB below earns,
+    8 * sqrt(K * ln(K * T^3)). ``horizon`` may be fractional so the log term
     can be pinned exactly in arithmetic tests.
     """
     if n_arms < 1 or horizon <= 0:
         raise ValueError("need n_arms >= 1 and horizon > 0")
-    return RegretCertificate(scale=8.0 * math.sqrt(n_arms * math.log(n_arms * horizon**3)))
+    return 8.0 * math.sqrt(n_arms * ucb_log_term(n_arms, horizon))
 
 
 class UCBIndex:
     """UCB books over ``n`` arms: counts, running means and the indices
     means[a] + 2 * sqrt(log_term / counts[a]), kept by record() and +inf
-    until an arm's first sample. The upstream UCB is one; Belgic's pair
-    bandit and each context of the no-property baseline hold one."""
+    until an arm's first sample, with log_term = ucb_log_term(n, horizon).
+    The upstream UCB is one; Belgic's pair bandit and each context of the
+    no-property baseline hold one."""
 
-    def __init__(self, n: int, log_term: float):
-        self.log_term = log_term
+    def __init__(self, n: int, horizon: int):
+        self.log_term = ucb_log_term(n, horizon)
         self.counts = [0] * n
         self.means = [0.0] * n
         self.index = [math.inf] * n
@@ -98,7 +92,7 @@ class IncentiveAwareUCB(UCBIndex):
     def __init__(self, n_arms: int, horizon: int):
         if horizon < n_arms:
             raise ValueError(f"horizon {horizon} cannot fit one forced pull of {n_arms} arms")
-        super().__init__(n_arms, math.log(n_arms * horizon**3))
+        super().__init__(n_arms, horizon)
         self.n_arms = n_arms
 
     def step(self, offer: IncentiveOffer) -> int:

@@ -136,15 +136,16 @@ class RefUCB(IncentiveAwareUCB):
 
 def pair_table(n_arms, horizon):
     """Belgic's pair bandit: a UCBIndex over the K^2 pairs."""
-    return UCBIndex(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
+    return UCBIndex(n_arms * n_arms, horizon)
 
 
 class RefPairUCB(UCBIndex):
-    """Belgic's pair table with a pointer to the first pair without a sample
-    and every index recomputed from counts and means."""
+    """Belgic's pair table with its own log(K^2 T^3), a pointer to the first
+    pair without a sample and every index recomputed from counts and means."""
 
     def __init__(self, n_arms, horizon):
-        super().__init__(n_arms * n_arms, math.log(n_arms * n_arms * horizon**3))
+        super().__init__(n_arms * n_arms, horizon)
+        self.log_term = math.log(n_arms * n_arms * horizon**3)
         self.ref_next_pair = 0
 
     def best(self):

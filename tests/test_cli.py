@@ -121,6 +121,20 @@ class TestOracle:
         assert "misaligned: undefined" in capsys.readouterr().out
 
 
+def test_readme_examples_print_what_the_readme_shows(monkeypatch, capsys):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```\n")[1::2]
+    examples = [b.split("\n", 1) for b in blocks if b.startswith("$ coase-bandits ")]
+    assert [command for command, _ in examples] == [
+        "$ coase-bandits oracle configs/breakdown.cfg",
+        "$ coase-bandits firm-example",
+    ]
+    monkeypatch.chdir(root)
+    for command, shown in examples:
+        assert cli.main(command.split()[2:]) == 0
+        assert capsys.readouterr().out == shown, command
+
 class TestFirmExample:
     def test_default_parameters(self, capsys):
         assert cli.main(["firm-example"]) == 0

@@ -3,7 +3,7 @@
 import glob
 import math
 import os
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +24,7 @@ from coase_bandits.config import (
     serialize_config,
     validate_config,
 )
-from coase_bandits.env import REWARD_MODELS, build_instance, misalignment_holds
+from coase_bandits.env import REWARD_MODELS, build_instance, compute_oracle
 from coase_bandits.upstream import ucb_certificate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -251,7 +251,14 @@ class TestValidation:
 class TestCMode:
     def test_fixed_scale_parsed(self):
         cfg = parse_config(BASE_PROPERTY.replace("fixed:1.0", "fixed:0.5"))
-        assert resolve_certificate(cfg, cfg.horizon).scale == 0.5
+        assert resolve_certificate(cfg, cfg.horizon) == 0.5
+
+    def test_every_spelling_of_a_scale_is_one_config(self):
+        canonical = parse_config(BASE_PROPERTY)
+        for spelling in ("fixed:1", "fixed: 1.0", "fixed:1e0"):
+            cfg = parse_config(BASE_PROPERTY.replace("fixed:1.0", spelling))
+            assert cfg == canonical
+            assert "\nc_mode = fixed:1.0\n" in serialize_config(cfg)
 
     def test_theoretical_matches_certificate_helper(self):
         cfg = parse_config(BASE_NO_PROPERTY)
@@ -417,10 +424,7 @@ class TestRoundTrip:
 class TestDerivedObjects:
     def test_belgic_params_wiring(self):
         cfg = parse_config(BASE_PROPERTY)
-        p = belgic_params(cfg, cfg.horizon)
-        assert (p.n_arms, p.horizon) == (2, 4096)
-        assert (p.alpha, p.beta) == (0.75, 0.25)
-        assert p.certificate.scale == 1.0
+        assert astuple(belgic_params(cfg, cfg.horizon)) == (2, 4096, 0.75, 0.25, 1.0)
 
     def test_config_instance_explicit(self):
         cfg = parse_config(BASE_NO_PROPERTY)
@@ -438,5 +442,5 @@ class TestDerivedObjects:
         )
         inst = config_instance(cfg)
         assert inst == config_instance(cfg)
-        assert misalignment_holds(inst)
+        assert compute_oracle(inst).misaligned
 

@@ -21,13 +21,7 @@ from coase_bandits.downstream import (
 )
 from coase_bandits.engine import run_phase1
 from coase_bandits.env import build_instance, compute_oracle
-from coase_bandits.upstream import (
-    BestResponseUpstream,
-    IncentiveAwareUCB,
-    IncentiveOffer,
-    RegretCertificate,
-    ucb_certificate,
-)
+from coase_bandits.upstream import BestResponseUpstream, IncentiveAwareUCB, IncentiveOffer, ucb_certificate
 
 
 def reference():
@@ -35,17 +29,17 @@ def reference():
 
 
 def default_params():
-    return BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(1.0))
+    return BelgicParams(2, 4096, 0.75, 0.25, 1.0)
 
 
 def small_params():
     """Smallest schedule that validates; full games finish in 256 rounds."""
-    return BelgicParams(2, 256, 0.5, 0.2, RegretCertificate(0.5))
+    return BelgicParams(2, 256, 0.5, 0.2, 0.5)
 
 
 def three_batch_params():
     """Three arms whose searches play up to three batches of 64 rounds."""
-    return BelgicParams(3, 4096, 0.5, 0.2, RegretCertificate(0.5))
+    return BelgicParams(3, 4096, 0.5, 0.2, 0.5)
 
 
 def final_rows(diags):
@@ -64,21 +58,21 @@ class TestParams:
 
     def test_threshold_two_thirds_exponent(self):
         # batch 256 at alpha=2/3, so the threshold is 256^(5/6)
-        p = BelgicParams(2, 4096, 2 / 3, (2 / 3) / 3, RegretCertificate(1.0))
+        p = BelgicParams(2, 4096, 2 / 3, (2 / 3) / 3, 1.0)
         assert p.batch_length == 256
         assert p.threshold == pytest.approx(101.59366732596473, rel=1e-12)
 
     def test_threshold_linear_when_exponents_sum_to_one(self):
-        p = BelgicParams(2, 256, 0.5, 0.25, RegretCertificate(0.25))
+        p = BelgicParams(2, 256, 0.5, 0.25, 0.25)
         assert p.threshold == 0.25 * p.batch_length
 
     def test_threshold_zero_scale(self):
-        p = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(0.0))
+        p = BelgicParams(2, 4096, 0.75, 0.25, 0.0)
         assert p.threshold == 0.0
 
     def test_threshold_scales_with_certificate(self):
-        lo = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(1.0))
-        hi = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(2.0))
+        lo = BelgicParams(2, 4096, 0.75, 0.25, 1.0)
+        hi = BelgicParams(2, 4096, 0.75, 0.25, 2.0)
         assert hi.threshold == pytest.approx(2.0 * lo.threshold, rel=1e-15)
 
 
@@ -87,55 +81,55 @@ class TestValidation:
         validate_params(default_params())
 
     def test_equal_exponents_rejected(self):
-        p = BelgicParams(2, 4096, 0.5, 0.5, RegretCertificate(0.1))
         with pytest.raises(ValueError, match="tradeoff"):
-            validate_params(p)
+            validate_params(BelgicParams(2, 4096, 0.5, 0.5, 0.1))
+
+    def test_tradeoff_cap_is_strict(self):
+        # beta/alpha < 1 - exponent = 0.5: the largest float ratio below the
+        # cap passes and the cap fails (alpha 0.5 keeps both ratios exact).
+        validate_params(BelgicParams(2, 4096, 0.5, 0.5 * math.nextafter(0.5, 0.0), 0.0))
+        with pytest.raises(ValueError, match=r"beta/alpha = 0\.5 must be < 1 - exponent = 0\.5$"):
+            validate_params(BelgicParams(2, 4096, 0.5, 0.25, 0.0))
 
     def test_phase1_overflow_rejected(self):
         # 4 arms x 32 rounds x 2 batches = 256 rounds exceed the horizon
-        p = BelgicParams(4, 100, 0.75, 0.25, RegretCertificate(0.1))
         with pytest.raises(ValueError, match="cannot fit"):
-            validate_params(p)
+            validate_params(BelgicParams(4, 100, 0.75, 0.25, 0.1))
 
     def test_theoretical_certificate_rejected_at_desk_scale(self):
-        p = BelgicParams(2, 4096, 0.75, 0.25, ucb_certificate(2, 4096))
         with pytest.raises(ValueError, match="threshold"):
-            validate_params(p)
+            validate_params(BelgicParams(2, 4096, 0.75, 0.25, ucb_certificate(2, 4096)))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
     def test_alpha_out_of_range(self, alpha):
-        p = BelgicParams(2, 4096, alpha, 0.25, RegretCertificate(1.0))
         with pytest.raises(ValueError, match="alpha"):
-            validate_params(p)
+            validate_params(BelgicParams(2, 4096, alpha, 0.25, 1.0))
 
     def test_nonpositive_beta(self):
-        p = BelgicParams(2, 4096, 0.75, 0.0, RegretCertificate(1.0))
         with pytest.raises(ValueError, match="beta"):
-            validate_params(p)
+            validate_params(BelgicParams(2, 4096, 0.75, 0.0, 1.0))
 
     def test_negative_scale(self):
-        p = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(-1.0))
         with pytest.raises(ValueError, match="scale"):
-            validate_params(p)
+            validate_params(BelgicParams(2, 4096, 0.75, 0.25, -1.0))
 
     @pytest.mark.parametrize("scale", [math.nan, math.inf])
     def test_nonfinite_scale(self, scale):
-        p = BelgicParams(2, 4096, 0.75, 0.25, RegretCertificate(scale))
         with pytest.raises(ValueError, match=f"^certificate scale must be finite and >= 0, got {scale}$"):
-            validate_params(p)
+            validate_params(BelgicParams(2, 4096, 0.75, 0.25, scale))
 
     def test_horizon_one_cannot_fit_phase1(self):
         # log2(1) = 0 still leaves one batch per arm to play
-        p = BelgicParams(2, 1, 0.75, 0.25, RegretCertificate(0.1))
+        p = BelgicParams(2, 1, 0.75, 0.25, 0.1)
         assert p.n_batches == 1
         with pytest.raises(ValueError, match="cannot fit"):
             validate_params(p)
 
     def test_degenerate_dimensions(self):
         with pytest.raises(ValueError, match="arm"):
-            validate_params(BelgicParams(0, 4096, 0.75, 0.25, RegretCertificate(1.0)))
+            validate_params(BelgicParams(0, 4096, 0.75, 0.25, 1.0))
         with pytest.raises(ValueError, match="horizon"):
-            validate_params(BelgicParams(2, 0, 0.75, 0.25, RegretCertificate(1.0)))
+            validate_params(BelgicParams(2, 0, 0.75, 0.25, 1.0))
 
 
 @dataclass
@@ -424,7 +418,7 @@ class TestBelgic:
 
     def test_invalid_params_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            Belgic(BelgicParams(2, 4096, 0.5, 0.5, RegretCertificate(0.1)))
+            Belgic(BelgicParams(2, 4096, 0.5, 0.5, 0.1))
 
 
 class TestNaiveContextUCB:

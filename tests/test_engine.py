@@ -36,12 +36,7 @@ from coase_bandits.engine import (
     run_property,
 )
 from coase_bandits.env import build_instance, compute_oracle, random_instance
-from coase_bandits.upstream import (
-    BestResponseUpstream,
-    IncentiveAwareUCB,
-    IncentiveOffer,
-    RegretCertificate,
-)
+from coase_bandits.upstream import BestResponseUpstream, IncentiveAwareUCB, IncentiveOffer
 
 # dyadic instance: every oracle quantity and per-round gap is a power-of-two
 # multiple, so regret sums are exact floats
@@ -51,8 +46,7 @@ REFERENCE = build_instance((1.0, 0.3), ((0.0, 0.0), (0.9, 0.2)))
 
 
 def belgic_for(instance, horizon, alpha=0.75, beta=0.25, scale=1.0):
-    params = BelgicParams(instance.n_arms, horizon, alpha, beta, RegretCertificate(scale))
-    return Belgic(params)
+    return Belgic(BelgicParams(instance.n_arms, horizon, alpha, beta, scale))
 
 
 class TestPerRoundGaps:
@@ -156,7 +150,7 @@ class TestNoPropertyMode:
         res = run_no_property(
             DYADIC, BestResponseUpstream(DYADIC), BestResponseDownstream(DYADIC), 512, 0
         )
-        assert res.misaligned
+        assert res.oracle.misaligned
         assert res.ledger.r_sw == 128.0  # 512 rounds x exact deficit 0.25
         assert res.ledger.r_up_n == 0.0
         assert res.ledger.r_down_n == 0.0
@@ -167,7 +161,7 @@ class TestNoPropertyMode:
         res = run_no_property(
             aligned, BestResponseUpstream(aligned), BestResponseDownstream(aligned), 512, 0
         )
-        assert not res.misaligned
+        assert not res.oracle.misaligned
         assert res.ledger.r_sw == 0.0
         assert res.breakdown_bound is None
 
@@ -177,7 +171,7 @@ class TestNoPropertyMode:
             res = run_no_property(
                 inst, IncentiveAwareUCB(2, 4096), NaiveContextUCB(2, 4096), 4096, seed
             )
-            assert res.misaligned
+            assert res.oracle.misaligned
             # the run itself raises if the floor is broken; check the margin
             assert res.ledger.r_sw >= res.breakdown_bound - 1e-9 * 4096
 
@@ -221,7 +215,7 @@ class TestNoPropertyMode:
         """
         inst = random_instance(np.random.default_rng(seed), k, model)
         if mode == "property":
-            params = BelgicParams(k, horizon, 0.5, 0.2, RegretCertificate(0.5))
+            params = BelgicParams(k, horizon, 0.5, 0.2, 0.5)
             res = run_property(
                 inst, IncentiveAwareUCB(k, horizon), Belgic(params), horizon, seed, record_trajectory=True
             )
@@ -350,7 +344,7 @@ class TestPropertyMode:
         # brackets hold, so the signed regret cannot dive past that budget
         inst = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
         horizon = 4096
-        params = BelgicParams(2, horizon, 0.75, 0.25, RegretCertificate(1.0))
+        params = BelgicParams(2, horizon, 0.75, 0.25, 1.0)
         overshoot = 4.0 * params.precision + 2.0 * params.estimate_pad
         for seed in range(3):
             res = run_property(

@@ -1,5 +1,6 @@
 """Instance construction, sampling, and the exact oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from coase_bandits.env import (
     BanditInstance,
     build_instance,
     compute_oracle,
-    misalignment_holds,
     optimal_split_identity_holds,
     random_instance,
     sample_downstream,
@@ -167,27 +167,49 @@ class TestOracle:
         assert o.delta_sw >= 0.0
 
 
+def misaligned_long_way(inst):
+    """Every response to the unique upstream favorite loses welfare,
+    strictly, with no epsilon; False when the favorite is not unique."""
+    arms, v_up, v_down = range(inst.n_arms), inst.v_up, inst.v_down
+    favorite, *others = [a for a in arms if v_up[a] == max(v_up)]
+    welfare_star = max(v_up[a] + v_down[a][b] for a in arms for b in arms)
+    return not others and all(v_up[favorite] + v_down[favorite][b] < welfare_star for b in arms)
+
+
 class TestMisalignment:
     def test_reference_is_misaligned(self):
-        assert misalignment_holds(reference())
+        assert compute_oracle(reference()).misaligned
 
     def test_aligned_instance(self):
         inst = build_instance((1.0, 0.3), ((0.9, 0.0), (0.1, 0.0)))
-        assert not misalignment_holds(inst)
+        assert not compute_oracle(inst).misaligned
 
     def test_partial_dominance_is_not_misalignment(self):
         # dyadic welfare tie: the selfish arm 1 still reaches the optimum at
         # b=0, so the welfare deficit is not strict for every b
-        inst = build_instance((0.5, 1.0), ((0.75, 0.0), (0.25, 0.0)))
-        o = compute_oracle(inst)
-        assert o.a_star_up == 1
-        assert o.a_sw == 0
-        assert not misalignment_holds(inst)
+        o = compute_oracle(build_instance((0.5, 1.0), ((0.75, 0.0), (0.25, 0.0))))
+        assert (o.a_star_up, o.a_sw, o.misaligned) == (1, 0, False)
 
     def test_requires_unique_argmax(self):
-        inst = build_instance((0.5, 0.5), ((0.0, 0.0), (0.9, 0.0)))
-        with pytest.raises(ValueError, match="not unique"):
-            misalignment_holds(inst)
+        o = compute_oracle(build_instance((0.5, 0.5), ((0.0, 0.0), (0.9, 0.0))))
+        assert o.delta_sw > 0.0 and not o.misaligned
+
+    @given(instances())
+    def test_oracle_flag_is_the_long_way(self, inst):
+        assert compute_oracle(inst).misaligned == misaligned_long_way(inst)
+
+    def test_oracle_flag_is_the_long_way_on_a_dyadic_grid(self):
+        # Every instance with K = 1 or 2 on the quarter grid: welfare ties,
+        # tied favorites and both verdicts.
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        seen = set()
+        for k in (1, 2):
+            for means in itertools.product(grid, repeat=k + k * k):
+                inst = build_instance(means[:k], [means[k * i : k * (i + 1)] for i in range(1, k + 1)])
+                o = compute_oracle(inst)
+                assert o.misaligned == misaligned_long_way(inst), inst
+                seen.add((o.up_argmax_unique, o.delta_sw > 0.0, o.misaligned))
+        assert seen == {(False, False, False), (False, True, False), (True, False, False), (True, True, True)}
 
 
 class TestTransferGrid:
@@ -223,7 +245,7 @@ class TestRandomInstance:
         rng = np.random.default_rng(11)
         for _ in range(10):
             inst = random_instance(rng, 2, require_misaligned=True)
-            assert misalignment_holds(inst)
+            assert compute_oracle(inst).misaligned
 
     def test_impossible_rejection_exhausts(self):
         # K=1 can never be misaligned: a_star_up is the only (hence welfare) arm

@@ -134,3 +134,8 @@ def test_trace_phase1_refuses_configs_without_a_search(tmp_path, edit, message):
     err = done.stderr.decode()
     assert (done.returncode, done.stdout) == (1, b"")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+def test_trace_phase1_refuses_a_negative_seed():
+    done = run_trace_phase1("--seed", "-1")
+    assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"error: --seed must be >= 0, got -1\n")

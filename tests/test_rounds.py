@@ -49,7 +49,7 @@ from scalar_reference import (
 
 from coase_bandits.acceptance import CERT_RUNS, _certificate_run
 from coase_bandits.config import belgic_params
-from coase_bandits.downstream import Belgic, BelgicParams, NaiveContextUCB
+from coase_bandits.downstream import CERT_EXPONENT, Belgic, BelgicParams, NaiveContextUCB
 from coase_bandits.engine import (
     BLOCK,
     RegretLedger,
@@ -72,7 +72,7 @@ from coase_bandits.env import (
     build_instance,
     draw_noise,
 )
-from coase_bandits.upstream import IncentiveAwareUCB, IncentiveOffer, RegretCertificate
+from coase_bandits.upstream import IncentiveAwareUCB, IncentiveOffer
 
 # ---------------------------------------------------------------- the gaussian replay's words
 
@@ -413,7 +413,7 @@ class TestGaussianReplay:
 
 # ---------------------------------------------------------------- the games
 
-SMALL_SCHEDULE = (0.5, 0.2, RegretCertificate(0.5))
+SMALL_SCHEDULE = (0.5, 0.2, 0.5)
 
 
 HORIZONS = (5, 17, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3)
@@ -509,7 +509,7 @@ def _schedule(k, batch_length, n_batches, extra):
     horizon = k * batch_length * n_batches + extra
     alpha = math.log(batch_length - 0.5) / math.log(horizon)
     beta = (n_batches - 0.5) / math.log2(horizon)
-    params = BelgicParams(k, horizon, alpha, beta, RegretCertificate(0.5))
+    params = BelgicParams(k, horizon, alpha, beta, 0.5)
     assert (params.batch_length, params.n_batches) == (batch_length, n_batches)
     return horizon, params
 
@@ -530,19 +530,16 @@ def _edge_schedules():
 
 
 def _edge_params(k, batch_length, n_batches):
-    """(horizon, BelgicParams) at three of ``validate_params``' limits at once:
-    phase 1 fills all but the last round of the horizon, beta/alpha is the
-    largest float under 1 - exponent (the exponent is stepped down from
-    1 - beta/alpha), and the mismatch threshold the largest under half a batch
-    (the certificate scale is stepped down from where it meets it)."""
+    """(horizon, BelgicParams) at two of ``validate_params``' limits at once:
+    phase 1 fills all but the last round of the horizon, and the mismatch
+    threshold is the largest under half a batch (the certificate scale is
+    stepped down from where it meets it). The kernel reads the batch length,
+    the batch count and the threshold, so the beta/alpha cap does not reach
+    it; ``TestValidation`` holds that cap."""
     horizon, params = _schedule(k, batch_length, n_batches, 1)
-    ratio = params.beta / params.alpha
-    exponent = 1.0 - ratio
-    while not ratio < 1.0 - exponent:
-        exponent = math.nextafter(exponent, -math.inf)
-    scale = batch_length / 2.0 / batch_length ** (exponent + ratio)
+    scale = batch_length / 2.0 / batch_length ** (CERT_EXPONENT + params.beta / params.alpha)
     while True:
-        params = dataclasses.replace(params, certificate=RegretCertificate(scale, exponent))
+        params = dataclasses.replace(params, scale=scale)
         if params.threshold < batch_length / 2.0:
             return horizon, params
         scale = math.nextafter(scale, -math.inf)
@@ -593,9 +590,8 @@ class TestKernelsMatchGenericLoop:
     def test_ucb_belgic_at_the_validation_edges(self, schedule, data, seed):
         # The schedules the validation only just admits: a search of all
         # but the last round that ends at a block boundary, give or take
-        # one round, a mismatch threshold that leaves a batch with exactly
-        # half its rounds refused as the only early return, and beta/alpha
-        # against its cap.
+        # one round, and a mismatch threshold that leaves a batch with
+        # exactly half its rounds refused as the only early return.
         k, batch_length, n_batches = schedule
         instance = data.draw(instances(k))
         horizon, params = _edge_params(*schedule)
@@ -633,7 +629,7 @@ class TestKernelsMatchGenericLoop:
         instance = _zero_means(k)
         if mode == "property":
             horizon, run = 2**16, run_property
-            params = BelgicParams(k, horizon, 0.6, 0.25, RegretCertificate(0.0))
+            params = BelgicParams(k, horizon, 0.6, 0.25, 0.0)
             players = IncentiveAwareUCB(k, horizon), Belgic(params)
             generic_players = GenericUCB(k, horizon), Belgic(params)
             for up, down in (players, generic_players):
@@ -895,7 +891,7 @@ class TestRuns:
         # arm, precision 1/8 and no certificate pad, so the search offers
         # and the estimates tau_hat are all on the dyadic grid.
         horizon = 4096
-        params = BelgicParams(k, horizon, 0.6, 0.25, RegretCertificate(0.0))
+        params = BelgicParams(k, horizon, 0.6, 0.25, 0.0)
         instance, noise = _zero_means(k), _dyadic_noise(seed, horizon)
         players = IncentiveAwareUCB(k, horizon), Belgic(params)
         generic_players = GenericUCB(k, horizon), Belgic(params)

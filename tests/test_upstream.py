@@ -142,18 +142,11 @@ class TestStep:
 
 class TestCertificate:
     def test_reference_scale(self):
-        cert = ucb_certificate(2, 4096)
-        assert cert.scale == pytest.approx(57.2952445420377, rel=1e-12)
-        assert cert.exponent == 0.5
-        assert cert.tail == 2.0
+        assert ucb_certificate(2, 4096) == pytest.approx(57.2952445420377, rel=1e-12)
 
     def test_unit_log_term_gives_eight(self):
         # horizon e^(1/3) makes log(1 * T^3) = 1 exactly
-        cert = ucb_certificate(1, math.e ** (1.0 / 3.0))
-        assert cert.scale == 8.0
-
-    def test_exponent_below_one(self):
-        assert ucb_certificate(5, 100).exponent < 1.0
+        assert ucb_certificate(1, math.e ** (1.0 / 3.0)) == 8.0
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
