@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,8 +83,19 @@ BREAKDOWN_INSTANCE = build_instance((1.0, 0.3), ((0.0, 0.0), (0.9, 0.85)))
 SANDWICH_INSTANCE = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
 
 
-def _config(inst: BanditInstance, **keys) -> GameConfig:
-    """A config on ``inst`` (its arms, means and reward model) with ``keys``."""
+#: Belgic's two pinned schedules, (alpha, beta, certificate scale): the
+#: default exponents, and a faster one whose search fits K in {3, 5} at desk
+#: horizons.
+BELGIC_SCHEDULE = (0.75, 0.25, 1.0)
+FAST_SCHEDULE = (0.5, 0.2, 0.5)
+
+
+def _config(inst: BanditInstance, schedule=None, **keys) -> GameConfig:
+    """A config on ``inst`` (its arms, means and reward model) with ``keys``,
+    and Belgic's ``schedule`` when one is given."""
+    if schedule is not None:
+        alpha, beta, scale = schedule
+        keys.update(alpha=alpha, beta=beta, c_mode=f"fixed:{scale!r}")
     return GameConfig(
         n_arms=inst.n_arms,
         v_up=inst.v_up,
@@ -124,21 +135,18 @@ def criterion_1_oracle_identity() -> CriterionResult:
 MATRIX_HORIZON = 4096
 MATRIX_SEEDS = (0, 1, 2)
 MATRIX_INSTANCES = (BREAKDOWN_INSTANCE, SANDWICH_INSTANCE)
-MATRIX_ALPHA, MATRIX_BETA, MATRIX_SCALE = 0.75, 0.25, 1.0
 
 
 def _matrix_configs(inst: BanditInstance) -> list[GameConfig]:
-    """The matrix's six policy pairs on ``inst``."""
+    """The matrix's six policy pairs on ``inst``, (ucb, belgic) first."""
     return [
         _config(
             inst,
+            BELGIC_SCHEDULE,
             mode="property",
             horizon=MATRIX_HORIZON,
             seeds=MATRIX_SEEDS,
-            alpha=MATRIX_ALPHA,
-            beta=MATRIX_BETA,
             upstream_policy=up_kind,
-            c_mode=f"fixed:{MATRIX_SCALE}",
             downstream_policy=down_kind,
         )
         for up_kind in ("ucb", "best_response")
@@ -219,27 +227,19 @@ def criterion_3_welfare_breakdown() -> CriterionResult:
 # ---------------------------------------------------------------- criterion 4
 
 SEARCH_HORIZON = 2**14
-SEARCH_ALPHA, SEARCH_BETA = 0.75, 0.25
-SEARCH_SCALE = 1.0
 SANDWICH_SEEDS = tuple(range(1000, 1200))
 WIDTH_TOL = 1e-12
-# The default exponents cannot fit phase 1 for K in {3, 5} at desk horizons,
-# so the containment replay pins a faster schedule; the recurrence under test
-# is the same.
-CONTAIN_ALPHA, CONTAIN_BETA, CONTAIN_SCALE = 0.5, 0.2, 0.5
-
-
-def _search_params(n_arms: int, alpha: float, beta: float, scale: float) -> BelgicParams:
-    return BelgicParams(n_arms, SEARCH_HORIZON, alpha, beta, scale)
 
 
 def _check_brackets(task) -> tuple[bool, float]:
     """Replay the binary search on (instance, seed) against the exact best
     responder and verify, batch by batch, bracket containment of tau* and the
     width recurrence (both the bit-exact update arithmetic and the
-    closed-form w/2 + h)."""
+    closed-form w/2 + h). The default schedule cannot fit phase 1 for K in
+    {3, 5} at this horizon, so the replay plays the fast one; the recurrence
+    under test is the same."""
     inst, seed = task
-    params = _search_params(inst.n_arms, CONTAIN_ALPHA, CONTAIN_BETA, CONTAIN_SCALE)
+    params = BelgicParams(inst.n_arms, SEARCH_HORIZON, *FAST_SCHEDULE)
     oracle = compute_oracle(inst)
     rng = np.random.default_rng(seed)
     _, batches, _ = run_phase1(inst, BestResponseUpstream(inst), params, rng)
@@ -280,7 +280,7 @@ def _check_brackets(task) -> tuple[bool, float]:
 def _sandwich_failed(seed: int) -> bool:
     """Whether phase 1 under the learning upstream leaves some tau* outside
     its estimate sandwich [tau_hat - 4h - pad, tau_hat]."""
-    params = _search_params(SANDWICH_INSTANCE.n_arms, SEARCH_ALPHA, SEARCH_BETA, SEARCH_SCALE)
+    params = BelgicParams(SANDWICH_INSTANCE.n_arms, SEARCH_HORIZON, *BELGIC_SCHEDULE)
     oracle = compute_oracle(SANDWICH_INSTANCE)
     pad = params.estimate_pad
     h = params.precision
@@ -304,10 +304,11 @@ def criterion_4_binary_search() -> CriterionResult:
 
     failures = sum(fan_out(_sandwich_failed, SANDWICH_SEEDS))
     n_runs = len(SANDWICH_SEEDS)
+    alpha, beta, _ = BELGIC_SCHEDULE
     budget = (
         SANDWICH_INSTANCE.n_arms
-        * math.ceil(math.log2(SEARCH_HORIZON**SEARCH_BETA))
-        / SEARCH_HORIZON ** (SEARCH_ALPHA * CERT_TAIL)
+        * math.ceil(math.log2(SEARCH_HORIZON**beta))
+        / SEARCH_HORIZON ** (alpha * CERT_TAIL)
         + 0.05
     )
     frac = failures / n_runs
@@ -325,20 +326,17 @@ def criterion_4_binary_search() -> CriterionResult:
 EFFICIENCY_INSTANCE = build_instance((0.5, 0.9), ((0.9, 0.0), (0.49, 0.0)))
 EFFICIENCY_HORIZONS = tuple(2**k for k in range(10, 17))
 EFFICIENCY_SEEDS = tuple(range(30))
-EFFICIENCY_ALPHA, EFFICIENCY_BETA, EFFICIENCY_SCALE = 0.5, 0.2, 0.5
 SLOPE_CAP = 0.9
 
 
 def efficiency_config() -> GameConfig:
     return _config(
         EFFICIENCY_INSTANCE,
+        FAST_SCHEDULE,
         mode="property",
         horizon=EFFICIENCY_HORIZONS[0],
         seeds=EFFICIENCY_SEEDS,
-        alpha=EFFICIENCY_ALPHA,
-        beta=EFFICIENCY_BETA,
         upstream_policy="ucb",
-        c_mode=f"fixed:{EFFICIENCY_SCALE}",
         downstream_policy="belgic",
     )
 
@@ -394,9 +392,11 @@ def _certificate_run(seed: int) -> list[float]:
     """Drive the incentive-aware UCB through batched constant per-arm offers
     and return its transfer-adjusted pseudo-regret at each checkpoint.
 
-    Each round draws one player's noise (``draw_noise`` with ``players=1``),
-    and the instance's gaussian reward is the mean plus that noise, read by
-    round index from ``RewardColumns``. Each 256-round batch is one
+    The rounds read the game stream two to a row: ``draw_noise`` draws
+    rounds // 2 game rows, reshaped to one column, so round 2i + 1 takes row
+    i's upstream normal and round 2i + 2 its downstream normal. The
+    instance's gaussian reward is the mean plus that noise, read by round
+    index from ``RewardColumns``. Each 256-round batch is one
     ``ucb_offer_stretch`` at that batch's offer, and the stretches' (rounds,
     arm) runs are repeated into the played arms with ``np.repeat``. The
     regret is one ``np.cumsum`` of the per-round gaps ``best -
@@ -406,7 +406,7 @@ def _certificate_run(seed: int) -> list[float]:
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
     rounds = max(CERT_CHECKPOINTS)
-    noise = draw_noise(inst, np.random.default_rng(seed), rounds, players=1)
+    noise = draw_noise(inst, np.random.default_rng(seed), rounds // 2).reshape(rounds, 1)
     rewards = RewardColumns(inst, noise).up
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
     runs = []
@@ -480,28 +480,12 @@ def criterion_7_firm_demo() -> CriterionResult:
 
 # ---------------------------------------------------------------- criterion 8
 
-DETERMINISM_CONFIGS = (
-    _config(
-        SANDWICH_INSTANCE,
-        mode="property",
-        horizon=2048,
-        seeds=(7, 11),
-        alpha=0.75,
-        beta=0.25,
-        upstream_policy="ucb",
-        c_mode="fixed:1.0",
-        downstream_policy="belgic",
-        trajectory="full",
-    ),
-    _config(
-        BREAKDOWN_INSTANCE,
-        mode="no-property",
-        horizon=2048,
-        seeds=(7, 11),
-        upstream_policy="ucb",
-        downstream_policy="naive",
-        trajectory="full",
-    ),
+#: Criterion 2's (ucb, belgic) game on the sandwich instance and criterion
+#: 3's game, each at horizon 2048 on seeds 7 and 11 with full trajectories:
+#: ``configs/belgic.cfg`` and ``tests/golden/breakdown``'s config.
+DETERMINISM_CONFIGS = tuple(
+    replace(cfg, horizon=2048, seeds=(7, 11), trajectory="full")
+    for cfg in (_matrix_configs(SANDWICH_INSTANCE)[0], breakdown_config())
 )
 
 

@@ -246,7 +246,9 @@ def validate_config(cfg: GameConfig) -> None:
         raise ConfigError(
             f"horizon {cfg.horizon} cannot fit the forced exploration of {cfg.n_arms} arms"
         )
-    _parse_c_mode(cfg.c_mode, None)
+    canonical = _parse_c_mode_text(cfg.c_mode, None)
+    if cfg.c_mode != canonical:
+        raise ConfigError(f"c_mode must be in canonical form {canonical!r}, got {cfg.c_mode!r}")
     if cfg.mode == "property" and cfg.downstream_policy == "belgic":
         try:
             validate_params(belgic_params(cfg, cfg.horizon))

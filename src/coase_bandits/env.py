@@ -88,12 +88,9 @@ def sample_downstream(
     return 1.0 if rng.random() < mean else 0.0
 
 
-def draw_noise(
-    instance: BanditInstance, rng: np.random.Generator, n: int, players: int = 2
-) -> np.ndarray:
-    """The noise of the next n rounds from ``rng``: an (n, players) array
-    whose column 0 is the upstream player's and column 1 the downstream
-    player's.
+def draw_noise(instance: BanditInstance, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The noise of the next n rounds from ``rng``: an (n, 2) array whose
+    column 0 is the upstream player's and column 1 the downstream player's.
 
     This is the one place the per-round draw order is stated. Each round
     takes one uniform per player (slots no policy reads, kept so the stream
@@ -103,8 +100,8 @@ def draw_noise(
     as it would under the same number of scalar calls, so the rewards equal
     those of two uniform draws followed by ``sample_upstream`` and
     ``sample_downstream``, bit for bit, and ``rng`` is left in the same
-    state. Criterion 6 draws ``players=1``: one uniform, then the upstream
-    draw.
+    state. Criterion 6 reads the same rows two rounds to a row, the
+    upstream normal first (``acceptance._certificate_run``).
 
     Gaussian rows are replayed from the raw 64-bit words of ``rng``'s bit
     generator, which must be PCG64 (numpy's default; anything else raises
@@ -128,15 +125,15 @@ def draw_noise(
     """
     if instance.reward_model == "bernoulli":
         # A compact copy: a view would keep the unread slot columns alive.
-        return rng.random((n, 2 * players))[:, players:].copy()
+        return rng.random((n, 4))[:, 2:].copy()
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.PCG64):
         raise TypeError(
             f"gaussian noise is replayed from PCG64 words, got {type(bit_generator).__name__}"
         )
     wi, ki, mult = _ziggurat()
-    width = 2 * players  # words per round on the fast path
-    noise = np.empty((n, players))
+    width = 4  # words per round on the fast path: two unread slots, two normals
+    noise = np.empty((n, 2))
     slow_normals = _SlowNormals(bit_generator.state, mult)
     read = 0  # words read by earlier passes
     for start in range(0, n, BLOCK):
@@ -150,10 +147,10 @@ def draw_noise(
             for at in np.flatnonzero(_slow(words[scanned:], ki)).tolist():
                 at += scanned
                 row, slot = divmod(at - shift, width)
-                if at < free or slot < players:
+                if at < free or slot < 2:
                     continue  # read by an earlier slow normal, or an unread slot
                 value, used = slow_normals.draw(read + at)
-                ordinals.append(row * players + slot - players)
+                ordinals.append(row * 2 + slot - 2)
                 values.append(value)
                 extras.append(used - 1)
                 shift += used - 1
@@ -164,12 +161,12 @@ def draw_noise(
                 more = bit_generator.random_raw(m * width + shift - scanned)
                 words = np.concatenate((words, more))
         # A slow normal's extra words shift every normal after it.
-        offsets = np.zeros(m * players + 1, np.int64)
+        offsets = np.zeros(m * 2 + 1, np.int64)
         offsets[np.array(ordinals, np.int64) + 1] = extras
-        slots = np.arange(m * width).reshape(m, width)[:, players:].ravel()
+        slots = np.arange(m * width).reshape(m, width)[:, 2:].ravel()
         rows = _fast_values(words[slots + np.cumsum(offsets[:-1])], wi)
         rows[ordinals] = values
-        noise[start : start + m] = rows.reshape(m, players)
+        noise[start : start + m] = rows.reshape(m, 2)
         read += len(words)
     return noise
 
@@ -293,9 +290,10 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
 
 class RewardColumns:
     """One block's rewards read by round index: ``up[a][i]`` is arm a's
-    upstream reward in row i of ``noise`` (an (n, players) array from
-    ``draw_noise``), and ``down_column(pair)[i]`` the downstream reward at
-    pair = a * K + b in that row. This is the one statement of the reward
+    upstream reward in row i of ``noise`` (an (n, 2) array from
+    ``draw_noise``, or criterion 6's (2n, 1) reshape of one, which has no
+    downstream column), and ``down_column(pair)[i]`` the downstream reward
+    at pair = a * K + b in that row. This is the one statement of the reward
     rule, done elementwise by numpy: the mean plus the noise (gaussian), or
     1.0 where the uniform falls below the mean (bernoulli). Every round
     function of the engine reads its rewards here.

@@ -64,22 +64,16 @@ def scalar_round(instance, rng, up_arm, down_arm):
     return sample_upstream(instance, up_arm, rng), sample_downstream(instance, up_arm, down_arm, rng)
 
 
-def scalar_upstream_round(instance, rng, arm):
-    """One round of criterion 6's one-player layout as scalar calls: an
-    unread uniform, then the upstream reward."""
-    rng.random()
-    return sample_upstream(instance, arm, rng)
-
-
-def scalar_noise(instance, rng, n, players=2):
-    """n rounds of noise with scalar calls: one uniform slot per player, then
-    one standard normal (gaussian) or uniform (bernoulli) per player."""
+def scalar_noise(instance, rng, n):
+    """n rounds of noise with scalar calls: two uniform slots, then two
+    standard normals (gaussian) or uniforms (bernoulli), the upstream's
+    first."""
     draw = rng.standard_normal if instance.reward_model == "gaussian" else rng.random
     rows = []
     for _ in range(n):
-        for _ in range(players):
-            rng.random()
-        rows.append([draw() for _ in range(players)])
+        rng.random()
+        rng.random()
+        rows.append([draw(), draw()])
     return rows
 
 
@@ -312,16 +306,19 @@ def ref_phase1(instance, upstream, params, rng):
 
 
 def ref_certificate_run(seed):
+    """Criterion 6's game: round t reads the t-th normal of the game rows
+    flattened, two rounds to a row."""
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
-    rng = np.random.default_rng(seed)
+    rounds = max(CERT_CHECKPOINTS)
+    noise = [x for row in scalar_noise(inst, np.random.default_rng(seed), rounds // 2) for x in row]
     ucb = RefUCB(k, CERT_HORIZON)
     regret, out = 0.0, []
-    for t in range(1, max(CERT_CHECKPOINTS) + 1):
+    for t in range(1, rounds + 1):
         arm = ((t - 1) // CERT_BATCH) % k
         offer = IncentiveOffer(arm, CERT_TAU[arm])
         played = ucb.step(offer)
-        ucb.update(played, scalar_upstream_round(inst, rng, played))
+        ucb.update(played, inst.v_up[played] + noise[t - 1])
         best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
         regret += best - (inst.v_up[played] + offer.bonus(played))
         if t in CERT_CHECKPOINTS:

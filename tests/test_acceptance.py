@@ -20,9 +20,7 @@ from coase_bandits import cli
 from coase_bandits.acceptance import (
     BREAKDOWN_HORIZONS,
     BREAKDOWN_SEEDS,
-    EFFICIENCY_ALPHA,
-    EFFICIENCY_BETA,
-    EFFICIENCY_SCALE,
+    FAST_SCHEDULE,
     SLOPE_CAP,
     breakdown_config,
     criterion_1_oracle_identity,
@@ -134,12 +132,13 @@ def test_property_rights_lower_welfare_regret_on_every_seed():
     # seed's noise and differ only in the institution. With property rights
     # the welfare regret must be lower on every (seed, horizon).
     none = breakdown_config()
+    alpha, beta, scale = FAST_SCHEDULE
     rights = dataclasses.replace(
         none,
         mode="property",
-        alpha=EFFICIENCY_ALPHA,
-        beta=EFFICIENCY_BETA,
-        c_mode=f"fixed:{EFFICIENCY_SCALE}",
+        alpha=alpha,
+        beta=beta,
+        c_mode=f"fixed:{scale!r}",
         downstream_policy="belgic",
     )
     horizons = list(BREAKDOWN_HORIZONS)

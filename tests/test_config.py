@@ -3,6 +3,7 @@
 import glob
 import math
 import os
+import re
 from dataclasses import astuple, replace
 
 import pytest
@@ -259,6 +260,14 @@ class TestCMode:
             cfg = parse_config(BASE_PROPERTY.replace("fixed:1.0", spelling))
             assert cfg == canonical
             assert "\nc_mode = fixed:1.0\n" in serialize_config(cfg)
+
+    @pytest.mark.parametrize("spelling", ["fixed:1", "fixed: 1.0", "fixed:1e0"])
+    def test_built_config_needs_the_canonical_spelling(self, spelling):
+        # A config built in code skips the parser, so validation refuses a
+        # spelling that would echo as a different config.
+        cfg = replace(parse_config(BASE_PROPERTY), c_mode=spelling)
+        with pytest.raises(ConfigError, match=re.escape(f"canonical form 'fixed:1.0', got {spelling!r}")):
+            validate_config(cfg)
 
     def test_theoretical_matches_certificate_helper(self):
         cfg = parse_config(BASE_NO_PROPERTY)

@@ -1,10 +1,12 @@
-"""Golden outputs: `simulate configs/belgic.cfg`, criterion 8's no-property
-config and `scripts/trace_phase1.py` reproduce the committed files byte for
-byte, and each written trajectory reads back to its run summary."""
+"""Golden outputs: `simulate configs/belgic.cfg` (criterion 8's Belgic
+config), criterion 8's no-property config and `scripts/trace_phase1.py`
+reproduce the committed files byte for byte, and each written trajectory
+reads back to its run summary."""
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -49,6 +51,13 @@ def assert_same_bytes(out, golden, name):
     with open(os.path.join(golden, name), "rb") as fh:
         expected = fh.read()
     assert produced == expected, f"{name} differs from {os.path.relpath(golden, ROOT)}/{name}"
+
+
+def test_belgic_cfg_is_criterion_8s_belgic_config():
+    # Criterion 8's detail line shows only file counts, so this golden run is
+    # what pins its first config.
+    cfg = parse_config_file(os.path.join(ROOT, "configs", "belgic.cfg"))
+    assert replace(cfg, output_dir=DETERMINISM_CONFIGS[0].output_dir) == DETERMINISM_CONFIGS[0]
 
 
 def test_writes_exactly_the_golden_files(belgic_run):

@@ -43,7 +43,6 @@ from scalar_reference import (
     reference_players,
     scalar_noise,
     scalar_round,
-    scalar_upstream_round,
     scratch_indices,
 )
 
@@ -89,23 +88,23 @@ def words_between(before, after):
     return words
 
 
-def traced_scalar_round(rng, players=2):
+def traced_scalar_round(rng):
     """One round of scalar_noise's gaussian draws, every slot traced: one
-    (kind, word, used) per slot, kind "slot" for the unread uniforms and
-    "normal" for the rewards, word the slot's raw word, and used the words a
-    standard_normal() drawn there consumes (at an unread slot, the words it
-    would consume). A normal that used more than one word left numpy's
-    ziggurat fast path."""
+    (kind, word, used) per slot, kind "slot" for the two unread uniforms and
+    "normal" for the two rewards, word the slot's raw word, and used the
+    words a standard_normal() drawn there consumes (at an unread slot, the
+    words it would consume). A normal that used more than one word left
+    numpy's ziggurat fast path."""
     probe = np.random.Generator(np.random.PCG64(0))
     slots = []
-    for slot in range(2 * players):
+    for slot in range(4):
         state = rng.bit_generator.state
         probe.bit_generator.state = state
         word = int(probe.bit_generator.random_raw())
         probe.bit_generator.state = state
         probe.standard_normal()
         used = words_between(state, probe.bit_generator.state)
-        if slot < players:
+        if slot < 2:
             rng.random()
             slots.append(("slot", word, used))
         else:
@@ -154,27 +153,10 @@ class TestRewardColumns:
             slow += normal_took_slow_path(rng) + normal_took_slow_path(rng)
         assert slow > 0
 
-    def test_rejection_path_normals_in_certificate_layout(self):
-        # The same for criterion 6's layout: seed 0, one slot and one normal
-        # per round, over the 2,000 rounds TestNoiseStream draws.
-        rng = np.random.default_rng(0)
-        slow = 0
-        for _ in range(2000):
-            rng.random()
-            slow += normal_took_slow_path(rng)
-        assert slow > 0
 
-    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
-    def test_upstream_only_shape(self, model):
-        # Criterion 6's layout: one uniform slot, then the upstream reward.
-        inst = build_instance((0.2, 0.7), ((0.0, 0.0), (0.0, 0.0)), model)
-        arms = np.random.default_rng(7).integers(0, 2, size=1000).tolist()
-        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
-        noise = draw_noise(inst, fast, len(arms), players=1)
-        assert noise.shape == (len(arms), 1)
-        up = RewardColumns(inst, noise).up
-        assert [up[a][i] for i, a in enumerate(arms)] == [scalar_upstream_round(inst, slow, a) for a in arms]
-        assert fast.bit_generator.state == slow.bit_generator.state
+def game_ids(model):
+    """The noise cases' ids: the model, and the game layout every draw has."""
+    return f"{model}-game"
 
 
 class TestNoiseStream:
@@ -182,27 +164,25 @@ class TestNoiseStream:
     generator state it leaves equal the scalar reference's, and a draw split
     in two, or cut short, is the same stream."""
 
-    @pytest.mark.parametrize("players", [2, 1], ids=["game", "certificate"])
-    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
-    def test_rows_match_scalar_draws(self, model, players):
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"], ids=game_ids)
+    def test_rows_match_scalar_draws(self, model):
         # Seeds 0..4 over 2,000 rounds include normals that take the
         # ziggurat's rejection path (test_rejection_path_normals_are_covered).
         inst = _sampler_instance(model)
         for seed in range(5):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            noise = draw_noise(inst, fast, 2000, players)
-            assert noise.shape == (2000, players)
-            assert noise.tolist() == scalar_noise(inst, slow, 2000, players)
+            noise = draw_noise(inst, fast, 2000)
+            assert noise.shape == (2000, 2)
+            assert noise.tolist() == scalar_noise(inst, slow, 2000)
             assert fast.bit_generator.state == slow.bit_generator.state
 
-    @pytest.mark.parametrize("players", [2, 1], ids=["game", "certificate"])
-    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"], ids=game_ids)
     @pytest.mark.parametrize("a,b", [(0, 7), (1, 1), (1000, 999), (BLOCK, 3)])
-    def test_split_draw_is_one_draw(self, model, players, a, b):
+    def test_split_draw_is_one_draw(self, model, a, b):
         inst = _sampler_instance(model)
         split, joint = np.random.default_rng(0), np.random.default_rng(0)
-        rows = np.concatenate([draw_noise(inst, split, a, players), draw_noise(inst, split, b, players)])
-        assert rows.tolist() == draw_noise(inst, joint, a + b, players).tolist()
+        rows = np.concatenate([draw_noise(inst, split, a), draw_noise(inst, split, b)])
+        assert rows.tolist() == draw_noise(inst, joint, a + b).tolist()
         assert split.bit_generator.state == joint.bit_generator.state
 
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
@@ -213,23 +193,23 @@ class TestNoiseStream:
         long = draw_noise(inst, np.random.default_rng(0), 2 * horizon)
         assert short.tolist() == long[:horizon].tolist()
 
-    @pytest.mark.parametrize("players", [2, 1], ids=["game", "certificate"])
-    def test_interleaved_seeds_share_one_scratch_generator(self, players):
+    @pytest.mark.parametrize("model", ["gaussian"], ids=["game"])
+    def test_interleaved_seeds_share_one_scratch_generator(self, model):
         # Two seeds drawn by turns in short calls, as Belgic's search batches
         # are: every call whose slots hold a slow normal places the one
         # scratch generator on its own stream, and each seed still reads the
         # rows and leaves the state that a fresh generator's scalar draws do.
-        inst = _sampler_instance("gaussian")
+        inst = _sampler_instance(model)
         rngs = {seed: np.random.default_rng(seed) for seed in (0, 1)}
         rows = {seed: [] for seed in rngs}
         hits = _scratch_generator.cache_info().hits
         for _ in range(6):
             for seed, rng in rngs.items():
-                rows[seed] += draw_noise(inst, rng, 50, players).tolist()
+                rows[seed] += draw_noise(inst, rng, 50).tolist()
         assert _scratch_generator.cache_info().hits > hits
         for seed, rng in rngs.items():
             fresh = np.random.default_rng(seed)
-            assert rows[seed] == scalar_noise(inst, fresh, 300, players)
+            assert rows[seed] == scalar_noise(inst, fresh, 300)
             assert rng.bit_generator.state == fresh.bit_generator.state
 
 
@@ -246,18 +226,13 @@ REPLAY_CASES = {
     "wedge restart": lambda r: any(k == "normal" and u > 2 and w & 0xFF for k, w, u in r),
 }
 REPLAY_PINS = [
-    # (case, seed, players, rounds, at)
-    ("slow word in an unread slot", 0, 2, 100, 51),
-    ("slow word in an unread slot", 0, 1, 100, 37),
-    ("both normals slow", 0, 2, 2700, 2679),
-    ("slow normal", 0, 2, 19, 18),  # in the last round of the call
-    ("slow normal", 0, 1, 215, 214),
-    ("slow normal", 48, 2, BLOCK + 5, BLOCK - 1),  # in the last round of a pass
-    ("slow normal", 2, 1, BLOCK + 5, BLOCK - 1),
-    ("tail normal", 1, 2, 2400, 2315),
-    ("tail normal", 1, 1, 500, 432),
-    ("wedge restart", 0, 2, 100, 18),
-    ("wedge restart", 0, 1, 300, 214),
+    # (case, seed, rounds, at); a pin's id also names the 2 normals a round draws
+    ("slow word in an unread slot", 0, 100, 51),
+    ("both normals slow", 0, 2700, 2679),
+    ("slow normal", 0, 19, 18),  # in the last round of the call
+    ("slow normal", 48, BLOCK + 5, BLOCK - 1),  # in the last round of a pass
+    ("tail normal", 1, 2400, 2315),
+    ("wedge restart", 0, 100, 18),
 ]
 
 #: PCG64's LCG multiplier (O'Neill's 128-bit default); a stream is placed by
@@ -298,39 +273,34 @@ class TestGaussianReplay:
     draw takes more than one word per slot, at a pinned place that is shown
     to have it, against the scalar reference, final state included."""
 
-    @pytest.mark.parametrize("case,seed,players,rounds,at", REPLAY_PINS)
-    def test_pinned_case(self, case, seed, players, rounds, at):
+    @pytest.mark.parametrize(
+        "case,seed,rounds,at", REPLAY_PINS, ids=[f"{c}-{s}-2-{r}-{a}" for c, s, r, a in REPLAY_PINS]
+    )
+    def test_pinned_case(self, case, seed, rounds, at):
         inst = _sampler_instance("gaussian")
         traced = np.random.default_rng(seed)
-        scalar_noise(inst, traced, at, players)
-        assert REPLAY_CASES[case](traced_scalar_round(traced, players))
+        scalar_noise(inst, traced, at)
+        assert REPLAY_CASES[case](traced_scalar_round(traced))
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert draw_noise(inst, fast, rounds, players).tolist() == scalar_noise(
-            inst, slow, rounds, players
-        )
+        assert draw_noise(inst, fast, rounds).tolist() == scalar_noise(inst, slow, rounds)
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        rounds=st.integers(0, 3 * BLOCK),
-        players=st.sampled_from((1, 2)),
-    )
-    def test_matches_scalar_draws(self, seed, rounds, players):
+    @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 3 * BLOCK))
+    def test_matches_scalar_draws(self, seed, rounds):
         inst = _sampler_instance("gaussian")
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        noise = draw_noise(inst, fast, rounds, players)
-        assert noise.shape == (rounds, players)
-        assert noise.tolist() == scalar_noise(inst, slow, rounds, players)
+        noise = draw_noise(inst, fast, rounds)
+        assert noise.shape == (rounds, 2)
+        assert noise.tolist() == scalar_noise(inst, slow, rounds)
         assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_values_are_bit_identical(self):
         # tolist() equality cannot tell -0.0 from 0.0; the bytes can.
         inst = _sampler_instance("gaussian")
-        for players in (1, 2):
-            fast, slow = np.random.default_rng(5), np.random.default_rng(5)
-            noise = draw_noise(inst, fast, 3000, players)
-            assert noise.tobytes() == np.array(scalar_noise(inst, slow, 3000, players)).tobytes()
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        noise = draw_noise(inst, fast, 3000)
+        assert noise.tobytes() == np.array(scalar_noise(inst, slow, 3000)).tobytes()
 
     def test_tables_are_numpys_on_random_words(self):
         # 20,000 normals drawn by numpy, each with its first word and the
@@ -353,8 +323,9 @@ class TestGaussianReplay:
 
     def test_fast_path_bound_is_exact(self):
         # The last fast and the first slow magnitude of every index, placed
-        # in a normal's slot: numpy classifies them as the tables do, and
-        # the replay matches the scalar draw, rows and final state.
+        # in the first normal's slot (word 2): numpy classifies them as the
+        # tables do, and the replay matches the scalar draw, rows and final
+        # state.
         wi, ki, _ = _ziggurat()
         inst = _sampler_instance("gaussian")
         for idx in range(256):
@@ -364,9 +335,9 @@ class TestGaussianReplay:
                 for sign in (0, 1):
                     word = idx | sign << 8 | rabs << 9
                     assert (words_of_normal(word) == 1) is fast
-                    replay, scalar = stream_with_word(word, 1), stream_with_word(word, 1)
-                    rows = draw_noise(inst, replay, 2, players=1)
-                    expected = scalar_noise(inst, scalar, 2, players=1)
+                    replay, scalar = stream_with_word(word, 2), stream_with_word(word, 2)
+                    rows = draw_noise(inst, replay, 2)
+                    expected = scalar_noise(inst, scalar, 2)
                     assert rows.tobytes() == np.array(expected).tobytes()
                     assert replay.bit_generator.state == scalar.bit_generator.state
 
