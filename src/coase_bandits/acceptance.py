@@ -388,13 +388,18 @@ CERT_TAU = (0.2, 0.4)
 CERT_MAX_FRACTION = 0.05
 
 
+def _certificate_noise(inst: BanditInstance, rng: np.random.Generator, rows: int) -> np.ndarray:
+    """Criterion 6's noise: ``rows`` game rows from ``draw_noise`` read two
+    rounds to a row, as a (2 * rows, 1) column, so round 2i + 1 takes row
+    i's upstream draw and round 2i + 2 its downstream draw."""
+    return draw_noise(inst, rng, rows).reshape(2 * rows, 1)
+
+
 def _certificate_run(seed: int) -> list[float]:
     """Drive the incentive-aware UCB through batched constant per-arm offers
     and return its transfer-adjusted pseudo-regret at each checkpoint.
 
-    The rounds read the game stream two to a row: ``draw_noise`` draws
-    rounds // 2 game rows, reshaped to one column, so round 2i + 1 takes row
-    i's upstream normal and round 2i + 2 its downstream normal. The
+    The rounds read rounds // 2 game rows (``_certificate_noise``). The
     instance's gaussian reward is the mean plus that noise, read by round
     index from ``RewardColumns``. Each 256-round batch is one
     ``ucb_offer_stretch`` at that batch's offer, and the stretches' (rounds,
@@ -406,7 +411,7 @@ def _certificate_run(seed: int) -> list[float]:
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
     rounds = max(CERT_CHECKPOINTS)
-    noise = draw_noise(inst, np.random.default_rng(seed), rounds // 2).reshape(rounds, 1)
+    noise = _certificate_noise(inst, np.random.default_rng(seed), rounds // 2)
     rewards = RewardColumns(inst, noise).up
     ucb = IncentiveAwareUCB(k, CERT_HORIZON)
     runs = []

@@ -101,7 +101,7 @@ def draw_noise(instance: BanditInstance, rng: np.random.Generator, n: int) -> np
     those of two uniform draws followed by ``sample_upstream`` and
     ``sample_downstream``, bit for bit, and ``rng`` is left in the same
     state. Criterion 6 reads the same rows two rounds to a row, the
-    upstream normal first (``acceptance._certificate_run``).
+    upstream normal first (``acceptance._certificate_noise``).
 
     Gaussian rows are replayed from the raw 64-bit words of ``rng``'s bit
     generator, which must be PCG64 (numpy's default; anything else raises

@@ -77,6 +77,12 @@ def scalar_noise(instance, rng, n):
     return rows
 
 
+def scalar_certificate_noise(instance, rng, rows):
+    """Criterion 6's read of ``rows`` rows of scalar_noise: one round per
+    reward draw, two rounds to a row, the upstream's first."""
+    return [[x] for row in scalar_noise(instance, rng, rows) for x in row]
+
+
 # ---------------------------------------------------------------- the policies
 
 
@@ -306,19 +312,19 @@ def ref_phase1(instance, upstream, params, rng):
 
 
 def ref_certificate_run(seed):
-    """Criterion 6's game: round t reads the t-th normal of the game rows
-    flattened, two rounds to a row."""
+    """Criterion 6's game: round t reads the t-th normal of the game rows,
+    two rounds to a row."""
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
     rounds = max(CERT_CHECKPOINTS)
-    noise = [x for row in scalar_noise(inst, np.random.default_rng(seed), rounds // 2) for x in row]
+    noise = scalar_certificate_noise(inst, np.random.default_rng(seed), rounds // 2)
     ucb = RefUCB(k, CERT_HORIZON)
     regret, out = 0.0, []
     for t in range(1, rounds + 1):
         arm = ((t - 1) // CERT_BATCH) % k
         offer = IncentiveOffer(arm, CERT_TAU[arm])
         played = ucb.step(offer)
-        ucb.update(played, inst.v_up[played] + noise[t - 1])
+        ucb.update(played, inst.v_up[played] + noise[t - 1][0])
         best = max(inst.v_up[a] + offer.bonus(a) for a in range(k))
         regret += best - (inst.v_up[played] + offer.bonus(played))
         if t in CERT_CHECKPOINTS:

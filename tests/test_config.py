@@ -269,6 +269,23 @@ class TestCMode:
         with pytest.raises(ConfigError, match=re.escape(f"canonical form 'fixed:1.0', got {spelling!r}")):
             validate_config(cfg)
 
+    @settings(max_examples=100, deadline=None)
+    @given(scale=st.floats(min_value=0.0), form=st.sampled_from(["{!r}", " {!r}", "+{!r}", "{:.17e}"]))
+    def test_a_built_config_validates_only_in_its_parsed_form(self, scale, form):
+        # Whatever the spelling, validation accepts a built config exactly
+        # when its c_mode is the form the parser stores, so every built
+        # config that validates echoes as itself.
+        c_mode = "fixed:" + form.format(scale)
+        parsed = parse_config(BASE_NO_PROPERTY + f"\n[upstream]\nc_mode = {c_mode}\n")
+        assert parsed.c_mode == f"fixed:{scale!r}"
+        built = replace(parsed, c_mode=c_mode)
+        if c_mode == parsed.c_mode:
+            validate_config(built)
+            assert parse_config(serialize_config(built)) == built
+        else:
+            with pytest.raises(ConfigError, match="canonical form"):
+                validate_config(built)
+
     def test_theoretical_matches_certificate_helper(self):
         cfg = parse_config(BASE_NO_PROPERTY)
         assert resolve_certificate(cfg, 4096) == ucb_certificate(2, 4096)

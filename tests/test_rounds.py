@@ -41,12 +41,13 @@ from scalar_reference import (
     ref_phase1,
     ref_play,
     reference_players,
+    scalar_certificate_noise,
     scalar_noise,
     scalar_round,
     scratch_indices,
 )
 
-from coase_bandits.acceptance import CERT_RUNS, _certificate_run
+from coase_bandits.acceptance import CERT_CHECKPOINTS, CERT_RUNS, _certificate_noise, _certificate_run
 from coase_bandits.config import belgic_params
 from coase_bandits.downstream import CERT_EXPONENT, Belgic, BelgicParams, NaiveContextUCB
 from coase_bandits.engine import (
@@ -70,6 +71,7 @@ from coase_bandits.env import (
     _ziggurat,
     build_instance,
     draw_noise,
+    sample_upstream,
 )
 from coase_bandits.upstream import IncentiveAwareUCB, IncentiveOffer
 
@@ -153,36 +155,77 @@ class TestRewardColumns:
             slow += normal_took_slow_path(rng) + normal_took_slow_path(rng)
         assert slow > 0
 
+    def test_rejection_path_normals_in_certificate_layout(self):
+        # Criterion 6's column for seed 0, its 2,048 rows read two rounds to
+        # a row: rounds of both parities, the rows' upstream and downstream
+        # normals, take the rejection path, so test_certificate_run_*
+        # replays slow normals in both of a row's normal slots.
+        rng = np.random.default_rng(0)
+        slow = set()
+        for _ in range(max(CERT_CHECKPOINTS) // 2):
+            rng.random(2)
+            for parity in (0, 1):
+                if normal_took_slow_path(rng):
+                    slow.add(parity)
+        assert slow == {0, 1}
 
-def game_ids(model):
-    """The noise cases' ids: the model, and the game layout every draw has."""
-    return f"{model}-game"
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    def test_upstream_only_shape(self, model):
+        # Criterion 6's (2n, 1) column: every round is an upstream reward,
+        # round 2i + 1 drawn in row i's upstream slot and round 2i + 2 in
+        # its downstream slot, each the sample_upstream call at that place.
+        inst = build_instance((0.2, 0.7), ((0.0, 0.0), (0.0, 0.0)), model)
+        arms = np.random.default_rng(7).integers(0, 2, size=1000).tolist()
+        fast, slow = np.random.default_rng(3), np.random.default_rng(3)
+        noise = _certificate_noise(inst, fast, len(arms) // 2)
+        assert noise.shape == (len(arms), 1)
+        up = RewardColumns(inst, noise).up
+        expected = []
+        for i, a in enumerate(arms):
+            if i % 2 == 0:
+                slow.random(2)  # the row's two unread slots
+            expected.append(sample_upstream(inst, a, slow))
+        assert [up[a][i] for i, a in enumerate(arms)] == expected
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+#: The two reads of the noise stream, each with its scalar reference: the
+#: game's (n, 2) rows, and criterion 6's column of 2n rounds.
+READS = {
+    "game": (draw_noise, scalar_noise),
+    "certificate": (_certificate_noise, scalar_certificate_noise),
+}
 
 
 class TestNoiseStream:
     """``draw_noise`` is the one statement of the draw order: its rows and the
     generator state it leaves equal the scalar reference's, and a draw split
-    in two, or cut short, is the same stream."""
+    in two, or cut short, is the same stream. Each case runs on both reads of
+    the stream (``READS``), the game's and criterion 6's."""
 
-    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"], ids=game_ids)
-    def test_rows_match_scalar_draws(self, model):
-        # Seeds 0..4 over 2,000 rounds include normals that take the
+    @pytest.mark.parametrize("read", ["game", "certificate"])
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
+    def test_rows_match_scalar_draws(self, model, read):
+        # Seeds 0..4 over 2,000 rows include normals that take the
         # ziggurat's rejection path (test_rejection_path_normals_are_covered).
+        draw, scalar = READS[read]
         inst = _sampler_instance(model)
         for seed in range(5):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            noise = draw_noise(inst, fast, 2000)
-            assert noise.shape == (2000, 2)
-            assert noise.tolist() == scalar_noise(inst, slow, 2000)
+            noise = draw(inst, fast, 2000)
+            assert noise.shape == ((2000, 2) if read == "game" else (4000, 1))
+            assert noise.tolist() == scalar(inst, slow, 2000)
             assert fast.bit_generator.state == slow.bit_generator.state
 
-    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"], ids=game_ids)
+    @pytest.mark.parametrize("read", ["game", "certificate"])
+    @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
     @pytest.mark.parametrize("a,b", [(0, 7), (1, 1), (1000, 999), (BLOCK, 3)])
-    def test_split_draw_is_one_draw(self, model, a, b):
+    def test_split_draw_is_one_draw(self, model, read, a, b):
+        draw = READS[read][0]
         inst = _sampler_instance(model)
         split, joint = np.random.default_rng(0), np.random.default_rng(0)
-        rows = np.concatenate([draw_noise(inst, split, a), draw_noise(inst, split, b)])
-        assert rows.tolist() == draw_noise(inst, joint, a + b).tolist()
+        rows = np.concatenate([draw(inst, split, a), draw(inst, split, b)])
+        assert rows.tolist() == draw(inst, joint, a + b).tolist()
         assert split.bit_generator.state == joint.bit_generator.state
 
     @pytest.mark.parametrize("model", ["gaussian", "bernoulli"])
@@ -193,23 +236,24 @@ class TestNoiseStream:
         long = draw_noise(inst, np.random.default_rng(0), 2 * horizon)
         assert short.tolist() == long[:horizon].tolist()
 
-    @pytest.mark.parametrize("model", ["gaussian"], ids=["game"])
-    def test_interleaved_seeds_share_one_scratch_generator(self, model):
+    @pytest.mark.parametrize("read", ["game", "certificate"])
+    def test_interleaved_seeds_share_one_scratch_generator(self, read):
         # Two seeds drawn by turns in short calls, as Belgic's search batches
         # are: every call whose slots hold a slow normal places the one
         # scratch generator on its own stream, and each seed still reads the
         # rows and leaves the state that a fresh generator's scalar draws do.
-        inst = _sampler_instance(model)
+        draw, scalar = READS[read]
+        inst = _sampler_instance("gaussian")
         rngs = {seed: np.random.default_rng(seed) for seed in (0, 1)}
         rows = {seed: [] for seed in rngs}
         hits = _scratch_generator.cache_info().hits
         for _ in range(6):
             for seed, rng in rngs.items():
-                rows[seed] += draw_noise(inst, rng, 50).tolist()
+                rows[seed] += draw(inst, rng, 50).tolist()
         assert _scratch_generator.cache_info().hits > hits
         for seed, rng in rngs.items():
             fresh = np.random.default_rng(seed)
-            assert rows[seed] == scalar_noise(inst, fresh, 300)
+            assert rows[seed] == scalar(inst, fresh, 300)
             assert rng.bit_generator.state == fresh.bit_generator.state
 
 
