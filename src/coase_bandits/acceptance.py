@@ -36,12 +36,7 @@ from .env import (
 )
 from .firm import FirmExample, firm_demo
 from .runner import fan_out, play_seed, simulate_command, sweep
-from .upstream import (
-    BestResponseUpstream,
-    IncentiveAwareUCB,
-    IncentiveOffer,
-    ucb_certificate,
-)
+from .upstream import BestResponseUpstream, IncentiveAwareUCB, ucb_certificate
 
 
 @dataclass(frozen=True)
@@ -360,9 +355,10 @@ def criterion_5_welfare_efficiency() -> CriterionResult:
     decreasing = all(b < a for a, b in zip(rates, rates[1:]))
 
     oracle = compute_oracle(EFFICIENCY_INSTANCE)
+    k = EFFICIENCY_INSTANCE.n_arms
     worst_ratio = -math.inf
     for row in rows:
-        bound = downstream_regret_bound(2, row.horizon, oracle.v_bar, oracle.v_under)
+        bound = downstream_regret_bound(k, row.horizon, oracle.v_bar, oracle.v_under)
         worst_ratio = max(worst_ratio, row.mean_r_down / bound)
     under_bound = worst_ratio <= 1.0
 
@@ -405,8 +401,10 @@ def _certificate_run(seed: int) -> list[float]:
     ``ucb_offer_stretch`` at that batch's offer, and the stretches' (rounds,
     arm) runs are repeated into the played arms with ``np.repeat``. The
     regret is one ``np.cumsum`` of the per-round gaps ``best -
-    (v_up[played] + bonus)``; a 1-D cumsum adds in round order, so each
-    checkpoint is the float a running ``+=`` gives.
+    (v_up[played] + bonus)``, where an offer on arm a makes ``best`` the
+    larger of the oracle's ``up_rival[a]`` and ``v_up[a] + tau[a]``; a 1-D
+    cumsum adds in round order, so each checkpoint is the float a running
+    ``+=`` gives.
     """
     inst = build_instance(CERT_V_UP, ((0.0, 0.0), (0.0, 0.0)))
     k = inst.n_arms
@@ -420,13 +418,13 @@ def _certificate_run(seed: int) -> list[float]:
         stop = min(start + CERT_BATCH, rounds)
         runs += ucb_offer_stretch(ucb, arm, CERT_TAU[arm], rewards, start, stop)
 
-    offers = [IncentiveOffer(arm, CERT_TAU[arm]) for arm in range(k)]
-    bests = np.array([max(inst.v_up[a] + offer.bonus(a) for a in range(k)) for offer in offers])
+    v_up, tau = np.array(inst.v_up), np.array(CERT_TAU)
+    bests = np.maximum(compute_oracle(inst).up_rival, v_up + tau)
     offered = np.arange(rounds) // CERT_BATCH % k
     lengths, arms = zip(*runs)
     played_arms = np.repeat(arms, lengths)
-    bonus = np.where(played_arms == offered, np.array(CERT_TAU)[offered], 0.0)
-    regret = np.cumsum(bests[offered] - (np.array(inst.v_up)[played_arms] + bonus))
+    bonus = np.where(played_arms == offered, tau[offered], 0.0)
+    regret = np.cumsum(bests[offered] - (v_up[played_arms] + bonus))
     return [float(regret[t - 1]) for t in CERT_CHECKPOINTS]
 
 

@@ -313,14 +313,7 @@ class BestResponseDownstream:
     """No-property double: plays argmax_b v_down[context][b], lowest index ties."""
 
     def __init__(self, instance: BanditInstance):
-        self.best = []
-        for a in range(instance.n_arms):
-            row = instance.v_down[a]
-            best_b = 0
-            for b in range(1, instance.n_arms):
-                if row[b] > row[best_b]:
-                    best_b = b
-            self.best.append(best_b)
+        self.best = [row.index(max(row)) for row in instance.v_down]
 
     def step(self, context: int) -> int:
         return self.best[context]

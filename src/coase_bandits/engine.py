@@ -207,11 +207,15 @@ def fold_block(
 
     Returns the new ledger and the rounds' (gap_sw, gap_up, gap_down)
     columns; ``ledger`` itself is left as it was. offer_arm/amount are None
-    in the no-property mode. Each gap is per_round_gaps's arithmetic, and
-    each ledger sum is a cumulative sum seeded with its running total, so
-    the result is bit-identical to adding the rounds one at a time. In the
-    property mode the first round that breaks the decomposition inequality
-    gap_up + gap_down >= gap_sw raises, naming that round.
+    in the no-property mode. The benchmarks come from the oracle: the
+    welfare optimum, ``mu_star_up`` and each context's best reply
+    ``down_best`` without property rights; ``mu_star_down`` and each
+    offered arm's ``up_rival`` with them. Each gap is per_round_gaps's
+    arithmetic, and each ledger sum is a cumulative sum seeded with its
+    running total, so the result is bit-identical to adding the rounds one
+    at a time. In the property mode the first round that breaks the
+    decomposition inequality gap_up + gap_down >= gap_sw raises, naming
+    that round.
     """
     up = np.asarray(up_arm, dtype=np.intp)
     down = np.asarray(down_arm, dtype=np.intp)
@@ -223,26 +227,17 @@ def fold_block(
     min_slack = ledger.decomposition_min_slack
     if offer_arm is None:
         names = ("r_up_n", "r_down_n")
-        best_response = np.array([max(row) for row in instance.v_down])
         gap_up = oracle.mu_star_up - up_mean
-        gap_down = best_response[up] - down_mean
+        gap_down = np.array(oracle.down_best)[up] - down_mean
         up_utility, down_utility = up_mean, down_mean
     else:
         names = ("r_up_p", "r_down_p")
         arm = np.asarray(offer_arm, dtype=np.intp)
         amt = np.asarray(amount, dtype=float)
-        # Best unpaid alternative to each offered arm, with offer.bonus's "+ 0.0".
-        k = instance.n_arms
-        best_other = np.array(
-            [
-                max((instance.v_up[b] + 0.0 for b in range(k) if b != a), default=-math.inf)
-                for a in range(k)
-            ]
-        )
         paid = np.where(up == arm, amt, 0.0)
         up_utility = up_mean + paid
         down_utility = down_mean - paid
-        gap_up = np.maximum(best_other[arm], v_up[arm] + amt) - up_utility
+        gap_up = np.maximum(np.array(oracle.up_rival)[arm], v_up[arm] + amt) - up_utility
         gap_down = oracle.mu_star_down - down_utility
         slack = gap_up + gap_down - gap_sw
         if slack.size:

@@ -342,6 +342,11 @@ class Oracle:
     delta_up:      min gap of v_up to the best arm (+inf when K == 1).
     delta_sw:      welfare_star minus the best welfare available through a_star_up.
     v_bar, v_under: max / min downstream mean, used by regret bound constants.
+    up_rival:      per arm a, what an offer on a must beat: the best upstream
+                   mean of any other arm, each + 0.0 as IncentiveOffer.bonus
+                   adds it (-inf when K == 1).
+    down_best:     per upstream arm a, the downstream's best reply value,
+                   max over b of v_down[a][b].
     """
 
     a_sw: int
@@ -356,6 +361,8 @@ class Oracle:
     delta_sw: float
     v_bar: float
     v_under: float
+    up_rival: tuple[float, ...]
+    down_best: tuple[float, ...]
 
     @property
     def misaligned(self) -> bool:
@@ -370,17 +377,11 @@ def compute_oracle(instance: BanditInstance) -> Oracle:
     v_up, v_down = instance.v_up, instance.v_down
     k = instance.n_arms
 
-    a_sw, b_sw, welfare_star = 0, 0, -math.inf
-    for a in range(k):
-        for b in range(k):
-            w = v_up[a] + v_down[a][b]
-            if w > welfare_star:
-                a_sw, b_sw, welfare_star = a, b, w
+    welfares = [v_up[a] + v_down[a][b] for a in range(k) for b in range(k)]
+    welfare_star = max(welfares)
+    a_sw, b_sw = divmod(welfares.index(welfare_star), k)
 
-    a_star_up = 0
-    for a in range(1, k):
-        if v_up[a] > v_up[a_star_up]:
-            a_star_up = a
+    a_star_up = v_up.index(max(v_up))
     mu_star_up = v_up[a_star_up]
     unique = all(v_up[a] < mu_star_up for a in range(k) if a != a_star_up)
 
@@ -394,7 +395,7 @@ def compute_oracle(instance: BanditInstance) -> Oracle:
     delta_up = min(
         (mu_star_up - v_up[a] for a in range(k) if a != a_star_up), default=math.inf
     )
-    delta_sw = welfare_star - max(v_up[a_star_up] + v_down[a_star_up][b] for b in range(k))
+    delta_sw = welfare_star - max(welfares[a_star_up * k : (a_star_up + 1) * k])
 
     flat = [x for row in v_down for x in row]
     return Oracle(
@@ -410,6 +411,10 @@ def compute_oracle(instance: BanditInstance) -> Oracle:
         delta_sw=delta_sw,
         v_bar=max(flat),
         v_under=min(flat),
+        up_rival=tuple(
+            max((v_up[b] + 0.0 for b in range(k) if b != a), default=-math.inf) for a in range(k)
+        ),
+        down_best=tuple(max(row) for row in v_down),
     )
 
 

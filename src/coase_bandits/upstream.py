@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .env import BanditInstance
+from .env import BanditInstance, compute_oracle
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,23 @@ class BestResponseUpstream:
     best, and acceptance at indifference is what makes that offer optimal);
     remaining ties go to the lowest index. As for the learning UCB, an offer
     on an arm outside range(K) changes nothing.
+
+    The rule, read off the oracle: play the offered arm a when the amount is
+    positive, a is in range(K) and v_up[a] + amount >= up_rival[a], the best
+    mean of the other arms; otherwise play a_star_up, the lowest-index
+    favorite. A refused positive offer leaves v_up[a] below up_rival[a], so
+    the favorite is then the argmax over all arms as well.
     """
 
     def __init__(self, instance: BanditInstance):
-        self.v_up = instance.v_up
+        oracle = compute_oracle(instance)
+        self.v_up, self.rival, self.favorite = instance.v_up, oracle.up_rival, oracle.a_star_up
 
     def step(self, offer: IncentiveOffer) -> int:
-        best_arm, best_value = 0, -math.inf
-        for a in range(len(self.v_up)):
-            value = self.v_up[a] + offer.bonus(a)
-            if value > best_value:
-                best_arm, best_value = a, value
-        a = offer.arm
-        if offer.amount > 0.0 and 0 <= a < len(self.v_up) and self.v_up[a] + offer.amount == best_value:
+        a, amount = offer.arm, offer.amount
+        if amount > 0.0 and 0 <= a < len(self.v_up) and self.v_up[a] + amount >= self.rival[a]:
             return a
-        return best_arm
+        return self.favorite
 
     def update(self, arm: int, reward: float) -> None:
         pass

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scalar_reference import instances
+from scalar_reference import first_max, instances
 
 from coase_bandits.env import (
     BanditInstance,
@@ -176,6 +176,31 @@ def misaligned_long_way(inst):
     return not others and all(v_up[favorite] + v_down[favorite][b] < welfare_star for b in arms)
 
 
+def oracle_long_way(inst):
+    """(a_sw, b_sw, a_star_up, mu_star_up, delta_sw, up_rival, down_best),
+    each the first maximum of its values, enumerated pair by pair."""
+    arms, v_up, v_down = range(inst.n_arms), inst.v_up, inst.v_down
+    pairs = [(a, b) for a in arms for b in arms]
+    welfares = [v_up[a] + v_down[a][b] for a, b in pairs]
+    a_sw, b_sw = pairs[first_max(welfares)]
+    welfare_star = v_up[a_sw] + v_down[a_sw][b_sw]
+    favorite = first_max(v_up)
+    through_favorite = [v_up[favorite] + v_down[favorite][b] for b in arms]
+    rivals = []
+    for a in arms:
+        others = [v_up[b] + 0.0 for b in arms if b != a]
+        rivals.append(others[first_max(others)] if others else -math.inf)
+    return (
+        a_sw,
+        b_sw,
+        favorite,
+        v_up[favorite],
+        welfare_star - through_favorite[first_max(through_favorite)],
+        tuple(rivals),
+        tuple(row[first_max(row)] for row in v_down),
+    )
+
+
 class TestMisalignment:
     def test_reference_is_misaligned(self):
         assert compute_oracle(reference()).misaligned
@@ -200,15 +225,21 @@ class TestMisalignment:
 
     def test_oracle_flag_is_the_long_way_on_a_dyadic_grid(self):
         # Every instance with K = 1 or 2 on the quarter grid: welfare ties,
-        # tied favorites and both verdicts.
+        # tied favorites and both verdicts. The upstream slots also take
+        # -0.0, which ties 0.0 but prints apart: comparing by repr catches a
+        # last maximum taken for the first, and a rival without the "+ 0.0"
+        # that IncentiveOffer.bonus adds.
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         seen = set()
         for k in (1, 2):
-            for means in itertools.product(grid, repeat=k + k * k):
-                inst = build_instance(means[:k], [means[k * i : k * (i + 1)] for i in range(1, k + 1)])
-                o = compute_oracle(inst)
-                assert o.misaligned == misaligned_long_way(inst), inst
-                seen.add((o.up_argmax_unique, o.delta_sw > 0.0, o.misaligned))
+            for v_up in itertools.product((-0.0,) + grid, repeat=k):
+                for means in itertools.product(grid, repeat=k * k):
+                    inst = build_instance(v_up, [means[k * i : k * (i + 1)] for i in range(k)])
+                    o = compute_oracle(inst)
+                    assert o.misaligned == misaligned_long_way(inst), inst
+                    mine = (o.a_sw, o.b_sw, o.a_star_up, o.mu_star_up, o.delta_sw, o.up_rival, o.down_best)
+                    assert repr(mine) == repr(oracle_long_way(inst)), inst
+                    seen.add((o.up_argmax_unique, o.delta_sw > 0.0, o.misaligned))
         assert seen == {(False, False, False), (False, True, False), (True, False, False), (True, True, True)}
 
 

@@ -1,12 +1,13 @@
 """Upstream policies: incentive-aware UCB and its certificate."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import RefUCB, sample_upstream, scratch_indices
+from scalar_reference import RefUCB, first_max, sample_upstream, scratch_indices
 
 from coase_bandits.env import build_instance
 from coase_bandits.upstream import (
@@ -199,6 +200,24 @@ class TestBestResponseDouble:
         for arm in (-2, -1, 2, 3):
             for amount in (0.0, 0.4, 5.0):
                 assert double.step(IncentiveOffer(arm, amount)) == 0
+
+    def test_is_the_long_way_on_a_dyadic_grid(self):
+        # Every v_up on the quarter grid with K = 1 to 3, against offers on
+        # arms -1..K. The long way is the first maximum of v_up[b] +
+        # offer.bonus(b), with a positive offer's arm taking a tie. 2**-60 is
+        # below half an ulp of every nonzero grid mean, so v + 2**-60 == v:
+        # a tie at a positive amount.
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        for k in (1, 2, 3):
+            for v_up in itertools.product(grid, repeat=k):
+                double = BestResponseUpstream(build_instance(v_up, ((0.0,) * k,) * k))
+                for arm, amount in itertools.product(range(-1, k + 1), (0.0, 2**-60, 0.25, 0.5, 1.0)):
+                    offer = IncentiveOffer(arm, amount)
+                    values = [v_up[b] + offer.bonus(b) for b in range(k)]
+                    best = first_max(values)
+                    if amount > 0.0 and 0 <= arm < k and values[arm] == values[best]:
+                        best = arm
+                    assert double.step(offer) == best, (v_up, offer)
 
     def test_update_is_noop(self):
         inst = build_instance((0.7, 0.2), ((0.0, 0.0), (0.0, 0.0)))
