@@ -38,18 +38,19 @@ runs on the generic loops (``_property_rounds``, ``_no_property_rounds``),
 which call the policies' methods one round at a time. A kernel returns the same columns and leaves the policies in the same
 state as the generic loop.
 
-A run is a stretch of rounds in a row with the same played arms. Every UCB
-table's ``log_term`` is fixed when it is built and a round changes only the
-played arm's entries, so while an arm keeps playing, every other index of
-its table is frozen, and the arm stays the first maximum exactly while its
-own new index stays above one threshold read from the table when the run
-starts (``_run_start``). Two helpers play a run, and they are the only
-copies of ``UCBIndex.record``'s arithmetic outside it: ``_run`` moves one
-table (the stretch, and Belgic's refused offers), and ``_joint_run`` moves
-two tables together (Belgic's upstream and pair table on a taken offer, the
-naive pair's upstream and context row). Each round of a run is one update
-per table on locals and one comparison per table; the round that fails it
-ends the run, the entries are written back once, and the next run reads the
+A run is a stretch of rounds in a row with the same played arms. A round
+changes only the played arm's entries of a UCB table, so while an arm keeps
+playing, every other index of its table is frozen, and the arm stays the
+first maximum exactly while its own new index stays above one threshold read
+from the table in one scan when the run starts (``_run_start``). Two helpers
+play a run, each round as ``UCBIndex.record`` does, its running mean on
+locals plus the bonus read from the table's ``bonus`` (``ucb_bonuses``), the
+one place the bonus formula is computed: ``_run`` moves one table (the
+stretch, and Belgic's refused offers), and ``_joint_run`` moves two tables
+together (Belgic's upstream and pair table on a taken offer, the naive
+pair's upstream and context row). Each round of a run is one update per
+table on locals and one comparison per table; the round that fails it ends
+the run, the entries are written back once, and the next run reads the
 tables afresh, so the runs play the arms the policies' ``step`` would.
 
 The kernels keep runs, not rounds: one tuple per run, its rounds and arms
@@ -75,7 +76,7 @@ import numpy as np
 
 from .downstream import Belgic, BelgicParams, NaiveContextUCB, Phase1Batch
 from .env import BLOCK, BanditInstance, Oracle, RewardColumns, compute_oracle, draw_noise
-from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex
+from .upstream import NO_OFFER, IncentiveAwareUCB, IncentiveOffer, UCBIndex, check_count
 
 #: Slack allowed to the per-round regret decomposition inequality; covers
 #: float rounding only, the inequality itself is exact.
@@ -318,16 +319,19 @@ def _run_start(index: list[float], arm: int = -1, amount: float = 0.0) -> tuple[
     entry moves, a is still that first maximum exactly when its new index,
     plus ``amount`` if a is the offered arm, is above bar. bar is top, the
     highest other (boosted) index, when an arm numbered below a holds it,
-    and otherwise the float just below top, since a then wins a tie.
+    and otherwise the float just below top, since a then wins a tie. One
+    scan finds both: an entry above the best so far makes the old best the
+    rival, and one above the rival alone replaces it.
     """
-    rivals = index.copy()
-    if 0 <= arm < len(rivals):
-        rivals[arm] += amount
-    a = rivals.index(max(rivals))
-    rivals[a] = -math.inf
-    top = max(rivals)
-    wins_tie = a < rivals.index(top)
-    return a, math.nextafter(top, -math.inf) if wins_tie else top
+    a, best, rival, top = 0, -math.inf, -1, -math.inf
+    for i, x in enumerate(index):
+        if i == arm:
+            x += amount
+        if x > best:
+            rival, top, a, best = a, best, i, x
+        elif x > top:
+            rival, top = i, x
+    return a, math.nextafter(top, -math.inf) if a < rival else top
 
 
 def _run(table: UCBIndex, a: int, bar: float, boost: float, zs, i: int, stop: int) -> int:
@@ -335,19 +339,23 @@ def _run(table: UCBIndex, a: int, bar: float, boost: float, zs, i: int, stop: in
     return the rounds played.
 
     Round j records reward ``zs[j]`` with ``UCBIndex.record``'s arithmetic on
-    locals, and the run goes on while the new index plus ``boost`` stays
-    above ``bar`` (``_run_start``'s); the round that drops it to or below
-    ends the run. The entries are written back once."""
-    sqrt = math.sqrt
-    log_term = table.log_term
+    locals, the bonus read from the table's ``bonus``, and the run goes on
+    while the new index plus ``boost`` stays above ``bar`` (``_run_start``'s);
+    the round that drops it to or below ends the run. The entries are
+    written back once; a count past the table's horizon raises ValueError."""
+    bonus = table.bonus
     counts, means = table.counts, table.means
     c, mean = counts[a], means[a]
-    for end in range(i, stop):
-        c += 1
-        mean += (zs[end] - mean) / c
-        value = mean + 2.0 * sqrt(log_term / c)
-        if value + boost <= bar:
-            break
+    try:
+        for end in range(i, stop):
+            c += 1
+            mean += (zs[end] - mean) / c
+            value = mean + bonus[c]
+            if value + boost <= bar:
+                break
+    except IndexError:
+        check_count(bonus, c)
+        raise
     m = c - counts[a]
     counts[a], means[a], table.index[a] = c, mean, value
     return m
@@ -371,20 +379,24 @@ def _joint_run(
     ``zs[j]`` and entry p of ``table`` records ``xs[j] - shift`` each round,
     and the run ends at the first round where either new index (a's plus
     ``boost``) drops to its threshold. Returns the rounds played."""
-    sqrt = math.sqrt
-    log_up, log_p = up.log_term, table.log_term
+    bonus, p_bonus = up.bonus, table.bonus
     counts, means = up.counts, up.means
     c, mean = counts[a], means[a]
     d, p_mean = table.counts[p], table.means[p]
-    for end in range(i, stop):
-        c += 1
-        mean += (zs[end] - mean) / c
-        value = mean + 2.0 * sqrt(log_up / c)
-        d += 1
-        p_mean += ((xs[end] - shift) - p_mean) / d
-        p_value = p_mean + 2.0 * sqrt(log_p / d)
-        if value + boost <= bar or p_value <= p_bar:
-            break
+    try:
+        for end in range(i, stop):
+            c += 1
+            mean += (zs[end] - mean) / c
+            value = mean + bonus[c]
+            d += 1
+            p_mean += ((xs[end] - shift) - p_mean) / d
+            p_value = p_mean + p_bonus[d]
+            if value + boost <= bar or p_value <= p_bar:
+                break
+    except IndexError:
+        check_count(bonus, c)
+        check_count(p_bonus, d)
+        raise
     m = c - counts[a]
     counts[a], means[a], up.index[a] = c, mean, value
     table.counts[p], table.means[p], table.index[p] = d, p_mean, p_value

@@ -4,13 +4,19 @@ The upstream player sees only its own reward draws plus, each round, an
 incentive offer: a target arm and a transfer amount paid iff the played
 arm equals the target. Policies here never see true means; the
 best-response double (test oracle) is the one exception and says so.
-``UCBIndex`` is the UCB bookkeeping of every bandit in the package.
+``UCBIndex`` is the UCB bookkeeping of every bandit in the package, and
+``ucb_bonuses`` holds the exploration bonus every one of them adds.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from array import array
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .env import BanditInstance, compute_oracle
 
@@ -49,15 +55,56 @@ def ucb_certificate(n_arms: int, horizon: float) -> float:
     return 8.0 * math.sqrt(n_arms * ucb_log_term(n_arms, horizon))
 
 
+#: The bonus tables, by (n, horizon): one per size while a UCBIndex holds
+#: it, and the last few built are kept so that back-to-back games of one size
+#: build theirs once.
+_BONUSES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_RECENT_BONUSES: deque = deque(maxlen=8)
+
+
+def ucb_bonuses(n: int, horizon: int) -> array:
+    """The exploration bonuses of a UCB table over n arms or pairs: entry c
+    is 2 * sqrt(ucb_log_term(n, horizon) / c) for the counts c = 1..horizon,
+    and entry 0 is +inf, the index of an arm with no sample.
+
+    Built at the first call for (n, horizon), never at import, and then
+    shared. numpy's division and square root are correctly rounded, as
+    Python's float ones are, so each entry is the float the scalar formula
+    gives."""
+    bonus = _BONUSES.get((n, horizon))
+    if bonus is None:
+        bonus = _BONUSES[n, horizon] = array("d", [math.inf]) * (horizon + 1)
+        entries = np.frombuffer(bonus)[1:]
+        np.divide(ucb_log_term(n, horizon), np.arange(1, horizon + 1, dtype=float), out=entries)
+        np.sqrt(entries, out=entries)
+        entries *= 2.0
+        _RECENT_BONUSES.append(bonus)
+    return bonus
+
+
+def check_count(bonus: array, count: int) -> None:
+    """Raise ValueError if ``count`` is past the horizon of the bonus table."""
+    if count >= len(bonus):
+        raise ValueError(f"count {count} is past the UCB table's horizon {len(bonus) - 1}") from None
+
+
 class UCBIndex:
     """UCB books over ``n`` arms: counts, running means and the indices
-    means[a] + 2 * sqrt(log_term / counts[a]), kept by record() and +inf
-    until an arm's first sample, with log_term = ucb_log_term(n, horizon).
-    The upstream UCB is one; Belgic's pair bandit and each context of the
-    no-property baseline hold one."""
+    means[a] + bonus[counts[a]], kept by record() and +inf until an arm's
+    first sample. ``bonus`` is ``ucb_bonuses(n, horizon)``, shared by every
+    table of the same n and horizon, and ``log_term`` the
+    ``ucb_log_term(n, horizon)`` it is built on. The upstream UCB is one;
+    Belgic's pair bandit and each context of the no-property baseline hold
+    one.
+
+    A table counts at most ``horizon`` samples per arm: the sample that would
+    take a count past it raises ValueError naming the horizon, in record()
+    before any entry changes and in the engine's runs alike, rather than read
+    a bonus the table does not hold."""
 
     def __init__(self, n: int, horizon: int):
         self.log_term = ucb_log_term(n, horizon)
+        self.bonus = ucb_bonuses(n, horizon)
         self.counts = [0] * n
         self.means = [0.0] * n
         self.index = [math.inf] * n
@@ -69,10 +116,15 @@ class UCBIndex:
 
     def record(self, arm: int, reward: float) -> None:
         n = self.counts[arm] + 1
+        try:
+            bonus = self.bonus[n]
+        except IndexError:
+            check_count(self.bonus, n)
+            raise
         self.counts[arm] = n
         mean = self.means[arm] + (reward - self.means[arm]) / n
         self.means[arm] = mean
-        self.index[arm] = mean + 2.0 * math.sqrt(self.log_term / n)
+        self.index[arm] = mean + bonus
 
 
 class IncentiveAwareUCB(UCBIndex):
@@ -80,13 +132,14 @@ class IncentiveAwareUCB(UCBIndex):
 
     The played arm maximizes
 
-        mean_hat[a] + 2 * sqrt(ln(K * T^3) / counts[a]) + offer.bonus(a)
+        mean_hat[a] + bonus[counts[a]] + offer.bonus(a)
 
-    with ties to the lowest index. An arm never pulled has index +inf, which
-    no finite offer changes, so the first K rounds pull each arm once in
-    index order whatever is offered; an offer on an arm outside range(K)
-    changes nothing. Means track raw rewards only; transfers never
-    contaminate the estimates.
+    with bonus = ucb_bonuses(K, T), on the log term ln(K * T^3), and ties to
+    the lowest index. An arm never pulled has index +inf, which no finite
+    offer changes, so the first K rounds pull each arm once in index order
+    whatever is offered; an offer on an arm outside range(K) changes
+    nothing. Means track raw rewards only; transfers never contaminate the
+    estimates.
     """
 
     def __init__(self, n_arms: int, horizon: int):

@@ -5,7 +5,9 @@ two uniform slots with scalar calls, then the rewards through
 ``sample_upstream`` and ``sample_downstream``; every UCB step recomputes its
 indices from the counts and means (``ucb_index``), tries the unsampled arms or
 pairs first by an explicit sweep, not through +inf indices, and then plays
-``first_max``; and every ledger is ``per_round_gaps`` summed with ``+=``.
+``first_max``; a run's threshold is read from a copy of the index
+(``ref_run_start``); and every ledger is ``per_round_gaps`` summed with
+``+=``.
 ``env.draw_noise``, ``env.RewardColumns``, the cached indices, the engine's
 kernels and ``fold_block`` must reproduce it bit for bit. This module is the
 one place the reference is written: the other tests take the scalar draws
@@ -104,6 +106,21 @@ def first_max(values):
         if value > best_value:
             best, best_value = i, value
     return best
+
+
+def ref_run_start(index, arm=-1, amount=0.0):
+    """``engine._run_start`` the long way, on a boosted copy of the index:
+    the first maximum a, then the first maximum of the others with a's entry
+    set to -inf, and the threshold just below that rival's index when a
+    wins their tie (or has no rival), the rival's index itself otherwise."""
+    rivals = index.copy()
+    if 0 <= arm < len(rivals):
+        rivals[arm] += amount
+    a = rivals.index(max(rivals))
+    rivals[a] = -math.inf
+    top = max(rivals)
+    wins_tie = a < rivals.index(top)
+    return a, math.nextafter(top, -math.inf) if wins_tie else top
 
 
 def ref_record(table, entry, reward):

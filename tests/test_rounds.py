@@ -10,8 +10,9 @@ The engine's kernels for the two learning pairs are also checked against its
 generic round loop: the same games, columns and final policy state. The
 offer stretch they and criterion 6 play through is checked against
 IncentiveAwareUCB's own step and update. All three play their rounds in runs
-of one arm; the tie cases check, on indices that meet exactly, that a run
-goes on or ends where the policies' own steps say.
+of one arm, each opened by ``_run_start``, which is checked against its copy
+version; the tie cases check, on indices that meet exactly, that a run goes
+on or ends where the policies' own steps say.
 """
 
 import copy
@@ -21,6 +22,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from scalar_reference import (
     ref_certificate_run,
     ref_phase1,
     ref_play,
+    ref_run_start,
     reference_players,
     scalar_certificate_noise,
     scalar_noise,
@@ -56,6 +59,7 @@ from coase_bandits.engine import (
     _no_property_rounds,
     _property_rounds,
     _round_function,
+    _run_start,
     _ucb_belgic_rounds,
     _ucb_naive_rounds,
     run_no_property,
@@ -816,6 +820,48 @@ class TestOfferStretch:
 
 # ---------------------------------------------------------------- runs
 
+#: _run_start's index entries: the dyadic grid (+inf included), whose boosted
+#: entries tie exactly, and arbitrary floats.
+_run_start_entries = st.one_of(_dyadic_indices, st.floats(-4.0, 4.0, allow_nan=False))
+
+
+class TestRunStart:
+    """``_run_start``'s one scan against ``ref_run_start``, which boosts a
+    copy of the index and scans it twice."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        amount=st.one_of(st.just(0.0), _dyadic_amounts, st.floats(0.0, 3.0, allow_nan=False)),
+    )
+    def test_is_the_copy_version(self, k, data, amount):
+        index = data.draw(st.lists(_run_start_entries, min_size=k, max_size=k))
+        arm = data.draw(st.integers(-1, k))
+        before = list(index)
+        a, bar = _run_start(index, arm, amount)
+        want_a, want_bar = ref_run_start(index, arm, amount)
+        assert a == want_a
+        assert bar.hex() == want_bar.hex()
+        assert index == before
+
+    def test_tie_cases_are_reached(self):
+        # (index, arm, amount, a, bar), each case pinned once.
+        below = math.nextafter
+        cases = [
+            ([0.5], -1, 0.0, 0, -math.inf),  # no rival
+            ([0.5, 1.0, 0.5], -1, 0.0, 1, 0.5),  # the rival is numbered below a
+            ([1.0, 0.5, 1.0], -1, 0.0, 0, below(1.0, -math.inf)),  # a wins the tie at top
+            ([0.5, 0.5], 1, 0.5, 1, 0.5),  # a boosted arm above an arm numbered below
+            ([1.0, 0.5], 1, 0.5, 0, below(1.0, -math.inf)),  # the boost only ties a
+            ([math.inf, math.inf], 0, 1.0, 0, below(math.inf, -math.inf)),  # +inf ties too
+            ([0.5, 1.0], 2, 1.0, 1, 0.5),  # an arm outside the table adds nothing
+        ]
+        for index, arm, amount, a, bar in cases:
+            assert _run_start(index, arm, amount) == (a, bar)
+            assert ref_run_start(index, arm, amount) == (a, bar)
+
+
 #: The rewards of the tie cases. With every log_term at 0.0 an index is its
 #: arm's running mean, so means of these rewards, offers on the dyadic grid
 #: added, meet each other exactly: a run's played arm often ties its
@@ -839,8 +885,12 @@ def _zero_means(k):
 
 
 def _no_exploration_bonus(*tables):
+    """Set each table's log term to 0.0 and give it a bonus table of zeros
+    (+inf at count 0, as ucb_bonuses has it), so that an index is its arm's
+    running mean. The shared bonus table is replaced, not written to."""
     for table in tables:
         table.log_term = 0.0
+        table.bonus = array("d", [math.inf]) + array("d", [0.0]) * (len(table.bonus) - 1)
 
 
 def _play_in_pieces(play, players, instance, noise, cuts):
@@ -894,6 +944,8 @@ class TestRuns:
         for up, down in (players, generic_players):
             _no_exploration_bonus(up, *down.contexts)
         _assert_same_pieces(_ucb_naive_rounds, _no_property_rounds, players, generic_players, instance, noise, cuts)
+        up = players[0]
+        assert up.index == [mean if count else math.inf for mean, count in zip(up.means, up.counts)]
 
     @settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
     @given(
@@ -963,10 +1015,27 @@ class TestCachedIndices:
         tables = build(data.draw(st.integers(1, largest_k)), horizon)
         n = len(tables[0].counts)
         moves = st.tuples(st.integers(0, len(tables) - 1), st.integers(0, n - 1), _rewards)
-        for t, entry, reward in data.draw(st.lists(moves, max_size=40)):
+        # A table counts at most horizon samples per entry.
+        for t, entry, reward in data.draw(st.lists(moves, max_size=min(40, horizon))):
             tables[t].record(entry, reward)
             for table in tables:
                 assert table.index == scratch_indices(table)
+
+    def test_stretch_past_the_horizon_raises(self):
+        # 20 rounds on 2 arms take some count past a horizon of 8.
+        ucb = IncentiveAwareUCB(2, 8)
+        with pytest.raises(ValueError, match="^count 9 is past the UCB table's horizon 8$"):
+            ucb_offer_stretch(ucb, 0, 0.5, [[0.5] * 20, [0.25] * 20], 0, 20)
+
+    @pytest.mark.parametrize("up_horizon,down_horizon", [(8, 100), (100, 8)])
+    def test_game_past_a_table_horizon_raises(self, up_horizon, down_horizon):
+        # The no-property kernel's joint runs, on either table: 40 rounds
+        # take an upstream count, or one of a context's, past 8.
+        instance = build_instance((0.9, 0.5), ((0.2, 0.1), (0.8, 0.3)))
+        upstream, downstream = IncentiveAwareUCB(2, up_horizon), NaiveContextUCB(2, down_horizon)
+        assert _round_function(False, upstream, downstream) is _ucb_naive_rounds
+        with pytest.raises(ValueError, match="^count 9 is past the UCB table's horizon 8$"):
+            run_no_property(instance, upstream, downstream, 40, 0)
 
 
 # ---------------------------------------------------------------- the exploration rule

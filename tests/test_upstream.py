@@ -2,20 +2,25 @@
 
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import RefUCB, first_max, sample_upstream, scratch_indices
+from scalar_reference import RefUCB, first_max, sample_upstream, scratch_indices, ucb_index
 
-from coase_bandits.env import build_instance
+from coase_bandits.downstream import NaiveContextUCB
+from coase_bandits.env import BLOCK, build_instance
 from coase_bandits.upstream import (
     NO_OFFER,
     BestResponseUpstream,
     IncentiveAwareUCB,
     IncentiveOffer,
+    UCBIndex,
+    ucb_bonuses,
     ucb_certificate,
+    ucb_log_term,
 )
 
 
@@ -139,6 +144,37 @@ class TestStep:
         for seed in (0, 1, 2):
             classic = trace(RefUCB(3, horizon), NO_OFFER, seed)
             assert trace(IncentiveAwareUCB(3, horizon), IncentiveOffer(2, 0.0), seed) == classic
+
+
+class TestBonusTable:
+    @given(n=st.integers(1, 25), horizon=st.sampled_from((1, BLOCK - 1, BLOCK, BLOCK + 1, 2**16, 2**17)))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_are_the_scalar_formula(self, n, horizon):
+        # Bit for bit: entry c is the reference index of a zero mean at
+        # count c, and entry 0 the +inf of an arm with no sample.
+        bonus = ucb_bonuses(n, horizon)
+        log_term = ucb_log_term(n, horizon)
+        want = array("d", (ucb_index(0.0, c, log_term) for c in range(horizon + 1)))
+        assert len(bonus) == horizon + 1
+        assert bonus.tobytes() == want.tobytes()
+
+    def test_tables_of_one_size_share_one_bonus_table(self):
+        up, context = IncentiveAwareUCB(3, 4096), NaiveContextUCB(3, 4096)
+        assert up.bonus is UCBIndex(3, 4096).bonus
+        assert all(table.bonus is up.bonus for table in context.contexts)
+        assert UCBIndex(9, 4096).bonus is not up.bonus
+        assert IncentiveAwareUCB(3, 4095).bonus is not up.bonus
+
+    def test_record_past_the_horizon_raises(self):
+        ucb = IncentiveAwareUCB(2, 3)
+        for _ in range(3):
+            ucb.update(1, 0.5)
+        before = (list(ucb.counts), list(ucb.means), list(ucb.index))
+        with pytest.raises(ValueError, match="^count 4 is past the UCB table's horizon 3$"):
+            ucb.update(1, 0.5)
+        assert (ucb.counts, ucb.means, ucb.index) == before
+        ucb.update(0, 0.5)
+        assert ucb.counts == [1, 3]
 
 
 class TestCertificate:
