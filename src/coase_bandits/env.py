@@ -111,12 +111,17 @@ def draw_noise(instance: BanditInstance, rng: np.random.Generator, n: int) -> np
     falls outside the fast path's bound, which about 1.5% of words do; such
     a word's normal reads more words. The replay evaluates the fast path,
     with numpy's own tables, on every word of at most BLOCK rows at a time.
-    Only a word outside the bound in a normal's slot matters, and numpy
-    draws that normal itself, from a generator positioned at that word;
-    the words it read, counted on the PCG64 state, shift every later slot.
-    The replay is exact: a fast value is numpy's one multiplication of the
-    same operands, every other value is numpy's own draw, and ``rng`` has
-    read exactly the words the scalar calls would.
+    Only a word outside the bound in a normal's slot matters. Most such
+    words take numpy's wedge test, which the words decide on arrays
+    (``_wedges``): the normal is then the fast-path value of that word or
+    of the word two on, after 2 or 3 words. numpy draws the rest itself
+    (tails, restarts on a slow word, tests too close to call), from a
+    generator positioned at that word, and the words it read are counted
+    on the PCG64 state. A slow normal's extra words shift every later slot.
+    The replay is exact: every value the words give is numpy's one
+    fast-path multiplication of the same operands, a decided test uses
+    only the sign of a difference far wider than any rounding in it, and
+    ``rng`` has read exactly the words the scalar calls would.
 
     Rounds are drawn in order, so drawing a and then b rounds gives the
     rows and the final ``rng`` state of drawing a + b at once. A game at
@@ -131,7 +136,7 @@ def draw_noise(instance: BanditInstance, rng: np.random.Generator, n: int) -> np
         raise TypeError(
             f"gaussian noise is replayed from PCG64 words, got {type(bit_generator).__name__}"
         )
-    wi, ki, mult = _ziggurat()
+    wi, ki, fi, mult = _ziggurat()
     width = 4  # words per round on the fast path: two unread slots, two normals
     noise = np.empty((n, 2))
     slow_normals = _SlowNormals(bit_generator.state, mult)
@@ -144,12 +149,14 @@ def draw_noise(instance: BanditInstance, rng: np.random.Generator, n: int) -> np
         free = 0  # the first word no slow normal read
         scanned = 0
         while scanned < len(words):
-            for at in np.flatnonzero(_slow(words[scanned:], ki)).tolist():
-                at += scanned
+            slow = np.flatnonzero(_slow(words[scanned:], ki)) + scanned
+            wedge_values, wedge_used = _wedges(words, slow, wi, ki, fi)
+            for at, value, used in zip(slow.tolist(), wedge_values.tolist(), wedge_used.tolist()):
                 row, slot = divmod(at - shift, width)
                 if at < free or slot < 2:
                     continue  # read by an earlier slow normal, or an unread slot
-                value, used = slow_normals.draw(read + at)
+                if not used:
+                    value, used = slow_normals.draw(read + at)
                 ordinals.append(row * 2 + slot - 2)
                 values.append(value)
                 extras.append(used - 1)
@@ -182,6 +189,42 @@ def _fast_values(words: np.ndarray, wi: np.ndarray) -> np.ndarray:
     bit 8 is set, as rabs * (-wi[idx]), which IEEE rounding makes the same
     number (``wi`` holds both signs)."""
     return ((words >> 9) & (_RABS_END - 1)).astype(np.float64) * wi[words & 0x1FF]
+
+
+#: A wedge test is decided on the words when its two sides differ by more
+#: than this. The derived heights differ from numpy's table by at most an ulp
+#: (numpy 2.4), and two ``exp`` implementations by a few ulp, so a decided
+#: test is the sign of a difference far wider than either.
+_WEDGE_MARGIN = 2.0**-30
+
+
+def _wedges(
+    words: np.ndarray, at: np.ndarray, wi: np.ndarray, ki: np.ndarray, fi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's normal at each slow word ``words[at]``, where the words decide
+    it: ``(values, used)``, with used the words the draw reads, and 0 where
+    numpy must draw it.
+
+    A slow word with idx != 0 takes numpy's wedge test: the next word gives
+    u = (w >> 11) * 2**-53, and the draw returns the word's own fast-path
+    value x when ``(fi[idx - 1] - fi[idx]) * u + fi[idx] < exp(-x * x / 2)``
+    (2 words), and otherwise starts again at the word two on, whose value
+    is its fast-path value when it is on the fast path (3 words). Tails
+    (idx 0), tests within ``_WEDGE_MARGIN``, restarts on a slow word and
+    slow words less than two words from the end of ``words`` are left to
+    numpy."""
+    near = np.take(words, at[:, None] + (0, 1, 2), mode="clip")  # the word, the next two
+    x, fresh = _fast_values(near[:, ::2], wi).T  # the word's value, the restart's
+    idx = (near[:, 0] & 0xFF).astype(np.intp)
+    u = (near[:, 1] >> 11) * 2.0**-53
+    # Positive where lhs < rhs, which accepts x.
+    side = np.exp(-0.5 * x * x) - ((fi[idx - 1] - fi[idx]) * u + fi[idx])
+    inside = (at < len(words) - 2) & (idx != 0)
+    accepted = inside & (side > _WEDGE_MARGIN)
+    rejected = inside & (side < -_WEDGE_MARGIN) & ~_slow(near[:, 2], ki)
+    values = np.where(rejected, fresh, x)
+    used = np.where(accepted, 2, rejected * 3)
+    return values, used
 
 
 class _SlowNormals:
@@ -221,11 +264,11 @@ def _scratch_generator() -> np.random.Generator:
 
 
 @functools.cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
+def _ziggurat() -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """numpy's standard-normal ziggurat, probed from the installed numpy:
-    ``(wi, ki, mult)``, with ``mult`` PCG64's LCG multiplier and ``wi``
+    ``(wi, ki, fi, mult)``, with ``mult`` PCG64's LCG multiplier, ``wi``
     indexed by idx and the sign bit: ``wi[idx]``, then ``-wi[idx]`` at
-    ``idx | 1 << 8``.
+    ``idx | 1 << 8``, and ``fi`` the wedge heights (``_wedges``).
 
     A word's normal is on the fast path unless ``rabs >= ki[idx]``, and is
     then ``rabs * wi[idx]``, negated when bit 8 is set (``_slow``,
@@ -239,7 +282,10 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
     ``ki[idx]`` is the smallest slow rabs. For idx >= 2 it lies within one
     of the strip ratio ``2**52 * wi[idx - 1] / wi[idx]``, where two probes
     settle it; bisection settles idx 0 and 1 and any guess that misses.
-    Derived at the first gaussian draw, not at import (about 7 ms), and
+    Strip idx's right edge is ``2**52 * wi[idx]``, so its height is
+    ``fi[idx] = exp(-(2**52 * wi[idx])**2 / 2)``, and ``fi[0] = 1.0`` tops
+    strip 1. Derived at the first gaussian draw, not at import (4-5 ms, on
+    top of about 11 ms to import ``numpy.random`` in a fresh process), and
     cached for the process.
     """
     gen = np.random.Generator(np.random.PCG64(0))
@@ -285,7 +331,9 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray, int]:
         ],
         np.uint64,
     )
-    return np.concatenate((wi, -wi)), ki, mult
+    fi = np.exp(-0.5 * (2.0**52 * wi) ** 2)
+    fi[0] = 1.0
+    return np.concatenate((wi, -wi)), ki, fi, mult
 
 
 class RewardColumns:

@@ -72,6 +72,7 @@ from coase_bandits.env import (
     _fast_values,
     _scratch_generator,
     _slow,
+    _wedges,
     _ziggurat,
     build_instance,
     draw_noise,
@@ -242,22 +243,33 @@ class TestNoiseStream:
 
     @pytest.mark.parametrize("read", ["game", "certificate"])
     def test_interleaved_seeds_share_one_scratch_generator(self, read):
-        # Two seeds drawn by turns in short calls, as Belgic's search batches
-        # are: every call whose slots hold a slow normal places the one
-        # scratch generator on its own stream, and each seed still reads the
+        # Two seeds drawn by turns in calls of many lengths, as Belgic's
+        # search batches are, every other one a 50-row call around one of
+        # TAIL_ROWS. A tail normal is numpy's own draw, so each of those calls
+        # places the one scratch generator on its own stream, after the other
+        # seed's call has placed it on that seed's. Each seed still reads the
         # rows and leaves the state that a fresh generator's scalar draws do.
         draw, scalar = READS[read]
         inst = _sampler_instance("gaussian")
-        rngs = {seed: np.random.default_rng(seed) for seed in (0, 1)}
+        calls = {}
+        for seed, tails in TAIL_ROWS.items():
+            for at in tails:
+                traced = np.random.default_rng(seed)
+                scalar_noise(inst, traced, at)
+                assert REPLAY_CASES["tail normal"](traced_scalar_round(traced))
+            cuts = [0] + [at + d for at in tails for d in (-20, 30)]
+            calls[seed] = np.diff(cuts).tolist()
+        rngs = {seed: np.random.default_rng(seed) for seed in TAIL_ROWS}
         rows = {seed: [] for seed in rngs}
-        hits = _scratch_generator.cache_info().hits
-        for _ in range(6):
+        before = _scratch_generator.cache_info()
+        for turn in range(len(calls[0])):
             for seed, rng in rngs.items():
-                rows[seed] += draw(inst, rng, 50).tolist()
-        assert _scratch_generator.cache_info().hits > hits
+                rows[seed] += draw(inst, rng, calls[seed][turn]).tolist()
+        placed = sum(_scratch_generator.cache_info()[:2]) - sum(before[:2])
+        assert placed >= sum(len(tails) for tails in TAIL_ROWS.values())
         for seed, rng in rngs.items():
             fresh = np.random.default_rng(seed)
-            assert rows[seed] == scalar(inst, fresh, 300)
+            assert rows[seed] == scalar(inst, fresh, sum(calls[seed]))
             assert rng.bit_generator.state == fresh.bit_generator.state
 
 
@@ -265,13 +277,16 @@ class TestNoiseStream:
 #: the scalar draws of ``rounds`` rounds from default_rng(seed), round ``at``
 #: shows the case. A normal off numpy's ziggurat fast path uses more than one
 #: word; index 0 is the ziggurat's tail, any other index a wedge, where a
-#: third word means the wedge test rejected and the draw started again.
+#: third word means the wedge test rejected and the draw started again two
+#: words on. A fresh start on a fast word ends there, after 3 words; more
+#: mean the restart word was slow again, which the replay leaves to numpy.
 REPLAY_CASES = {
     "slow word in an unread slot": lambda r: any(k == "slot" and u > 1 for k, _, u in r),
     "both normals slow": lambda r: all(u > 1 for k, _, u in r if k == "normal"),
     "slow normal": lambda r: any(k == "normal" and u > 1 for k, _, u in r),
     "tail normal": lambda r: any(k == "normal" and u > 1 and w & 0xFF == 0 for k, w, u in r),
     "wedge restart": lambda r: any(k == "normal" and u > 2 and w & 0xFF for k, w, u in r),
+    "restart on a slow word": lambda r: any(k == "normal" and u > 3 and w & 0xFF for k, w, u in r),
 }
 REPLAY_PINS = [
     # (case, seed, rounds, at); a pin's id also names the 2 normals a round draws
@@ -281,7 +296,12 @@ REPLAY_PINS = [
     ("slow normal", 48, BLOCK + 5, BLOCK - 1),  # in the last round of a pass
     ("tail normal", 1, 2400, 2315),
     ("wedge restart", 0, 100, 18),
+    ("restart on a slow word", 1, 8700, 8692),  # 4 words: the restart's wedge accepted
 ]
+
+#: Rows of seeds 0 and 1 whose normal is a tail, which numpy draws itself:
+#: the first two of each seed (1's first is the "tail normal" pin).
+TAIL_ROWS = {0: (3368, 3770), 1: (2315, 2658)}
 
 #: PCG64's LCG multiplier (O'Neill's 128-bit default); a stream is placed by
 #: stepping its 128-bit state back from the one that emits a chosen word.
@@ -316,32 +336,56 @@ def words_of_normal(word):
     return words_between(state, rng.bit_generator.state)
 
 
+def assert_replays(seed, rounds):
+    """draw_noise's rounds rows from default_rng(seed) are scalar_noise's, bit
+    for bit, and leave the same generator state."""
+    inst = _sampler_instance("gaussian")
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    noise = draw_noise(inst, fast, rounds)
+    assert noise.shape == (rounds, 2)
+    expected = np.array(scalar_noise(inst, slow, rounds)).reshape(rounds, 2)
+    assert noise.tobytes() == expected.tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+#: Wedge-test margins at which the replay must still be exact: at inf numpy
+#: draws every slow normal, at 0.0 only the tails and the restarts on a slow
+#: word (and draws that run past a pass's words).
+MARGINS = {"all-to-numpy": math.inf, "tails-to-numpy": 0.0}
+PIN_IDS = [f"{c}-{s}-2-{r}-{a}" for c, s, r, a in REPLAY_PINS]
+
+
 class TestGaussianReplay:
     """``draw_noise`` replays numpy's ziggurat on raw words: each case where a
     draw takes more than one word per slot, at a pinned place that is shown
     to have it, against the scalar reference, final state included."""
 
-    @pytest.mark.parametrize(
-        "case,seed,rounds,at", REPLAY_PINS, ids=[f"{c}-{s}-2-{r}-{a}" for c, s, r, a in REPLAY_PINS]
-    )
+    @pytest.mark.parametrize("case,seed,rounds,at", REPLAY_PINS, ids=PIN_IDS)
     def test_pinned_case(self, case, seed, rounds, at):
         inst = _sampler_instance("gaussian")
         traced = np.random.default_rng(seed)
         scalar_noise(inst, traced, at)
         assert REPLAY_CASES[case](traced_scalar_round(traced))
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert draw_noise(inst, fast, rounds).tolist() == scalar_noise(inst, slow, rounds)
-        assert fast.bit_generator.state == slow.bit_generator.state
+        assert_replays(seed, rounds)
+
+    @pytest.mark.parametrize("margin", MARGINS.values(), ids=MARGINS)
+    @pytest.mark.parametrize("case,seed,rounds,at", REPLAY_PINS, ids=PIN_IDS)
+    def test_pinned_case_at_either_margin(self, monkeypatch, margin, case, seed, rounds, at):
+        monkeypatch.setattr("coase_bandits.env._WEDGE_MARGIN", margin)
+        assert_replays(seed, rounds)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 3 * BLOCK))
     def test_matches_scalar_draws(self, seed, rounds):
-        inst = _sampler_instance("gaussian")
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        noise = draw_noise(inst, fast, rounds)
-        assert noise.shape == (rounds, 2)
-        assert noise.tolist() == scalar_noise(inst, slow, rounds)
-        assert fast.bit_generator.state == slow.bit_generator.state
+        assert_replays(seed, rounds)
+
+    @pytest.mark.parametrize("margin", MARGINS.values(), ids=MARGINS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 3 * BLOCK))
+    def test_matches_scalar_draws_at_either_margin(self, margin, seed, rounds):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("coase_bandits.env._WEDGE_MARGIN", margin)
+            assert_replays(seed, rounds)
 
     def test_values_are_bit_identical(self):
         # tolist() equality cannot tell -0.0 from 0.0; the bytes can.
@@ -351,30 +395,43 @@ class TestGaussianReplay:
         assert noise.tobytes() == np.array(scalar_noise(inst, slow, 3000)).tobytes()
 
     def test_tables_are_numpys_on_random_words(self):
-        # 20,000 normals drawn by numpy, each with its first word and the
-        # words it used: the tables give the same fast/slow class, and the
-        # same value on the fast path.
-        wi, ki, _ = _ziggurat()
+        # 20,000 normals drawn by numpy, each with its first three words and
+        # the words it used: the tables give the same fast/slow class, the
+        # same value on the fast path, and on every slow word the words
+        # decide (_wedges) the same draw: an accepted wedge uses 2 words and
+        # is the word's own fast value, a rejection onto a fast word uses 3
+        # and is that word's. Only the tails and the restarts on a slow word
+        # are left to numpy.
+        wi, ki, fi, _ = _ziggurat()
         rng, probe = np.random.default_rng(20_000), np.random.PCG64(0)
         words, values, used = [], [], []
         for _ in range(20_000):
             state = rng.bit_generator.state
             probe.state = state
-            words.append(int(probe.random_raw()))
+            words.append(probe.random_raw(3))
             values.append(rng.standard_normal())
             used.append(words_between(state, rng.bit_generator.state))
-        words, values = np.array(words, np.uint64), np.array(values)
-        fast = ~_slow(words, ki)
-        assert fast.tolist() == [u == 1 for u in used]
+        words, values, used = np.concatenate(words), np.array(values), np.array(used)
+        first = words[::3]
+        fast = ~_slow(first, ki)
+        assert fast.tolist() == (used == 1).tolist()
         assert 0 < (~fast).sum() < 1000
-        assert _fast_values(words[fast], wi).tobytes() == values[fast].tobytes()
+        assert _fast_values(first[fast], wi).tobytes() == values[fast].tobytes()
+        slow = np.flatnonzero(~fast)
+        wedge_values, wedge_used = _wedges(words, 3 * slow, wi, ki, fi)
+        decided = wedge_used > 0
+        assert wedge_used[decided].tolist() == used[slow][decided].tolist()
+        assert wedge_values[decided].tobytes() == values[slow][decided].tobytes()
+        assert set(wedge_used.tolist()) == {0, 2, 3}
+        tails = first[slow] & 0xFF == 0
+        assert (~decided).tolist() == (tails | (used[slow] > 3)).tolist()
 
     def test_fast_path_bound_is_exact(self):
         # The last fast and the first slow magnitude of every index, placed
         # in the first normal's slot (word 2): numpy classifies them as the
         # tables do, and the replay matches the scalar draw, rows and final
         # state.
-        wi, ki, _ = _ziggurat()
+        wi, ki, _, _ = _ziggurat()
         inst = _sampler_instance("gaussian")
         for idx in range(256):
             for rabs, fast in ((int(ki[idx]) - 1, True), (int(ki[idx]), False)):
@@ -397,7 +454,8 @@ class TestGaussianReplay:
 
     def test_tables_are_read_at_the_first_gaussian_draw(self):
         # In a fresh process: importing the CLI and playing a bernoulli game
-        # derive no table; the first gaussian draw does.
+        # derive no table, the wedge heights included, and leave no array in
+        # env; the first gaussian draw derives them all.
         code = (
             "import numpy as np\n"
             "import coase_bandits.cli\n"
@@ -405,12 +463,17 @@ class TestGaussianReplay:
             "from coase_bandits.downstream import BestResponseDownstream\n"
             "from coase_bandits.engine import run_no_property\n"
             "from coase_bandits.upstream import IncentiveAwareUCB\n"
-            "assert env._ziggurat.cache_info().currsize == 0\n"
+            "def underived():\n"
+            "    arrays = [v for v in vars(env).values() if isinstance(v, np.ndarray)]\n"
+            "    return env._ziggurat.cache_info().currsize == 0 and not arrays\n"
+            "assert underived()\n"
             "inst = env.build_instance((0.2, 0.7), ((0.1, 0.9), (0.3, 0.3)), 'bernoulli')\n"
             "run_no_property(inst, IncentiveAwareUCB(2, 50), BestResponseDownstream(inst), 50, 1)\n"
-            "assert env._ziggurat.cache_info().currsize == 0\n"
+            "assert underived()\n"
             "env.draw_noise(env.build_instance((0.5,), ((0.5,),)), np.random.default_rng(0), 3)\n"
             "assert env._ziggurat.cache_info().currsize == 1\n"
+            "fi = env._ziggurat()[2]\n"
+            "assert fi.shape == (256,) and fi[0] == 1.0 and (np.diff(fi) < 0).all()\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
